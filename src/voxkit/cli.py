@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import tokenize
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, dsp, enhance, metrics, pitch, wavio
-from .errors import VoxkitError
+from .errors import InvalidConfigError, VoxkitError
 from .serialize import format_field, json_value
 
 EXIT_OK = 0
@@ -338,14 +339,21 @@ def _run_metrics_job(job: _MetricsJob) -> _MetricsOutcome:
             hyp_w = dsp.resample(wavio.read_wav(job.hyp_audio), job.sample_rate)
         except (VoxkitError, OSError) as exc:
             return _MetricsOutcome(job.utterance_id, {}, (("audio", str(exc)),))
-    if "mcd" in job.which:
+    spectral = [m for m in ("mcd", "msd") if m in job.which]
+    if spectral:
         try:
-            row["mcd"] = metrics.mcd(ref_w, hyp_w, mel_cfg)
+            ref_logm, hyp_logm = metrics.log_mel_pair(ref_w, hyp_w, mel_cfg)
+        except VoxkitError as exc:
+            errors.extend((m, str(exc)) for m in spectral)
+            spectral = []
+    if "mcd" in spectral:
+        try:
+            row["mcd"], _ = metrics.mcd_from_log_mel(ref_logm, hyp_logm)
         except VoxkitError as exc:
             errors.append(("mcd", str(exc)))
-    if "msd" in job.which:
+    if "msd" in spectral:
         try:
-            row["msd"] = metrics.msd(ref_w, hyp_w, mel_cfg)
+            row["msd"], _ = metrics.dtw_rmse(ref_logm.frames, hyp_logm.frames)
         except VoxkitError as exc:
             errors.append(("msd", str(exc)))
     if "f0" in job.which:
@@ -548,6 +556,25 @@ class _VocodeOutcome:
     error: str | None
 
 
+def _load_spectrogram(path: str) -> np.ndarray:
+    """A real-valued array from a .npy file; anything else is an InvalidConfigError."""
+    # The file is closed here even when np.load opens an .npz archive. A
+    # garbled .npy header reaches np.load's literal parser, which raises
+    # SyntaxError, TypeError or TokenError as well as ValueError.
+    with open(path, "rb") as fh:
+        try:
+            frames = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, SyntaxError, TypeError, tokenize.TokenError) as exc:
+            raise InvalidConfigError(f"{path}: {exc}") from None
+    if not isinstance(frames, np.ndarray):
+        raise InvalidConfigError(f"{path}: expected a single .npy array")
+    if frames.dtype.kind not in "biuf":
+        raise InvalidConfigError(
+            f"{path}: expected a real-valued spectrogram, got dtype {frames.dtype}"
+        )
+    return frames
+
+
 def _run_vocode_job(job: _VocodeJob) -> _VocodeOutcome:
     cfg = dsp.StftConfig(fft_size=job.fft, win_length=job.win, hop_length=job.hop)
     try:
@@ -555,7 +582,7 @@ def _run_vocode_job(job: _VocodeJob) -> _VocodeOutcome:
             w = dsp.resample(wavio.read_wav(job.audio_path), job.sample_rate)
             target = dsp.stft(w, cfg)
         else:
-            frames = np.load(job.spec_path)
+            frames = _load_spectrogram(job.spec_path)
             target = dsp.FeatureSeq(
                 frames, job.sample_rate / cfg.hop_length, "magnitude_spectrogram"
             )

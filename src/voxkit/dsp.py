@@ -149,6 +149,14 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def _center_pad(samples: np.ndarray, win_length: int) -> np.ndarray:
+    """Reflect-pad a signal by win_length // 2 on each side."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if len(samples) == 0:
+        raise EmptySignalError("cannot frame an empty signal")
+    return np.pad(samples, win_length // 2, mode="reflect")
+
+
 def frame_signal(samples: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
     """Slice a signal into centered frames after reflect padding.
 
@@ -156,11 +164,7 @@ def frame_signal(samples: np.ndarray, win_length: int, hop_length: int) -> np.nd
     sample t * hop_length and the frame count is 1 + len(samples) // hop
     for even window lengths.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if len(samples) == 0:
-        raise EmptySignalError("cannot frame an empty signal")
-    pad = win_length // 2
-    padded = np.pad(samples, pad, mode="reflect")
+    padded = _center_pad(samples, win_length)
     n_frames = 1 + (len(padded) - win_length) // hop_length
     idx = np.arange(win_length)[None, :] + hop_length * np.arange(n_frames)[:, None]
     return padded[idx]
@@ -259,14 +263,19 @@ def log_mel(w: Waveform, cfg: MelConfig | None = None) -> FeatureSeq:
 
 def mfcc(w: Waveform, cfg: MelConfig | None = None, n_coeffs: int = 13) -> FeatureSeq:
     """Cepstral coefficients c1..c_n of the log-mel frames, c0 excluded."""
-    cfg = cfg or MelConfig()
+    return mel_cepstrum(log_mel(w, cfg), n_coeffs)
+
+
+def mel_cepstrum(logm: FeatureSeq, n_coeffs: int = 13) -> FeatureSeq:
+    """mfcc from log-mel frames already computed, for callers that need both."""
+    if logm.kind != "log_mel":
+        raise InvalidConfigError(f"expected log-mel frames, got {logm.kind!r}")
     if n_coeffs < 1:
         raise InvalidConfigError(f"n_coeffs must be at least 1, got {n_coeffs}")
-    if n_coeffs >= cfg.n_mels:
+    if n_coeffs >= logm.dim:
         raise InvalidConfigError(
-            f"n_coeffs {n_coeffs} must be smaller than n_mels {cfg.n_mels}"
+            f"n_coeffs {n_coeffs} must be smaller than n_mels {logm.dim}"
         )
-    logm = log_mel(w, cfg)
     coeffs = dct(logm.frames, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
     return FeatureSeq(coeffs, logm.frame_rate, "mfcc")
 
@@ -289,29 +298,40 @@ def dtw_align(a, b) -> DtwAlignment:
         )
     d = cdist(a, b)
     n1, n2 = d.shape
-    cost = np.empty((n1, n2))
     move = np.zeros((n1, n2), dtype=np.int8)  # 0 diagonal, 1 from (i-1,j), 2 from (i,j-1)
-    cost[0, 0] = d[0, 0]
-    for j in range(1, n2):
-        cost[0, j] = cost[0, j - 1] + d[0, j]
-        move[0, j] = 2
-    for i in range(1, n1):
-        cost[i, 0] = cost[i - 1, 0] + d[i, 0]
-        move[i, 0] = 1
-    for i in range(1, n1):
-        row = cost[i]
-        prev = cost[i - 1]
-        for j in range(1, n2):
-            best = prev[j - 1]
-            m = 0
-            if prev[j] < best:
-                best = prev[j]
-                m = 1
-            if row[j - 1] < best:
-                best = row[j - 1]
-                m = 2
-            row[j] = best + d[i, j]
-            move[i, j] = m
+    move[0, 1:] = 2
+    move[1:, 0] = 1
+    # Cells with i + j == s depend only on diagonals s-1 and s-2, so each
+    # anti-diagonal is one vector step, written over diagonal s-2 once its
+    # candidates are read. Diagonals are indexed by i; cell (i, s-i) sits
+    # at flat offset s + i * (n2 - 1) of a row-major n1 x n2 matrix. The
+    # edges are running sums, as in a row-by-row fill.
+    first_row = np.cumsum(d[0])
+    first_col = np.cumsum(d[:, 0])
+    d_flat = d.reshape(-1)
+    move_flat = move.reshape(-1)
+    step = n2 - 1
+    older, prev = np.empty(n1), np.empty(n1)
+    for s in range(n1 + n2 - 1):
+        lo, hi = max(1, s - step), min(s, n1) - 1
+        if lo <= hi:
+            diag, up, left = older[lo - 1 : hi], prev[lo - 1 : hi], prev[lo : hi + 1]
+            # The strict comparisons of a scalar fill: ties keep the
+            # diagonal, then (i-1, j). np.argmin keeps that order too, but
+            # takes NaN as the minimum where the scalar fill never moves to it.
+            from_up = up < diag
+            best = np.where(from_up, up, diag)
+            from_left = left < best
+            best = np.where(from_left, left, best)
+            cells = slice(s + lo * step, s + hi * step + 1, step)
+            np.add(best, d_flat[cells], out=older[lo : hi + 1])
+            move_flat[cells] = np.where(from_left, 2, from_up)
+        if s < n2:
+            older[0] = first_row[s]
+        if s < n1:
+            older[s] = first_col[s]
+        older, prev = prev, older
+    total_cost = prev[n1 - 1]
     i, j = n1 - 1, n2 - 1
     path = [(i, j)]
     while i or j:
@@ -324,7 +344,7 @@ def dtw_align(a, b) -> DtwAlignment:
             j -= 1
         path.append((i, j))
     path.reverse()
-    return DtwAlignment(tuple(path), float(cost[n1 - 1, n2 - 1]))
+    return DtwAlignment(tuple(path), float(total_cost))
 
 
 def griffin_lim(

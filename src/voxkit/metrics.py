@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import MelConfig, Waveform, dtw_align, log_mel, mfcc
+from .dsp import FeatureSeq, MelConfig, Waveform, dtw_align, log_mel, mel_cepstrum
 from .errors import (
     EmptyReferenceError,
     EmptyTrackError,
@@ -122,23 +122,33 @@ def dtw_rmse(a: np.ndarray, b: np.ndarray) -> tuple:
     return math.sqrt(sq / (len(alignment.path) * dim)), len(alignment.path)
 
 
-def mcd(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None, n_coeffs: int = 13) -> float:
-    """Mel-cepstral distortion after temporal alignment."""
+def log_mel_pair(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None) -> tuple:
+    """Log-mel features of a pair at one sample rate, the input of mcd and msd.
+
+    A caller that wants both distortions analyzes each waveform once.
+    """
     if ref.sample_rate != hyp.sample_rate:
         raise RateMismatchError(
             f"sample rates differ: {ref.sample_rate} vs {hyp.sample_rate}"
         )
-    value, _ = dtw_rmse(mfcc(ref, cfg, n_coeffs).frames, mfcc(hyp, cfg, n_coeffs).frames)
+    return log_mel(ref, cfg), log_mel(hyp, cfg)
+
+
+def mcd_from_log_mel(ref: FeatureSeq, hyp: FeatureSeq, n_coeffs: int = 13) -> tuple:
+    """Mel-cepstral distortion of log_mel_pair output; returns (mcd, path length)."""
+    return dtw_rmse(mel_cepstrum(ref, n_coeffs).frames, mel_cepstrum(hyp, n_coeffs).frames)
+
+
+def mcd(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None, n_coeffs: int = 13) -> float:
+    """Mel-cepstral distortion after temporal alignment."""
+    value, _ = mcd_from_log_mel(*log_mel_pair(ref, hyp, cfg), n_coeffs)
     return value
 
 
 def msd(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None) -> float:
     """Log-mel spectral distortion after temporal alignment."""
-    if ref.sample_rate != hyp.sample_rate:
-        raise RateMismatchError(
-            f"sample rates differ: {ref.sample_rate} vs {hyp.sample_rate}"
-        )
-    value, _ = dtw_rmse(log_mel(ref, cfg).frames, log_mel(hyp, cfg).frames)
+    ref_logm, hyp_logm = log_mel_pair(ref, hyp, cfg)
+    value, _ = dtw_rmse(ref_logm.frames, hyp_logm.frames)
     return value
 
 
@@ -155,14 +165,9 @@ def distortion_report(
     ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None, n_coeffs: int = 13
 ) -> DistortionReport:
     """Compute both spectral distortions for one utterance pair."""
-    if ref.sample_rate != hyp.sample_rate:
-        raise RateMismatchError(
-            f"sample rates differ: {ref.sample_rate} vs {hyp.sample_rate}"
-        )
-    mcd_value, path_length = dtw_rmse(
-        mfcc(ref, cfg, n_coeffs).frames, mfcc(hyp, cfg, n_coeffs).frames
-    )
-    msd_value, _ = dtw_rmse(log_mel(ref, cfg).frames, log_mel(hyp, cfg).frames)
+    ref_logm, hyp_logm = log_mel_pair(ref, hyp, cfg)
+    mcd_value, path_length = mcd_from_log_mel(ref_logm, hyp_logm, n_coeffs)
+    msd_value, _ = dtw_rmse(ref_logm.frames, hyp_logm.frames)
     return DistortionReport(mcd=mcd_value, msd=msd_value, path_length=path_length)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import Waveform, frame_signal
+from .dsp import Waveform, _center_pad
 from .errors import (
     EmptyTrackError,
     FrameRateMismatchError,
@@ -81,16 +81,37 @@ class PitchTrack:
         return len(self.f0)
 
 
-def _cmnd(frame: np.ndarray, lag_max: int, window: int) -> np.ndarray:
-    """Cumulative mean normalized difference for lags 0..lag_max."""
-    shifted = sliding_window_view(frame, window)[: lag_max + 1]
-    d = ((shifted[0][None, :] - shifted) ** 2).sum(axis=1)
-    out = np.ones(lag_max + 1)
-    csum = np.cumsum(d[1:])
-    nz = csum > 0.0
+_CHUNK_FRAMES = 16  # frames whose difference functions share one pass over the samples
+_LAG_BLOCK = 32  # lags per pass; bounds the work buffer (lags x chunk span)
+
+
+def _cmnd_frames(padded: np.ndarray, n_frames: int, hop: int, lag_max: int, window: int):
+    """Yield the cumulative mean normalized difference, lags 0..lag_max, per frame.
+
+    Frame t starts at padded[t * hop]; its difference at lag k sums
+    (x[j] - x[j + k]) ** 2 over the window samples j of that frame.
+    Neighbouring frames overlap, so each squared difference is computed
+    once per chunk of frames, and each frame's window is then summed on
+    its own as one contiguous reduction, exactly as for a single frame.
+    """
+    buf = np.empty((_LAG_BLOCK, (_CHUNK_FRAMES - 1) * hop + window))
     lags = np.arange(1, lag_max + 1, dtype=np.float64)
-    out[1:][nz] = d[1:][nz] * lags[nz] / csum[nz]
-    return out
+    for t0 in range(0, n_frames, _CHUNK_FRAMES):
+        n = min(_CHUNK_FRAMES, n_frames - t0)
+        span = (n - 1) * hop + window
+        x = padded[t0 * hop : t0 * hop + span + lag_max]
+        shifted = sliding_window_view(x, span)  # shifted[k] = x[k : k + span]
+        d = np.empty((n, lag_max + 1))
+        for k0 in range(0, lag_max + 1, _LAG_BLOCK):
+            k1 = min(k0 + _LAG_BLOCK, lag_max + 1)
+            sq = buf[: k1 - k0, :span]
+            np.subtract(x[:span], shifted[k0:k1], out=sq)
+            np.square(sq, out=sq)
+            d[:, k0:k1] = sliding_window_view(sq, window, axis=1)[:, ::hop].sum(axis=2).T
+        csum = np.cumsum(d[:, 1:], axis=1)
+        cmnd = np.ones_like(d)
+        np.divide(d[:, 1:] * lags, csum, out=cmnd[:, 1:], where=csum > 0.0)
+        yield from cmnd
 
 
 def extract_pitch(w: Waveform, cfg: PitchConfig | None = None) -> PitchTrack:
@@ -110,12 +131,12 @@ def extract_pitch(w: Waveform, cfg: PitchConfig | None = None) -> PitchTrack:
             f"frame_length {cfg.frame_length} cannot hold a full period of f0_min {cfg.f0_min}"
         )
     window = cfg.frame_length - lag_max
-    frames = frame_signal(w.samples, cfg.frame_length, cfg.hop_length)
-    n_frames = frames.shape[0]
+    padded = _center_pad(w.samples, cfg.frame_length)
+    n_frames = 1 + (len(padded) - cfg.frame_length) // cfg.hop_length
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
-    for t in range(n_frames):
-        cmnd = _cmnd(frames[t], lag_max, window)
+    cmnds = _cmnd_frames(padded, n_frames, cfg.hop_length, lag_max, window)
+    for t, cmnd in enumerate(cmnds):
         region = cmnd[lag_min : lag_max + 1]
         below = np.flatnonzero(region < cfg.voicing_threshold)
         if len(below):

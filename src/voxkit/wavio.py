@@ -1,5 +1,6 @@
 """WAV file reading and writing."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ def read_wav(path) -> Waveform:
     """Read a mono RIFF file holding 16-bit or 32-bit-float PCM."""
     try:
         rate, data = scipy.io.wavfile.read(path)
-    except ValueError as exc:
+    except (ValueError, struct.error) as exc:  # struct.error: cut inside the header
         raise UnsupportedWavError(f"{path}: {exc}") from None
     if data.ndim != 1:
         raise UnsupportedWavError(

@@ -4,9 +4,12 @@ Everything here favors obviousness over speed: exhaustive path walks,
 recursive prefix definitions, per-frame loops over plain Python ints.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial.distance import cdist
 
 
 def dtw_min_cost_by_enumeration(dist):
@@ -133,3 +136,97 @@ def random_pitch_track_pair(rng, n_frames):
     factor = np.where(wild, rng.uniform(1.5, 2.5, n_frames), rng.uniform(0.85, 1.15, n_frames))
     hyp_f0 = np.where(hyp_voiced, np.maximum(ref_f0 * factor, 60.0), 0.0)
     return ref_f0, ref_voiced, hyp_f0, hyp_voiced
+
+
+def dtw_row_major(a, b):
+    """(path, total_cost) from the scalar row-by-row DTW fill.
+
+    The same recurrence and tie order as dsp.dtw_align, one cell at a
+    time: ties prefer the diagonal step, then advancing the first sequence.
+    """
+    d = cdist(np.atleast_2d(a), np.atleast_2d(b))
+    n1, n2 = d.shape
+    cost = np.empty((n1, n2))
+    move = np.zeros((n1, n2), dtype=np.int8)
+    cost[0, 0] = d[0, 0]
+    for j in range(1, n2):
+        cost[0, j] = cost[0, j - 1] + d[0, j]
+        move[0, j] = 2
+    for i in range(1, n1):
+        cost[i, 0] = cost[i - 1, 0] + d[i, 0]
+        move[i, 0] = 1
+    for i in range(1, n1):
+        for j in range(1, n2):
+            best = cost[i - 1, j - 1]
+            m = 0
+            if cost[i - 1, j] < best:
+                best = cost[i - 1, j]
+                m = 1
+            if cost[i, j - 1] < best:
+                best = cost[i, j - 1]
+                m = 2
+            cost[i, j] = best + d[i, j]
+            move[i, j] = m
+    i, j = n1 - 1, n2 - 1
+    path = [(i, j)]
+    while i or j:
+        m = move[i, j]
+        if m == 0:
+            i, j = i - 1, j - 1
+        elif m == 1:
+            i -= 1
+        else:
+            j -= 1
+        path.append((i, j))
+    return tuple(reversed(path)), float(cost[n1 - 1, n2 - 1])
+
+
+def _cmnd_one_frame(frame, lag_max, window):
+    shifted = sliding_window_view(frame, window)[: lag_max + 1]
+    d = ((shifted[0][None, :] - shifted) ** 2).sum(axis=1)
+    out = np.ones(lag_max + 1)
+    csum = np.cumsum(d[1:])
+    nz = csum > 0.0
+    lags = np.arange(1, lag_max + 1, dtype=np.float64)
+    out[1:][nz] = d[1:][nz] * lags[nz] / csum[nz]
+    return out
+
+
+def pitch_per_frame(samples, sr, cfg):
+    """(f0, voiced) from one difference function per materialized frame.
+
+    The same arithmetic as pitch.extract_pitch, frame by frame: each
+    frame's lag-k difference is one contiguous sum of squared differences.
+    """
+    lag_max = int(sr / cfg.f0_min)
+    lag_min = max(2, math.ceil(sr / cfg.f0_max))
+    window = cfg.frame_length - lag_max
+    pad = cfg.frame_length // 2
+    padded = np.pad(np.asarray(samples, dtype=np.float64), pad, mode="reflect")
+    n_frames = 1 + (len(padded) - cfg.frame_length) // cfg.hop_length
+    f0 = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    for t in range(n_frames):
+        start = t * cfg.hop_length
+        cmnd = _cmnd_one_frame(padded[start : start + cfg.frame_length].copy(), lag_max, window)
+        region = cmnd[lag_min : lag_max + 1]
+        below = np.flatnonzero(region < cfg.voicing_threshold)
+        if len(below):
+            k = int(below[0]) + lag_min
+            while k + 1 <= lag_max and cmnd[k + 1] < cmnd[k]:
+                k += 1
+        else:
+            k = int(np.argmin(region)) + lag_min
+        if cmnd[k] >= cfg.voicing_threshold:
+            continue
+        shift = 0.0
+        if k < lag_max:
+            y0, y1, y2 = cmnd[k - 1], cmnd[k], cmnd[k + 1]
+            denom = y0 - 2.0 * y1 + y2
+            if abs(denom) > 1e-12:
+                shift = min(0.5, max(-0.5, 0.5 * (y0 - y2) / denom))
+        freq = sr / (k + shift)
+        if cfg.f0_min <= freq <= cfg.f0_max:
+            voiced[t] = True
+            f0[t] = freq
+    return f0, voiced

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -123,6 +124,25 @@ class TestPreprocess:
         assert lines[0] == "id\tstage\terror"
         assert len(lines) == 2
         assert lines[1].startswith("utt001\tVAD-1\t")
+
+    def test_wav_cut_inside_header_is_reported_and_skipped(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        manifest = build_corpus(root, 3, seed=12, with_enhanced=False)
+        cut = root / "raw" / "utt001.wav"
+        cut.write_bytes(cut.read_bytes()[:20])
+        out_dir = tmp_path / "out"
+        code = cli.main([
+            "preprocess", "--manifest", str(manifest),
+            "--out-dir", str(out_dir), "--stages", "VN",
+        ])
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+
+        produced = corpus.load_manifest(out_dir / "manifest.tsv")
+        assert produced.ids() == ["utt000", "utt002"]
+        lines = (out_dir / "errors.tsv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("utt001\tload\t")
 
     def test_dropped_report_points_at_input_audio(self, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -251,6 +271,25 @@ class TestMetrics:
         assert "MSD" not in out
         assert "CER (S/D/I): " in out
 
+    def test_spectral_metrics_fail_independently(self, tmp_path, capsys):
+        # 13 cepstra need more than 13 mel bands: mcd fails, msd still runs
+        root = tmp_path / "corpus"
+        ref_manifest = build_corpus(root, 2, seed=41)
+        out_dir = root / "report"
+        code = cli.main([
+            "metrics", "--ref-manifest", str(ref_manifest),
+            "--hyp-manifest", str(ref_manifest), "--out-dir", str(out_dir),
+            "--which", "mcd,msd", "--mels", "13",
+        ])
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+        rows = json.loads((out_dir / "report.json").read_text())["utterances"]
+        assert [row["msd"] for row in rows] == [0.0, 0.0]
+        assert [row["mcd"] for row in rows] == [None, None]
+        errors = (out_dir / "errors.tsv").read_text().splitlines()[1:]
+        assert [e.split("\t")[:2] for e in errors] == [["utt000", "mcd"], ["utt001", "mcd"]]
+        assert "must be smaller than n_mels 13" in errors[0]
+
 
 class TestVad:
     def test_trims_silence(self, tmp_path, capsys):
@@ -302,6 +341,33 @@ class TestSnr:
             assert corpus.resolve_audio_path(record, out).exists()
 
 
+def _save_archive(path):
+    with open(path, "wb") as out:
+        np.savez(out, np.ones((8, 513)))
+
+
+def _garble_header(old, new):
+    """A saver writing a valid .npy whose header has `old` replaced by `new`."""
+    def save(path):
+        buf = io.BytesIO()
+        np.save(buf, np.ones((8, 513)))
+        path.write_bytes(buf.getvalue().replace(old, new, 1))
+    return save
+
+
+BAD_SPECTROGRAMS = {
+    "object": lambda p: np.save(p, np.array([{"a": 1}, None], dtype=object), allow_pickle=True),
+    "complex": lambda p: np.save(p, np.ones((8, 513), dtype=complex)),
+    "text": lambda p: np.save(p, np.array(["a", "b"])),
+    "empty": lambda p: p.write_bytes(b""),
+    "archive": _save_archive,
+    # each garbled header makes np.load raise something other than ValueError
+    "header_unclosed": _garble_header(b"}", b" "),  # tokenize.TokenError
+    "header_descr": _garble_header(b"'<f8'", b"'<,8'"),  # SyntaxError
+    "header_key": _garble_header(b" 'fortran_order'", b"b'fortran_order'"),  # TypeError
+}
+
+
 class TestVocode:
     def test_requires_exactly_one_source(self, small_corpus, tmp_path, capsys):
         code = cli.main(["vocode", "--out-dir", str(tmp_path / "v")])
@@ -348,6 +414,26 @@ class TestVocode:
         lines = (out_dir / "roundtrip.tsv").read_text().splitlines()
         assert lines[1].split("\t")[0] == "tone"
         assert float(lines[1].split("\t")[1]) < 0.1
+
+    @pytest.mark.parametrize("kind", sorted(BAD_SPECTROGRAMS))
+    def test_malformed_spectrogram_is_reported_and_skipped(self, kind, tmp_path, capsys):
+        spec_dir = tmp_path / "specs"
+        spec_dir.mkdir()
+        w = dsp.Waveform(sine(440.0, 0.5), SR)
+        BAD_SPECTROGRAMS[kind](spec_dir / "a_bad.npy")
+        np.save(spec_dir / "b_tone.npy", dsp.stft(w).frames)
+        out_dir = tmp_path / "rebuilt"
+        code = cli.main([
+            "vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir),
+        ])
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+        lines = (out_dir / "roundtrip.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in lines[1:]] == ["b_tone"]
+        errors = (out_dir / "errors.tsv").read_text().splitlines()
+        assert len(errors) == 2
+        assert errors[1].startswith("a_bad\tvocode\t")
+        assert not (out_dir / "a_bad.wav").exists()
 
 
 class TestFilterCommand:

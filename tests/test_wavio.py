@@ -55,6 +55,15 @@ def test_rejects_non_wav(tmp_path):
         wavio.read_wav(path)
 
 
+@pytest.mark.parametrize("n_bytes", range(44))
+def test_rejects_file_cut_inside_header(tmp_path, n_bytes):
+    path = tmp_path / "cut.wav"
+    wavio.write_wav(path, Waveform(np.zeros(100), 8000))
+    path.write_bytes(path.read_bytes()[:n_bytes])
+    with pytest.raises(UnsupportedWavError):
+        wavio.read_wav(path)
+
+
 def test_write_clips_and_warns(tmp_path):
     path = tmp_path / "c.wav"
     with pytest.warns(ClippingWarning, match="3 samples"):
