@@ -12,7 +12,9 @@ import sys
 import tokenize
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,48 @@ def _map_ordered(func, jobs, workers: int) -> list:
         return list(pool.map(func, jobs, chunksize=1))
 
 
+def _run_utterances(func, items: dict, workers: int, *context, stage: str):
+    """Map func(id, item, *context, stage) over items, in their order.
+
+    func returns (value, errors), errors being (stage, message) rows.
+    stage is a one-item list naming the stage func is in, starting at the
+    given label; a VoxkitError or OSError that func raises gives the value
+    None and one error row for that stage. Returns ({id: value}, rows of
+    (id, stage, message)).
+    """
+    results = _map_ordered(partial(_attempt, func, stage, context), items.items(), workers)
+    values, error_rows = {}, []
+    for utterance_id, (value, errors) in zip(items, results):
+        values[utterance_id] = value
+        error_rows += [(utterance_id, s, message) for s, message in errors]
+    return values, error_rows
+
+
+def _attempt(func, label, context, named_item):
+    utterance_id, item = named_item
+    stage = [label]
+    try:
+        return func(utterance_id, item, *context, stage)
+    except (VoxkitError, OSError) as exc:
+        return None, ((stage[0], str(exc)),)
+
+
+def _out_wav(out_dir, utterance_id: str) -> Path:
+    """<out_dir>/<id>.wav, for an id that is one plain path component.
+
+    Any other id would name a file outside out_dir, so it is an error.
+    """
+    if utterance_id in (".", "..") or any(c in utterance_id for c in "/\\\0"):
+        raise InvalidConfigError(f"utterance id {utterance_id!r} is not a plain file name")
+    return Path(out_dir) / f"{utterance_id}.wav"
+
+
+def _discard_wav(out_dir, utterance_id: str) -> None:
+    """Remove <out_dir>/<id>.wav if present; an id _out_wav rejects has none."""
+    with suppress(InvalidConfigError, FileNotFoundError):
+        _out_wav(out_dir, utterance_id).unlink()
+
+
 def _usage(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -75,70 +119,62 @@ def _print_stage_table(rows) -> None:
         print(f"{label:<{width}}  {hours:>10.2f}  {count:>10d}")
 
 
+def _load(path, sample_rate: int) -> dsp.Waveform:
+    return dsp.resample(wavio.read_wav(path), sample_rate)
+
+
 # ---------------------------------------------------------------- preprocess
 
 
-@dataclass(frozen=True)
-class _PreprocessJob:
-    utterance_id: str
-    audio_path: str
-    enhanced_path: str | None
-    out_path: str
-    stages: tuple
-    sample_rate: int
-    dry: float
-    fill: str
-    energy_threshold_db: float
-    seed: int
+def _preprocess_one(utterance_id, record, args, stages, stage):
+    """Run one record through the audio stages into <out-dir>/<id>.wav.
 
-
-@dataclass(frozen=True)
-class _PreprocessOutcome:
-    utterance_id: str
-    error: tuple | None  # (stage, message) when the utterance failed
-    snr_db: float | None
-    input_duration_s: float
-    stage_durations: tuple  # duration after each audio stage, in job order
-
-
-def _run_preprocess_job(job: _PreprocessJob) -> _PreprocessOutcome:
-    stage = "load"
-    try:
-        w = dsp.resample(wavio.read_wav(job.audio_path), job.sample_rate)
-        input_duration = w.duration_s
-        snr_db = None
-        durations = []
-        for stage in job.stages:
-            if stage == "DN":
-                if job.enhanced_path is None:
-                    enhanced = w  # identity enhancer
-                else:
-                    enhanced = dsp.resample(
-                        wavio.read_wav(job.enhanced_path), job.sample_rate
-                    )
-                snr_db = enhance.estimate_snr(w, enhanced)
-                w = enhance.dry_wet_mix(w, enhanced, enhance.DryWetConfig(job.dry))
-            elif stage.startswith("VAD-"):
-                cfg = enhance.VadConfig(
-                    energy_threshold_db=job.energy_threshold_db,
-                    aggressiveness=int(stage[4:]),
-                )
-                labels = enhance.vad_label(w, cfg)
-                w = enhance.trim_and_compress(
-                    w,
-                    labels,
-                    enhance.SilencePolicy(fill=job.fill),
-                    seed=derive_seed(job.seed, job.utterance_id),
-                )
-            else:  # VN
-                w = enhance.normalize_volume(w)
-            durations.append(w.duration_s)
-        wavio.write_wav(job.out_path, w)
-        return _PreprocessOutcome(
-            job.utterance_id, None, snr_db, input_duration, tuple(durations)
-        )
-    except (VoxkitError, OSError) as exc:
-        return _PreprocessOutcome(job.utterance_id, (stage, str(exc)), None, 0.0, ())
+    Returns (updated record, durations): the input duration, then the
+    duration after each audio stage. FLT's CER is filled in here too.
+    """
+    out_path = _out_wav(args.out_dir, utterance_id)
+    audio = corpus.resolve_audio_path(record, args.manifest)
+    w = _load(audio, args.sample_rate)
+    durations = [w.duration_s]
+    snr_db = record.snr_db
+    for name in stages:
+        if name == "FLT":
+            continue
+        stage[0] = name
+        if name == "DN":
+            if args.enhanced_dir is None:
+                enhanced = w  # identity enhancer
+            else:
+                enhanced_path = Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX)
+                enhanced = _load(enhanced_path, args.sample_rate)
+            snr_db = enhance.estimate_snr(w, enhanced)
+            w = enhance.dry_wet_mix(w, enhanced, enhance.DryWetConfig(args.dry))
+        elif name.startswith("VAD-"):
+            cfg = enhance.VadConfig(
+                energy_threshold_db=args.energy_threshold_db,
+                aggressiveness=int(name[4:]),
+            )
+            labels = enhance.vad_label(w, cfg)
+            w = enhance.trim_and_compress(
+                w,
+                labels,
+                enhance.SilencePolicy(fill=args.fill),
+                seed=derive_seed(args.seed, utterance_id),
+            )
+        else:  # VN
+            w = enhance.normalize_volume(w)
+        durations.append(w.duration_s)
+    wavio.write_wav(out_path, w)
+    cer, errors = record.cer, ()
+    if "FLT" in stages and cer is None and record.text and record.hyp_text:
+        try:
+            cer = metrics.cer(record.text, record.hyp_text).cer
+        except VoxkitError as exc:
+            errors = (("FLT", str(exc)),)
+    updated = corpus.with_updates(
+        record, audio_path=out_path.name, duration_s=w.duration_s, snr_db=snr_db, cer=cer
+    )
+    return (updated, tuple(durations)), errors
 
 
 def _parse_stages(text: str):
@@ -157,89 +193,43 @@ def cmd_preprocess(args) -> int:
         return _usage(f"--stages must be a comma list from {ALL_STAGES}, got {args.stages!r}")
     if not 0.0 <= args.dry <= 1.0:
         return _usage(f"--dry must lie in [0, 1], got {args.dry}")
+    return _preprocess(args, stages)
+
+
+def cmd_vad(args) -> int:
+    return _preprocess(args, (f"VAD-{args.aggressiveness}",))
+
+
+def _preprocess(args, stages) -> int:
+    """Run stages over --manifest into --out-dir.
+
+    Only DN reads --dry and --enhanced-dir, and only FLT reads the filter
+    flags, so `vad`, which has neither stage, has none of these flags.
+    """
     if args.workers < 1:
         return _usage(f"--workers must be at least 1, got {args.workers}")
-
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    audio_stages = tuple(s for s in stages if s != "FLT")
-
-    jobs = []
-    for record in manifest:
-        audio = corpus.resolve_audio_path(record, args.manifest)
-        enhanced = None
-        if args.enhanced_dir is not None and "DN" in stages:
-            enhanced = str(Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX))
-        jobs.append(
-            _PreprocessJob(
-                utterance_id=record.utterance_id,
-                audio_path=str(audio),
-                enhanced_path=enhanced,
-                out_path=str(out_dir / f"{record.utterance_id}.wav"),
-                stages=audio_stages,
-                sample_rate=args.sample_rate,
-                dry=args.dry,
-                fill=args.fill,
-                energy_threshold_db=args.energy_threshold_db,
-                seed=args.seed,
-            )
-        )
-    outcomes = _map_ordered(_run_preprocess_job, jobs, args.workers)
-
-    error_rows = []
-    survivors = {}
-    records_by_id = {r.utterance_id: r for r in manifest}
-    for outcome in outcomes:
-        if outcome.error is not None:
-            stage, message = outcome.error
-            error_rows.append((outcome.utterance_id, stage, message))
-            leftover = out_dir / f"{outcome.utterance_id}.wav"
-            if leftover.exists():
-                leftover.unlink()
-        else:
-            survivors[outcome.utterance_id] = outcome
-
-    # Build output records with updated duration/snr/cer.
-    updated = {}
-    for utterance_id, outcome in survivors.items():
-        record = records_by_id[utterance_id]
-        final_duration = (
-            outcome.stage_durations[-1] if outcome.stage_durations else outcome.input_duration_s
-        )
-        cer_value = record.cer
-        if (
-            "FLT" in stages
-            and cer_value is None
-            and record.text
-            and record.hyp_text
-        ):
-            try:
-                cer_value = metrics.cer(record.text, record.hyp_text).cer
-            except VoxkitError as exc:
-                error_rows.append((utterance_id, "FLT", str(exc)))
-        updated[utterance_id] = corpus.with_updates(
-            record,
-            audio_path=f"{utterance_id}.wav",
-            duration_s=final_duration,
-            snr_db=outcome.snr_db if outcome.snr_db is not None else record.snr_db,
-            cer=cer_value,
-        )
+    records = {r.utterance_id: r for r in manifest}
+    results, error_rows = _run_utterances(
+        _preprocess_one, records, args.workers, args, stages, stage="load"
+    )
+    error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
+    updated, durations = {}, {}
+    for utterance_id, result in results.items():
+        if result is not None:
+            updated[utterance_id], durations[utterance_id] = result
 
     # Walk the chain to build the retained-hours table and apply FLT.
-    current_ids = sorted(survivors)
-    table = [
-        (
-            "Raw",
-            sum(survivors[i].input_duration_s for i in current_ids) / 3600.0,
-            len(current_ids),
-        )
-    ]
-    label_parts = []
-    audio_idx = -1
+    def hours(ids, column):
+        return sum(durations[i][column] for i in ids) / 3600.0
+
+    current_ids = sorted(updated)
+    table = [("Raw", hours(current_ids, 0), len(current_ids))]
+    column = 0
     filter_result = None
-    for stage in stages:
-        label_parts.append(stage)
+    for k, stage in enumerate(stages):
         if stage == "FLT":
             cfg = corpus.FilterConfig(
                 min_snr_db=args.min_snr, max_cer=args.max_cer, mode=args.flt
@@ -249,25 +239,14 @@ def cmd_preprocess(args) -> int:
             )
             current_ids = [r.utterance_id for r in filter_result.kept]
         else:
-            audio_idx += 1
-        hours = (
-            sum(
-                (
-                    survivors[i].stage_durations[audio_idx]
-                    if audio_idx >= 0
-                    else survivors[i].input_duration_s
-                )
-                for i in current_ids
-            )
-            / 3600.0
-        )
-        table.append(("+".join(label_parts), hours, len(current_ids)))
+            column += 1
+        table.append(("+".join(stages[: k + 1]), hours(current_ids, column), len(current_ids)))
 
-    for outcome_id in survivors:
-        if outcome_id not in current_ids:
-            dropped_wav = out_dir / f"{outcome_id}.wav"
-            if dropped_wav.exists():
-                dropped_wav.unlink()
+    # Failed and dropped utterances leave no processed audio behind.
+    kept = set(current_ids)
+    for utterance_id in records:
+        if utterance_id not in kept:
+            _discard_wav(out_dir, utterance_id)
 
     tag_parts = ([] if manifest.source_tag == "Raw" else [manifest.source_tag]) + list(stages)
     out_manifest = corpus.Manifest(
@@ -276,20 +255,18 @@ def cmd_preprocess(args) -> int:
     corpus.save_manifest(out_manifest, out_dir / "manifest.tsv")
     if filter_result is not None:
         # Dropped rows keep their input audio cells; the processed files are removed.
-        dropped_records = []
-        for record in filter_result.dropped:
-            dropped_records.append(
-                corpus.with_updates(
-                    record,
-                    audio_path=_relative_audio_cell(
-                        records_by_id[record.utterance_id], args.manifest, out_dir
-                    ),
-                )
+        dropped_records = tuple(
+            corpus.with_updates(
+                record,
+                audio_path=_relative_audio_cell(
+                    records[record.utterance_id], args.manifest, out_dir
+                ),
             )
-        dropped = corpus.FilterResult(
-            kept=filter_result.kept,
-            dropped=corpus.Manifest(tuple(dropped_records), filter_result.dropped.source_tag),
-            reasons=filter_result.reasons,
+            for record in filter_result.dropped
+        )
+        dropped = replace(
+            filter_result,
+            dropped=corpus.Manifest(dropped_records, filter_result.dropped.source_tag),
         )
         corpus.save_dropped_report(dropped, out_dir / "dropped.tsv")
     _write_errors(out_dir / "errors.tsv", error_rows)
@@ -305,41 +282,15 @@ def cmd_preprocess(args) -> int:
 # ------------------------------------------------------------------- metrics
 
 
-@dataclass(frozen=True)
-class _MetricsJob:
-    utterance_id: str
-    ref_audio: str | None
-    hyp_audio: str | None
-    ref_text: str
-    hyp_text: str
-    which: tuple
-    sample_rate: int
-    fft: int
-    win: int
-    hop: int
-    n_mels: int
-
-
-@dataclass(frozen=True)
-class _MetricsOutcome:
-    utterance_id: str
-    row: dict
-    errors: tuple  # (metric, message) pairs
-
-
-def _run_metrics_job(job: _MetricsJob) -> _MetricsOutcome:
+def _metrics_one(utterance_id, pair, args, which, mel_cfg, stage):
+    """One row of metric values; each metric that fails gets its own error row."""
+    ref, hyp = pair
     row = {}
     errors = []
-    stft_cfg = dsp.StftConfig(fft_size=job.fft, win_length=job.win, hop_length=job.hop)
-    mel_cfg = dsp.MelConfig(n_mels=job.n_mels, stft=stft_cfg)
-    ref_w = hyp_w = None
-    if any(m in job.which for m in ("mcd", "msd", "f0")):
-        try:
-            ref_w = dsp.resample(wavio.read_wav(job.ref_audio), job.sample_rate)
-            hyp_w = dsp.resample(wavio.read_wav(job.hyp_audio), job.sample_rate)
-        except (VoxkitError, OSError) as exc:
-            return _MetricsOutcome(job.utterance_id, {}, (("audio", str(exc)),))
-    spectral = [m for m in ("mcd", "msd") if m in job.which]
+    if any(m in which for m in ("mcd", "msd", "f0")):
+        ref_w = _load(corpus.resolve_audio_path(ref, args.ref_manifest), args.sample_rate)
+        hyp_w = _load(corpus.resolve_audio_path(hyp, args.hyp_manifest), args.sample_rate)
+    spectral = [m for m in ("mcd", "msd") if m in which]
     if spectral:
         try:
             ref_logm, hyp_logm = metrics.log_mel_pair(ref_w, hyp_w, mel_cfg)
@@ -356,9 +307,9 @@ def _run_metrics_job(job: _MetricsJob) -> _MetricsOutcome:
             row["msd"], _ = metrics.dtw_rmse(ref_logm.frames, hyp_logm.frames)
         except VoxkitError as exc:
             errors.append(("msd", str(exc)))
-    if "f0" in job.which:
+    if "f0" in which:
         try:
-            cfg = pitch.PitchConfig(frame_length=job.win, hop_length=job.hop)
+            cfg = pitch.PitchConfig(frame_length=args.win, hop_length=args.hop)
             ref_track = pitch.extract_pitch(ref_w, cfg)
             hyp_track = pitch.extract_pitch(hyp_w, cfg)
             ref_track, hyp_track = pitch.align_tracks(ref_track, hyp_track)
@@ -368,19 +319,19 @@ def _run_metrics_job(job: _MetricsJob) -> _MetricsOutcome:
             row["ffe"] = report.ffe
         except VoxkitError as exc:
             errors.append(("f0", str(exc)))
-    if "cer" in job.which:
-        if not job.hyp_text:
+    if "cer" in which:
+        if not hyp.hyp_text:
             errors.append(("cer", "hyp_text is missing"))
         else:
             try:
-                report = metrics.cer(job.ref_text, job.hyp_text)
+                report = metrics.cer(ref.text, hyp.hyp_text)
                 row["cer"] = report.cer
                 row["substitutions"] = report.substitutions
                 row["deletions"] = report.deletions
                 row["insertions"] = report.insertions
             except VoxkitError as exc:
                 errors.append(("cer", str(exc)))
-    return _MetricsOutcome(job.utterance_id, row, tuple(errors))
+    return row, tuple(errors)
 
 
 def cmd_metrics(args) -> int:
@@ -403,34 +354,18 @@ def cmd_metrics(args) -> int:
         )
 
     hyp_by_id = {r.utterance_id: r for r in hyp_manifest}
-    jobs = []
-    for record in ref_manifest:
-        hyp_record = hyp_by_id[record.utterance_id]
-        jobs.append(
-            _MetricsJob(
-                utterance_id=record.utterance_id,
-                ref_audio=str(corpus.resolve_audio_path(record, args.ref_manifest)),
-                hyp_audio=str(corpus.resolve_audio_path(hyp_record, args.hyp_manifest)),
-                ref_text=record.text,
-                hyp_text=hyp_record.hyp_text,
-                which=which,
-                sample_rate=args.sample_rate,
-                fft=args.fft,
-                win=args.win,
-                hop=args.hop,
-                n_mels=args.mels,
-            )
-        )
-    outcomes = _map_ordered(_run_metrics_job, jobs, args.workers)
+    pairs = {r.utterance_id: (r, hyp_by_id[r.utterance_id]) for r in ref_manifest}
+    stft_cfg = dsp.StftConfig(fft_size=args.fft, win_length=args.win, hop_length=args.hop)
+    mel_cfg = dsp.MelConfig(n_mels=args.mels, stft=stft_cfg)
+    rows, error_rows = _run_utterances(
+        _metrics_one, pairs, args.workers, args, which, mel_cfg, stage="audio"
+    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    error_rows = []
-    for outcome in outcomes:
-        reports.append(metrics.UtteranceReport(utterance_id=outcome.utterance_id, **outcome.row))
-        for metric, message in outcome.errors:
-            error_rows.append((outcome.utterance_id, metric, message))
+    reports = [
+        metrics.UtteranceReport(utterance_id=i, **(row or {})) for i, row in rows.items()
+    ]
     metrics.write_report_tsv(reports, out_dir / "report.tsv")
     metrics.write_report_json(reports, out_dir / "report.json")
     _write_errors(out_dir / "errors.tsv", error_rows)
@@ -455,41 +390,13 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-# ----------------------------------------------------------------- vad / snr
+# ----------------------------------------------------------------------- snr
 
 
-def cmd_vad(args) -> int:
-    args.stages = f"VAD-{args.aggressiveness}"
-    args.dry = 0.01
-    args.enhanced_dir = None
-    args.min_snr = 15.0
-    args.max_cer = 0.10
-    args.flt = "snr+cer"
-    return cmd_preprocess(args)
-
-
-@dataclass(frozen=True)
-class _SnrJob:
-    utterance_id: str
-    audio_path: str
-    enhanced_path: str
-    sample_rate: int
-
-
-@dataclass(frozen=True)
-class _SnrOutcome:
-    utterance_id: str
-    snr_db: float | None
-    error: str | None
-
-
-def _run_snr_job(job: _SnrJob) -> _SnrOutcome:
-    try:
-        noisy = dsp.resample(wavio.read_wav(job.audio_path), job.sample_rate)
-        enhanced = dsp.resample(wavio.read_wav(job.enhanced_path), job.sample_rate)
-        return _SnrOutcome(job.utterance_id, enhance.estimate_snr(noisy, enhanced), None)
-    except (VoxkitError, OSError) as exc:
-        return _SnrOutcome(job.utterance_id, None, str(exc))
+def _snr_one(utterance_id, audio, args, stage):
+    noisy = _load(audio, args.sample_rate)
+    enhanced = _load(Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX), args.sample_rate)
+    return enhance.estimate_snr(noisy, enhanced), ()
 
 
 def cmd_snr(args) -> int:
@@ -498,35 +405,18 @@ def cmd_snr(args) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for record in manifest:
-        audio = corpus.resolve_audio_path(record, args.manifest)
-        jobs.append(
-            _SnrJob(
-                utterance_id=record.utterance_id,
-                audio_path=str(audio),
-                enhanced_path=str(Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX)),
-                sample_rate=args.sample_rate,
-            )
+    audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
+    snrs, error_rows = _run_utterances(_snr_one, audio, args.workers, args, stage="snr")
+    records = tuple(
+        corpus.with_updates(
+            record,
+            audio_path=_relative_audio_cell(record, args.manifest, out_path.parent),
+            snr_db=snrs[record.utterance_id],
         )
-    outcomes = _map_ordered(_run_snr_job, jobs, args.workers)
-
-    records = []
-    error_rows = []
-    by_id = {r.utterance_id: r for r in manifest}
-    for outcome in outcomes:
-        record = by_id[outcome.utterance_id]
-        if outcome.error is not None:
-            error_rows.append((outcome.utterance_id, "snr", outcome.error))
-            continue
-        records.append(
-            corpus.with_updates(
-                record,
-                audio_path=_relative_audio_cell(record, args.manifest, out_path.parent),
-                snr_db=outcome.snr_db,
-            )
-        )
-    corpus.save_manifest(corpus.Manifest(tuple(records), manifest.source_tag), out_path)
+        for record in manifest
+        if snrs[record.utterance_id] is not None
+    )
+    corpus.save_manifest(corpus.Manifest(records, manifest.source_tag), out_path)
     _write_errors(out_path.parent / "errors.tsv", error_rows)
     print(f"wrote {len(records)} utterances to {out_path} ({len(error_rows)} errors)")
     return EXIT_OK
@@ -535,28 +425,7 @@ def cmd_snr(args) -> int:
 # -------------------------------------------------------------------- vocode
 
 
-@dataclass(frozen=True)
-class _VocodeJob:
-    name: str
-    audio_path: str | None  # round trip when set
-    spec_path: str | None
-    out_path: str
-    sample_rate: int
-    fft: int
-    win: int
-    hop: int
-    n_iters: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class _VocodeOutcome:
-    name: str
-    spectral_convergence: float | None
-    error: str | None
-
-
-def _load_spectrogram(path: str) -> np.ndarray:
+def _load_spectrogram(path) -> np.ndarray:
     """A real-valued array from a .npy file; anything else is an InvalidConfigError."""
     # The file is closed here even when np.load opens an .npz archive. A
     # garbled .npy header reaches np.load's literal parser, which raises
@@ -575,25 +444,22 @@ def _load_spectrogram(path: str) -> np.ndarray:
     return frames
 
 
-def _run_vocode_job(job: _VocodeJob) -> _VocodeOutcome:
-    cfg = dsp.StftConfig(fft_size=job.fft, win_length=job.win, hop_length=job.hop)
-    try:
-        if job.audio_path is not None:
-            w = dsp.resample(wavio.read_wav(job.audio_path), job.sample_rate)
-            target = dsp.stft(w, cfg)
-        else:
-            frames = _load_spectrogram(job.spec_path)
-            target = dsp.FeatureSeq(
-                frames, job.sample_rate / cfg.hop_length, "magnitude_spectrogram"
-            )
-        rebuilt = dsp.griffin_lim(
-            target, cfg, n_iters=job.n_iters, seed=derive_seed(job.seed, job.name)
-        )
-        gap = dsp.spectral_convergence(target, rebuilt, cfg)
-        wavio.write_wav(job.out_path, rebuilt)
-        return _VocodeOutcome(job.name, gap, None)
-    except (VoxkitError, OSError) as exc:
-        return _VocodeOutcome(job.name, None, str(exc))
+def _vocode_one(name, source, args, cfg, stage):
+    """Rebuild audio into <out-dir>/<name>.wav; returns its spectral convergence.
+
+    source is a .npy magnitude spectrogram, or with --manifest a WAV whose
+    STFT makes the round trip.
+    """
+    out_path = _out_wav(args.out_dir, name)
+    if args.spec_dir is None:
+        target = dsp.stft(_load(source, args.sample_rate), cfg)
+    else:
+        frames = _load_spectrogram(source)
+        target = dsp.FeatureSeq(frames, args.sample_rate / cfg.hop_length, "magnitude_spectrogram")
+    rebuilt = dsp.griffin_lim(target, cfg, n_iters=args.iters, seed=derive_seed(args.seed, name))
+    gap = dsp.spectral_convergence(target, rebuilt, cfg)
+    wavio.write_wav(out_path, rebuilt)
+    return gap, ()
 
 
 def cmd_vocode(args) -> int:
@@ -603,61 +469,29 @@ def cmd_vocode(args) -> int:
         return _usage("pass exactly one of --manifest (round trip) or --spec-dir")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = []
     if args.manifest is not None:
         manifest = corpus.load_manifest(args.manifest)
-        for record in manifest:
-            jobs.append(
-                _VocodeJob(
-                    name=record.utterance_id,
-                    audio_path=str(corpus.resolve_audio_path(record, args.manifest)),
-                    spec_path=None,
-                    out_path=str(out_dir / f"{record.utterance_id}.wav"),
-                    sample_rate=args.sample_rate,
-                    fft=args.fft,
-                    win=args.win,
-                    hop=args.hop,
-                    n_iters=args.iters,
-                    seed=args.seed,
-                )
-            )
+        sources = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
     else:
         spec_paths = sorted(Path(args.spec_dir).glob("*.npy"))
         if not spec_paths:
             return _usage(f"no .npy spectrograms found in {args.spec_dir}")
-        for spec_path in spec_paths:
-            jobs.append(
-                _VocodeJob(
-                    name=spec_path.stem,
-                    audio_path=None,
-                    spec_path=str(spec_path),
-                    out_path=str(out_dir / f"{spec_path.stem}.wav"),
-                    sample_rate=args.sample_rate,
-                    fft=args.fft,
-                    win=args.win,
-                    hop=args.hop,
-                    n_iters=args.iters,
-                    seed=args.seed,
-                )
-            )
-    outcomes = _map_ordered(_run_vocode_job, jobs, args.workers)
+        sources = {path.stem: path for path in spec_paths}
+    cfg = dsp.StftConfig(fft_size=args.fft, win_length=args.win, hop_length=args.hop)
+    gaps, error_rows = _run_utterances(
+        _vocode_one, sources, args.workers, args, cfg, stage="vocode"
+    )
 
-    error_rows = []
     lines = ["id\tspectral_convergence"]
-    gaps = []
-    for outcome in outcomes:
-        if outcome.error is not None:
-            error_rows.append((outcome.name, "vocode", outcome.error))
-            continue
-        lines.append(f"{outcome.name}\t{format_field(outcome.spectral_convergence)}")
-        gaps.append(outcome.spectral_convergence)
+    lines += [f"{name}\t{format_field(gap)}" for name, gap in gaps.items() if gap is not None]
     (out_dir / "roundtrip.tsv").write_text(
         "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
     )
     _write_errors(out_dir / "errors.tsv", error_rows)
-    if gaps:
-        print(f"mean spectral convergence: {sum(gaps) / len(gaps):.4f}")
-    print(f"wrote {len(gaps)} files to {out_dir} ({len(error_rows)} errors)")
+    done = [gap for gap in gaps.values() if gap is not None]
+    if done:
+        print(f"mean spectral convergence: {sum(done) / len(done):.4f}")
+    print(f"wrote {len(done)} files to {out_dir} ({len(error_rows)} errors)")
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ Text metric
 import json
 import math
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -263,20 +263,6 @@ def cer(reference: str, hypothesis: str, norm: TextNorm | None = None) -> CerRep
     )
 
 
-REPORT_COLUMNS = (
-    "id",
-    "mcd",
-    "msd",
-    "gpe",
-    "vde",
-    "ffe",
-    "cer",
-    "substitutions",
-    "deletions",
-    "insertions",
-)
-
-
 @dataclass(frozen=True)
 class UtteranceReport:
     """Metric values for one utterance; None marks a metric not computed."""
@@ -293,46 +279,42 @@ class UtteranceReport:
     insertions: float | None = None
 
     def values(self) -> dict:
-        return {
-            "id": self.utterance_id,
-            "mcd": self.mcd,
-            "msd": self.msd,
-            "gpe": self.gpe,
-            "vde": self.vde,
-            "ffe": self.ffe,
-            "cer": self.cer,
-            "substitutions": self.substitutions,
-            "deletions": self.deletions,
-            "insertions": self.insertions,
-        }
+        """Report columns by name: the id under "id", then each metric."""
+        return dict(zip(REPORT_COLUMNS, (getattr(self, f.name) for f in fields(self))))
 
 
-def report_means(reports) -> dict:
-    """Column means over the utterances where each metric is present."""
+REPORT_COLUMNS = ("id",) + tuple(f.name for f in fields(UtteranceReport)[1:])
+
+
+def _column_means(rows) -> dict:
     means = {}
     for column in REPORT_COLUMNS[1:]:
-        values = [r.values()[column] for r in reports if r.values()[column] is not None]
+        values = [row[column] for row in rows if row[column] is not None]
         means[column] = sum(values) / len(values) if values else None
     return means
 
 
+def report_means(reports) -> dict:
+    """Column means over the utterances where each metric is present."""
+    return _column_means([r.values() for r in reports])
+
+
 def write_report_tsv(reports, path) -> None:
     """One row per utterance plus a final row of means with id 'mean'."""
+    rows = [r.values() for r in reports]
     lines = ["\t".join(REPORT_COLUMNS)]
-    for r in reports:
-        row = r.values()
+    for row in rows:
         lines.append("\t".join(format_field(row[c]) for c in REPORT_COLUMNS))
-    means = report_means(reports)
+    means = _column_means(rows)
     lines.append("\t".join(["mean"] + [format_field(means[c]) for c in REPORT_COLUMNS[1:]]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_report_json(reports, path) -> None:
     """The same report as JSON: utterance rows plus a mean block."""
+    rows = [r.values() for r in reports]
     payload = {
-        "utterances": [
-            {c: json_value(r.values()[c]) for c in REPORT_COLUMNS} for r in reports
-        ],
-        "mean": {c: json_value(v) for c, v in report_means(reports).items()},
+        "utterances": [{c: json_value(row[c]) for c in REPORT_COLUMNS} for row in rows],
+        "mean": {c: json_value(v) for c, v in _column_means(rows).items()},
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -502,3 +502,91 @@ class TestReport:
         assert payload["per_speaker"] == {"alice": 2}
         assert payload["snr_db"]["pos_inf"] == 1
         assert payload["cer"]["absent"] == 1
+
+
+def _corpus_with_ids(root, ids, missing=()):
+    """A corpus whose records carry the given ids; ids in `missing` point at no file."""
+    build_corpus(root, len(ids), seed=17, with_enhanced=False)
+    records = []
+    for k, utterance_id in enumerate(ids):
+        audio = "raw/missing.wav" if utterance_id in missing else f"raw/utt{k:03d}.wav"
+        records.append(corpus.UtteranceRecord(utterance_id, audio, 1.0, text="a b", hyp_text="a b"))
+    manifest = root / "manifest.tsv"
+    corpus.save_manifest(corpus.Manifest(tuple(records)), manifest)
+    return manifest
+
+
+UNSAFE_IDS = ("../escaped", "../victim", "..", ".", "back\\slash", "nul\0byte")
+
+
+@pytest.mark.parametrize("command", ["preprocess", "vocode"])
+def test_unsafe_ids_touch_nothing_outside_out_dir(command, tmp_path, capsys):
+    ids = ("utt000",) + UNSAFE_IDS
+    manifest = _corpus_with_ids(tmp_path / "corpus", ids, missing=("../victim",))
+    work = tmp_path / "work"
+    work.mkdir()
+    victim = work / "victim.wav"
+    victim.write_bytes(b"not a wav, and must survive")
+    out_dir = work / "out"
+    argv = [command, "--manifest", str(manifest), "--out-dir", str(out_dir)]
+    argv += ["--stages", "VN"] if command == "preprocess" else ["--iters", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+
+    assert victim.read_bytes() == b"not a wav, and must survive"
+    outside = [p for p in work.rglob("*") if out_dir not in p.parents and p != out_dir]
+    assert outside == [victim]
+    assert (out_dir / "utt000.wav").exists()
+    rows = [line.split("\t") for line in (out_dir / "errors.tsv").read_text().splitlines()[1:]]
+    assert sorted(row[0] for row in rows) == sorted(UNSAFE_IDS)
+    assert all("not a plain file name" in row[2] for row in rows)
+
+
+def test_preprocess_error_rows_put_flt_after_audio_stages(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    build_corpus(root, 5, seed=19, with_enhanced=False)
+    wavio.write_wav(root / "raw" / "utt001.wav", dsp.Waveform(np.zeros(SR), SR))
+    records = list(corpus.load_manifest(root / "manifest.tsv").records)
+    records[0] = corpus.with_updates(records[0], text="!!!")  # empty once normalized
+    records[2] = corpus.with_updates(records[2], audio_path="raw/missing.wav")
+    records[3] = corpus.with_updates(records[3], text="!!!")
+    manifest = root / "bad.tsv"
+    corpus.save_manifest(corpus.Manifest(tuple(records)), manifest)
+    for workers in (1, 2):
+        out_dir = tmp_path / f"out{workers}"
+        code = cli.main([
+            "preprocess", "--manifest", str(manifest), "--out-dir", str(out_dir),
+            "--stages", "FLT,VN", "--flt", "cer", "--workers", str(workers),
+        ])
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+        rows = (out_dir / "errors.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[:2] for row in rows] == [
+            ["utt001", "VN"], ["utt002", "load"], ["utt000", "FLT"], ["utt003", "FLT"],
+        ]
+
+
+@pytest.mark.parametrize("command", ["vad", "snr", "vocode"])
+def test_worker_count_does_not_change_outputs(command, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    manifest = build_corpus(root, 4, seed=23)
+    records = list(corpus.load_manifest(manifest).records)
+    records[1] = corpus.with_updates(records[1], audio_path="raw/missing.wav")
+    corpus.save_manifest(corpus.Manifest(tuple(records)), manifest)
+    outputs = []
+    for workers in (1, 2):
+        out_dir = tmp_path / f"out{workers}"
+        argv = [command, "--manifest", str(manifest), "--workers", str(workers)]
+        if command == "vad":
+            argv += ["--out-dir", str(out_dir), "--fill", "comfort_noise"]
+        elif command == "snr":
+            argv += ["--enhanced-dir", str(root / "enh"), "--out", str(out_dir / "scored.tsv")]
+        else:
+            argv += ["--out-dir", str(out_dir), "--iters", "4"]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert outputs[0] == outputs[1]
+    # vad and vocode: 3 wavs, manifest.tsv or roundtrip.tsv, and errors.tsv
+    assert len(outputs[0]) == (2 if command == "snr" else 5)
+    assert outputs[0]["errors.tsv"].decode().splitlines()[1].startswith("utt001\t")
