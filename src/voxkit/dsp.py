@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 from scipy.signal import resample_poly
 from scipy.spatial.distance import cdist
@@ -162,12 +163,11 @@ def frame_signal(samples: np.ndarray, win_length: int, hop_length: int) -> np.nd
 
     Padding is win_length // 2 on each side, so frame t is centered on
     sample t * hop_length and the frame count is 1 + len(samples) // hop
-    for even window lengths.
+    for even window lengths. Returns a read-only strided view of the
+    padded signal, not a copy.
     """
     padded = _center_pad(samples, win_length)
-    n_frames = 1 + (len(padded) - win_length) // hop_length
-    idx = np.arange(win_length)[None, :] + hop_length * np.arange(n_frames)[:, None]
-    return padded[idx]
+    return sliding_window_view(padded, win_length)[::hop_length]
 
 
 def _stft_complex(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -194,24 +194,58 @@ def istft(spec: np.ndarray, cfg: StftConfig | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected (n_frames, {cfg.n_bins}) spectrogram, got {spec.shape}"
         )
-    if spec.shape[0] < 2:
-        raise EmptySequenceError("need at least 2 frames to reconstruct a signal")
+    n_samples, divisor, silent = _ola_plan(cfg, spec.shape[0])
     frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.win_length]
-    window = hann_window(cfg.win_length)
-    frames = frames * window
-    n_frames = frames.shape[0]
-    out_len = cfg.hop_length * (n_frames - 1) + cfg.win_length
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
-    wsq = window**2
-    for t in range(n_frames):
-        start = t * cfg.hop_length
-        out[start : start + cfg.win_length] += frames[t]
-        norm[start : start + cfg.win_length] += wsq
+    frames = frames * hann_window(cfg.win_length)
+    out = _overlap_add(frames, cfg.hop_length, np.zeros(n_samples))
+    return _ola_normalize(out, divisor, silent, cfg.win_length)
+
+
+def _overlap_add(frames: np.ndarray, hop_length: int, out: np.ndarray) -> np.ndarray:
+    """Add frames[t] into the zeroed out from sample t * hop_length on.
+
+    out holds hop_length * (n_frames + ceil(win_length / hop_length) - 1)
+    samples, viewed as blocks of hop_length. Chunk k of frame t lands on
+    block t + k, so adding the chunks from the last down to the first adds
+    each sample's terms in increasing t, the order of a frame-by-frame loop.
+    """
+    n_frames, win_length = frames.shape
+    blocks = out.reshape(-1, hop_length)
+    for start in reversed(range(0, win_length, hop_length)):
+        chunk = frames[:, start : start + hop_length]
+        k = start // hop_length
+        blocks[k : k + n_frames, : chunk.shape[1]] += chunk
+    return out
+
+
+def _ola_plan(cfg: StftConfig, n_frames: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(buffer samples, divisor, silent mask) of an n_frames overlap-add.
+
+    The window-squared norm depends only on the frame count; divisor and
+    silent cover the hop_length * (n_frames - 1) + win_length samples
+    before trimming.
+    """
+    if n_frames < 2:
+        raise EmptySequenceError("need at least 2 frames to reconstruct a signal")
+    win, hop = cfg.win_length, cfg.hop_length
+    n_samples = hop * (n_frames - 1 + -(-win // hop))
+    wsq = hann_window(win) ** 2
+    norm = _overlap_add(np.broadcast_to(wsq, (n_frames, win)), hop, np.zeros(n_samples))
+    norm = norm[: hop * (n_frames - 1) + win]
     tiny = np.finfo(np.float64).tiny
-    out = np.where(norm > tiny, out / np.maximum(norm, tiny), 0.0)
-    pad = cfg.win_length // 2
-    return out[pad : out_len - pad]
+    return n_samples, np.maximum(norm, tiny), ~(norm > tiny)
+
+
+def _ola_normalize(
+    out: np.ndarray, divisor: np.ndarray, silent: np.ndarray, win_length: int
+) -> np.ndarray:
+    """Divide an overlap-add sum by the window norm in place, zero where the
+    norm vanishes, and return the view without the center padding."""
+    out = out[: len(divisor)]
+    np.divide(out, divisor, out=out)
+    np.copyto(out, 0.0, where=silent)
+    pad = win_length // 2
+    return out[pad : len(out) - pad]
 
 
 def hz_to_mel(f):
@@ -382,22 +416,47 @@ def griffin_lim(
         return Waveform(istft(mag.astype(np.complex128), cfg), sample_rate)
     rng = np.random.default_rng(seed)
     angles = np.exp(1j * rng.uniform(-np.pi, np.pi, mag.shape))
-    prev_rebuilt = np.zeros_like(angles)
+    window = hann_window(cfg.win_length)
+    n_samples, divisor, silent = _ola_plan(cfg, len(mag))
+    # Every array is allocated here, once. Each step below is the ufunc of
+    # the plain expression, with the same operands in the same order,
+    # writing through out=, so its bits are those of a fresh array. angles
+    # is overwritten by mag * angles; the momentum step is formed in
+    # prev_rebuilt, and the two complex buffers then trade places.
+    ifft_frames = np.empty((len(mag), cfg.fft_size))
+    frames = np.empty((len(mag), cfg.win_length))
+    rebuilt, prev_rebuilt = np.empty_like(angles), np.zeros_like(angles)
+    scratch = np.empty(mag.shape)
+    # best stays a view of the signal buffer it was found in; the next
+    # iterations write into the other one.
+    signal, spare = np.empty(n_samples), np.empty(n_samples)
     shrink = momentum / (1.0 + momentum)
     best_err = math.inf
     best = None
     for k in range(n_iters + 1):
-        y = istft(mag * angles, cfg)
-        rebuilt = _stft_complex(y, cfg)
-        err = np.linalg.norm(np.abs(rebuilt) - mag) / mag_norm
+        np.multiply(mag, angles, out=angles)
+        np.fft.irfft(angles, n=cfg.fft_size, axis=1, out=ifft_frames)
+        np.multiply(ifft_frames[:, : cfg.win_length], window, out=frames)
+        signal.fill(0.0)
+        _overlap_add(frames, cfg.hop_length, signal)
+        y = _ola_normalize(signal, divisor, silent, cfg.win_length)
+        np.multiply(frame_signal(y, cfg.win_length, cfg.hop_length), window, out=frames)
+        np.fft.rfft(frames, n=cfg.fft_size, axis=1, out=rebuilt)
+        np.abs(rebuilt, out=scratch)
+        scratch -= mag
+        err = np.linalg.norm(scratch) / mag_norm
         if err < best_err:
             best_err = err
             best = y
+            signal, spare = spare, signal
         if k == n_iters:
             break
-        step = rebuilt - shrink * prev_rebuilt
-        prev_rebuilt = rebuilt
-        angles = step / (np.abs(step) + 1e-16)
+        np.multiply(shrink, prev_rebuilt, out=prev_rebuilt)
+        np.subtract(rebuilt, prev_rebuilt, out=prev_rebuilt)
+        rebuilt, prev_rebuilt = prev_rebuilt, rebuilt
+        np.abs(rebuilt, out=scratch)
+        scratch += 1e-16
+        np.divide(rebuilt, scratch, out=angles)
     return Waveform(best, sample_rate)
 
 

@@ -230,3 +230,73 @@ def pitch_per_frame(samples, sr, cfg):
             voiced[t] = True
             f0[t] = freq
     return f0, voiced
+
+
+def frame_signal_gather(samples, win_length, hop_length):
+    """Centered frames gathered through an (n_frames, win_length) index array."""
+    padded = np.pad(np.asarray(samples, dtype=np.float64), win_length // 2, mode="reflect")
+    n_frames = 1 + (len(padded) - win_length) // hop_length
+    idx = np.arange(win_length)[None, :] + hop_length * np.arange(n_frames)[:, None]
+    return padded[idx]
+
+
+def _hann(n):
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def stft_complex_gather(samples, cfg):
+    frames = frame_signal_gather(samples, cfg.win_length, cfg.hop_length)
+    return np.fft.rfft(frames * _hann(cfg.win_length), n=cfg.fft_size, axis=1)
+
+
+def istft_frame_loop(spec, cfg):
+    """Inverse STFT adding one windowed frame at a time into the output.
+
+    The same arithmetic as dsp.istft: irfft, window, per-frame
+    overlap-add of the frames and of the squared window, then a guarded
+    division and the center padding trimmed off.
+    """
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.win_length]
+    window = _hann(cfg.win_length)
+    frames = frames * window
+    n_frames = frames.shape[0]
+    out_len = cfg.hop_length * (n_frames - 1) + cfg.win_length
+    out = np.zeros(out_len)
+    norm = np.zeros(out_len)
+    wsq = window**2
+    for t in range(n_frames):
+        start = t * cfg.hop_length
+        out[start : start + cfg.win_length] += frames[t]
+        norm[start : start + cfg.win_length] += wsq
+    tiny = np.finfo(np.float64).tiny
+    out = np.where(norm > tiny, out / np.maximum(norm, tiny), 0.0)
+    pad = cfg.win_length // 2
+    return out[pad : out_len - pad]
+
+
+def griffin_lim_loop(mag, cfg, n_iters, seed, momentum):
+    """(samples, best_k) of momentum Griffin-Lim built from whole-array expressions.
+
+    The same iteration as dsp.griffin_lim on a nonzero magnitude, each
+    step a fresh array; best_k is the iteration whose signal is returned.
+    """
+    mag_norm = np.linalg.norm(mag)
+    rng = np.random.default_rng(seed)
+    angles = np.exp(1j * rng.uniform(-np.pi, np.pi, mag.shape))
+    prev_rebuilt = np.zeros_like(angles)
+    shrink = momentum / (1.0 + momentum)
+    best_err = math.inf
+    best = best_k = None
+    for k in range(n_iters + 1):
+        y = istft_frame_loop(mag * angles, cfg)
+        rebuilt = stft_complex_gather(y, cfg)
+        err = np.linalg.norm(np.abs(rebuilt) - mag) / mag_norm
+        if err < best_err:
+            best_err = err
+            best, best_k = y, k
+        if k == n_iters:
+            break
+        step = rebuilt - shrink * prev_rebuilt
+        prev_rebuilt = rebuilt
+        angles = step / (np.abs(step) + 1e-16)
+    return best, best_k

@@ -340,6 +340,28 @@ class TestSnr:
             assert record.audio_path.startswith("../")
             assert corpus.resolve_audio_path(record, out).exists()
 
+    def test_errors_go_next_to_out_replacing_an_earlier_errors_tsv(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        manifest = build_corpus(root, 3, seed=13)
+        cut = root / "raw" / "utt001.wav"
+        cut.write_bytes(cut.read_bytes()[:20])
+        out_dir = tmp_path / "clean"
+        assert cli.main([
+            "preprocess", "--manifest", str(manifest),
+            "--out-dir", str(out_dir), "--stages", "VN",
+        ]) == cli.EXIT_OK
+        assert (out_dir / "errors.tsv").read_text().splitlines()[1].startswith("utt001\tload\t")
+
+        assert cli.main([
+            "snr", "--manifest", str(manifest), "--enhanced-dir", str(root / "enh"),
+            "--out", str(out_dir / "scored.tsv"),
+        ]) == cli.EXIT_OK
+        capsys.readouterr()
+        lines = (out_dir / "errors.tsv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("utt001\tsnr\t")
+        assert not (root / "errors.tsv").exists()
+
 
 def _save_archive(path):
     with open(path, "wb") as out:

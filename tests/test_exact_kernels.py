@@ -1,17 +1,29 @@
 """The vectorized kernels against their scalar references, bit for bit.
 
-dsp.dtw_align fills the cost grid one anti-diagonal at a time and
-pitch.extract_pitch computes difference functions for chunks of frames;
-both must reproduce the row-major and per-frame arithmetic exactly, so
-every comparison here is ==, never a tolerance.
+dsp.dtw_align fills the cost grid one anti-diagonal at a time,
+pitch.extract_pitch computes difference functions for chunks of frames,
+and dsp.istft and dsp.griffin_lim overlap-add in strided chunks into
+preallocated buffers; all must reproduce the row-major, per-frame and
+whole-array arithmetic exactly, so every comparison here is ==, never a
+tolerance.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from scipy.fft import dct
 
-from oracles import dtw_row_major, pitch_per_frame
+from oracles import (
+    dtw_row_major,
+    frame_signal_gather,
+    griffin_lim_loop,
+    istft_frame_loop,
+    pitch_per_frame,
+    stft_complex_gather,
+)
 from voxkit import dsp, metrics, pitch
+from voxkit.errors import EmptySequenceError
 
 
 def assert_same_alignment(a, b):
@@ -129,3 +141,108 @@ def test_distortions_from_one_analysis_match_separate_ones():
     assert metrics.msd(ref, hyp) == metrics.dtw_rmse(
         dsp.log_mel(ref).frames, dsp.log_mel(hyp).frames
     )[0]
+
+
+STFT_CONFIGS = {
+    "default": dsp.StftConfig(),
+    "fft2048-win1024": dsp.StftConfig(fft_size=2048, win_length=1024),
+    "win1000-hop300": dsp.StftConfig(win_length=1000, hop_length=300),
+    "hop-eq-win": dsp.StftConfig(hop_length=1024),
+    "fft256-win200-hop80": dsp.StftConfig(fft_size=256, win_length=200, hop_length=80),
+}
+
+
+def magnitude(cfg, n_frames, seed):
+    """|STFT| of a speech-like signal that frames into exactly n_frames."""
+    x = speechlike(cfg.hop_length * (n_frames - 1), 22050, seed)
+    spec = np.abs(dsp._stft_complex(x, cfg))
+    assert spec.shape == (n_frames, cfg.n_bins)
+    return spec
+
+
+def griffin_lim(mag, cfg, n_iters, seed, momentum):
+    spec = dsp.FeatureSeq(mag, 22050 / cfg.hop_length, "magnitude_spectrogram")
+    return dsp.griffin_lim(spec, cfg, n_iters=n_iters, seed=seed, momentum=momentum).samples
+
+
+@pytest.mark.parametrize("cfg", STFT_CONFIGS.values(), ids=STFT_CONFIGS.keys())
+@pytest.mark.parametrize("n_frames", [2, 3, 401])
+class TestStftRoundTrip:
+    def test_istft(self, cfg, n_frames):
+        rng = np.random.default_rng(n_frames)
+        spec = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal(
+            (n_frames, cfg.n_bins)
+        )
+        assert dsp.istft(spec, cfg).tobytes() == istft_frame_loop(spec, cfg).tobytes()
+
+    def test_stft(self, cfg, n_frames):
+        x = speechlike(cfg.hop_length * (n_frames - 1) + 5, 22050, n_frames)
+        assert dsp._stft_complex(x, cfg).tobytes() == stft_complex_gather(x, cfg).tobytes()
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_griffin_lim(self, cfg, n_frames, momentum):
+        n_iters = 3 if n_frames > 3 else 6
+        mag = magnitude(cfg, n_frames, seed=n_frames)
+        expected, _ = griffin_lim_loop(mag, cfg, n_iters, 5, momentum)
+        assert griffin_lim(mag, cfg, n_iters, 5, momentum).tobytes() == expected.tobytes()
+
+    def test_griffin_lim_all_zero_magnitude(self, cfg, n_frames):
+        mag = np.zeros((n_frames, cfg.n_bins))
+        expected = istft_frame_loop(mag.astype(np.complex128), cfg)
+        assert griffin_lim(mag, cfg, 4, 0, 0.9).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_griffin_lim_returns_an_earlier_best_iterate_intact(momentum):
+    # the best iterate's signal buffer must not be overwritten by the later ones
+    cfg = dsp.StftConfig()
+    mag = magnitude(cfg, 2, seed=1)
+    expected, best_k = griffin_lim_loop(mag, cfg, 4, 1, momentum)
+    assert best_k < 4
+    assert griffin_lim(mag, cfg, 4, 1, momentum).tobytes() == expected.tobytes()
+
+
+def recorded(fn, *args):
+    """fn(*args) with the set of warning messages it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, {str(w.message) for w in caught}
+
+
+@pytest.mark.parametrize("cfg", STFT_CONFIGS.values(), ids=STFT_CONFIGS.keys())
+def test_istft_non_finite_and_negative_zero_spectra(cfg):
+    rng = np.random.default_rng(3)
+    spec = rng.standard_normal((6, cfg.n_bins)) + 1j * rng.standard_normal((6, cfg.n_bins))
+    spec[1, 3] = np.nan
+    spec[2, 7] = np.inf
+    spec[2, 8] = -np.inf
+    spec[3, 9] = complex(0.0, -np.inf)
+    spec[4:] = complex(-0.0, -0.0)
+    out, out_warnings = recorded(dsp.istft, spec, cfg)
+    expected, expected_warnings = recorded(istft_frame_loop, spec, cfg)
+    assert out.tobytes() == expected.tobytes()
+    assert out_warnings == expected_warnings
+    assert np.isnan(out).any()
+
+
+@pytest.mark.parametrize(
+    "n_samples,win_length,hop_length",
+    [(1, 1024, 256), (1, 7, 3), (100, 7, 3), (100, 9, 13), (1000, 1000, 300), (513, 64, 64)],
+)
+def test_frame_signal_matches_the_index_gather(n_samples, win_length, hop_length):
+    x = np.random.default_rng(n_samples).standard_normal(n_samples)
+    frames = dsp.frame_signal(x, win_length, hop_length)
+    expected = frame_signal_gather(x, win_length, hop_length)
+    assert frames.shape == expected.shape
+    assert np.ascontiguousarray(frames).tobytes() == expected.tobytes()
+    assert not frames.flags.writeable
+
+
+@pytest.mark.parametrize("win_length", [1024, 1023])
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_griffin_lim_needs_two_frames_like_istft(win_length, scale):
+    cfg = dsp.StftConfig(win_length=win_length)
+    mag = np.full((1, cfg.n_bins), scale)
+    with pytest.raises(EmptySequenceError, match="at least 2 frames"):
+        griffin_lim(mag, cfg, 2, 0, 0.9)
