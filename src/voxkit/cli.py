@@ -14,14 +14,14 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus, dsp, enhance, metrics, pitch, wavio
 from .errors import InvalidConfigError, VoxkitError
-from .serialize import format_field, json_value
+from .serialize import json_value, write_tsv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -76,9 +76,9 @@ def _attempt(func, label, context, named_item):
 def _out_wav(out_dir, utterance_id: str) -> Path:
     """<out_dir>/<id>.wav, for an id that is one plain path component.
 
-    Any other id would name a file outside out_dir, so it is an error.
+    Any other id would name a file outside out_dir or break a TSV cell, so it is an error.
     """
-    if utterance_id in (".", "..") or any(c in utterance_id for c in "/\\\0"):
+    if utterance_id in (".", "..") or any(c in utterance_id for c in "/\\\0\t\n\r"):
         raise InvalidConfigError(f"utterance id {utterance_id!r} is not a plain file name")
     return Path(out_dir) / f"{utterance_id}.wav"
 
@@ -99,10 +99,8 @@ def _sanitize(message: str) -> str:
 
 
 def _write_errors(path, rows) -> None:
-    lines = ["id\tstage\terror"]
-    for utterance_id, stage, message in rows:
-        lines.append(f"{utterance_id}\t{stage}\t{_sanitize(message)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    cells = [(_sanitize(name), stage, _sanitize(error)) for name, stage, error in rows]
+    write_tsv(path, ("id", "stage", "error"), cells)
 
 
 def _relative_audio_cell(record, manifest_path, out_dir) -> str:
@@ -177,18 +175,14 @@ def _preprocess_one(utterance_id, record, args, stages, stage):
     return (updated, tuple(durations)), errors
 
 
-def _parse_stages(text: str):
-    stages = tuple(s.strip() for s in text.split(",") if s.strip())
-    if not stages:
-        return None
-    for s in stages:
-        if s not in ALL_STAGES:
-            return None
-    return stages
+def _comma_list(text: str, choices: tuple):
+    """The items of a comma list, or None if it is empty or names one not in choices."""
+    items = tuple(s.strip() for s in text.split(",") if s.strip())
+    return items if items and all(s in choices for s in items) else None
 
 
 def cmd_preprocess(args) -> int:
-    stages = _parse_stages(args.stages)
+    stages = _comma_list(args.stages, ALL_STAGES)
     if stages is None:
         return _usage(f"--stages must be a comma list from {ALL_STAGES}, got {args.stages!r}")
     if not 0.0 <= args.dry <= 1.0:
@@ -206,8 +200,6 @@ def _preprocess(args, stages) -> int:
     Only DN reads --dry and --enhanced-dir, and only FLT reads the filter
     flags, so `vad`, which has neither stage, has none of these flags.
     """
-    if args.workers < 1:
-        return _usage(f"--workers must be at least 1, got {args.workers}")
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,64 +274,52 @@ def _preprocess(args, stages) -> int:
 # ------------------------------------------------------------------- metrics
 
 
+def _metric_cells(name, ref, hyp, audio, log_mels, args) -> dict:
+    """The report cells of one metric; log_mels() gives mcd and msd their shared input."""
+    if name == "mcd":
+        return {"mcd": metrics.mcd_from_log_mel(*log_mels())[0]}
+    if name == "msd":
+        ref_logm, hyp_logm = log_mels()
+        return {"msd": metrics.dtw_rmse(ref_logm.frames, hyp_logm.frames)[0]}
+    if name == "f0":
+        cfg = pitch.PitchConfig(frame_length=args.win, hop_length=args.hop)
+        tracks = pitch.align_tracks(*(pitch.extract_pitch(w, cfg) for w in audio))
+        report = metrics.f0_metrics(*tracks)  # gpe is None when no frame is voiced in both
+        return {column: getattr(report, column) for column in ("gpe", "vde", "ffe")}
+    if not hyp.hyp_text:
+        raise VoxkitError("hyp_text is missing")
+    report = metrics.cer(ref.text, hyp.hyp_text)
+    return {c: getattr(report, c) for c in ("cer", "substitutions", "deletions", "insertions")}
+
+
 def _metrics_one(utterance_id, pair, args, which, mel_cfg, stage):
-    """One row of metric values; each metric that fails gets its own error row."""
+    """One row of metric values; each metric that fails gets its own error row.
+
+    A failed log_mel_pair is raised again for msd, so it gives one row
+    each for mcd and msd.
+    """
     ref, hyp = pair
-    row = {}
-    errors = []
+    audio = None
     if any(m in which for m in ("mcd", "msd", "f0")):
-        ref_w = _load(corpus.resolve_audio_path(ref, args.ref_manifest), args.sample_rate)
-        hyp_w = _load(corpus.resolve_audio_path(hyp, args.hyp_manifest), args.sample_rate)
-    spectral = [m for m in ("mcd", "msd") if m in which]
-    if spectral:
-        try:
-            ref_logm, hyp_logm = metrics.log_mel_pair(ref_w, hyp_w, mel_cfg)
-        except VoxkitError as exc:
-            errors.extend((m, str(exc)) for m in spectral)
-            spectral = []
-    if "mcd" in spectral:
-        try:
-            row["mcd"], _ = metrics.mcd_from_log_mel(ref_logm, hyp_logm)
-        except VoxkitError as exc:
-            errors.append(("mcd", str(exc)))
-    if "msd" in spectral:
-        try:
-            row["msd"], _ = metrics.dtw_rmse(ref_logm.frames, hyp_logm.frames)
-        except VoxkitError as exc:
-            errors.append(("msd", str(exc)))
-    if "f0" in which:
-        try:
-            cfg = pitch.PitchConfig(frame_length=args.win, hop_length=args.hop)
-            ref_track = pitch.extract_pitch(ref_w, cfg)
-            hyp_track = pitch.extract_pitch(hyp_w, cfg)
-            ref_track, hyp_track = pitch.align_tracks(ref_track, hyp_track)
-            report = metrics.f0_metrics(ref_track, hyp_track)
-            row["gpe"] = report.gpe  # stays absent when no co-voiced frames
-            row["vde"] = report.vde
-            row["ffe"] = report.ffe
-        except VoxkitError as exc:
-            errors.append(("f0", str(exc)))
-    if "cer" in which:
-        if not hyp.hyp_text:
-            errors.append(("cer", "hyp_text is missing"))
-        else:
+        audio = (
+            _load(corpus.resolve_audio_path(ref, args.ref_manifest), args.sample_rate),
+            _load(corpus.resolve_audio_path(hyp, args.hyp_manifest), args.sample_rate),
+        )
+    log_mels = cache(lambda: metrics.log_mel_pair(*audio, mel_cfg))
+    row, errors = {}, []
+    for name in METRIC_CHOICES:
+        if name in which:
             try:
-                report = metrics.cer(ref.text, hyp.hyp_text)
-                row["cer"] = report.cer
-                row["substitutions"] = report.substitutions
-                row["deletions"] = report.deletions
-                row["insertions"] = report.insertions
+                row.update(_metric_cells(name, ref, hyp, audio, log_mels, args))
             except VoxkitError as exc:
-                errors.append(("cer", str(exc)))
+                errors.append((name, str(exc)))
     return row, tuple(errors)
 
 
 def cmd_metrics(args) -> int:
-    which = tuple(s.strip() for s in args.which.split(",") if s.strip())
-    if not which or any(m not in METRIC_CHOICES for m in which):
+    which = _comma_list(args.which, METRIC_CHOICES)
+    if which is None:
         return _usage(f"--which must be a comma list from {METRIC_CHOICES}, got {args.which!r}")
-    if args.workers < 1:
-        return _usage(f"--workers must be at least 1, got {args.workers}")
 
     ref_manifest = corpus.load_manifest(args.ref_manifest)
     hyp_manifest = corpus.load_manifest(args.hyp_manifest)
@@ -375,17 +355,11 @@ def cmd_metrics(args) -> int:
         if name in which or (name in ("gpe", "vde", "ffe") and "f0" in which):
             value = means[name]
             print(f"{name.upper()}: {value:.4f}" if value is not None else f"{name.upper()}: n/a")
-    if "cer" in which:
-        if means["cer"] is None:
-            print("CER (S/D/I): n/a")
-        else:
-            print(
-                "CER (S/D/I): "
-                f"{100 * means['cer']:.1f} "
-                f"({100 * means['substitutions']:.1f}"
-                f"/{100 * means['deletions']:.1f}"
-                f"/{100 * means['insertions']:.1f})"
-            )
+    if "cer" in which and means["cer"] is None:
+        print("CER (S/D/I): n/a")
+    elif "cer" in which:
+        percents = [100 * means[c] for c in ("cer", "substitutions", "deletions", "insertions")]
+        print("CER (S/D/I): {:.1f} ({:.1f}/{:.1f}/{:.1f})".format(*percents))
     print(f"wrote {len(reports)} rows to {out_dir / 'report.tsv'} ({len(error_rows)} errors)")
     return EXIT_OK
 
@@ -400,8 +374,6 @@ def _snr_one(utterance_id, audio, args, stage):
 
 
 def cmd_snr(args) -> int:
-    if args.workers < 1:
-        return _usage(f"--workers must be at least 1, got {args.workers}")
     manifest = corpus.load_manifest(args.manifest)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -463,8 +435,6 @@ def _vocode_one(name, source, args, cfg, stage):
 
 
 def cmd_vocode(args) -> int:
-    if args.workers < 1:
-        return _usage(f"--workers must be at least 1, got {args.workers}")
     if (args.manifest is None) == (args.spec_dir is None):
         return _usage("pass exactly one of --manifest (round trip) or --spec-dir")
     out_dir = Path(args.out_dir)
@@ -482,15 +452,11 @@ def cmd_vocode(args) -> int:
         _vocode_one, sources, args.workers, args, cfg, stage="vocode"
     )
 
-    lines = ["id\tspectral_convergence"]
-    lines += [f"{name}\t{format_field(gap)}" for name, gap in gaps.items() if gap is not None]
-    (out_dir / "roundtrip.tsv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
-    )
+    done = {name: gap for name, gap in gaps.items() if gap is not None}
+    write_tsv(out_dir / "roundtrip.tsv", ("id", "spectral_convergence"), done.items())
     _write_errors(out_dir / "errors.tsv", error_rows)
-    done = [gap for gap in gaps.values() if gap is not None]
     if done:
-        print(f"mean spectral convergence: {sum(done) / len(done):.4f}")
+        print(f"mean spectral convergence: {sum(done.values()) / len(done):.4f}")
     print(f"wrote {len(done)} files to {out_dir} ({len(error_rows)} errors)")
     return EXIT_OK
 
@@ -502,17 +468,12 @@ def cmd_filter(args) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rewritten = corpus.Manifest(
-        tuple(
-            corpus.with_updates(
-                r, audio_path=_relative_audio_cell(r, args.manifest, out_dir)
-            )
-            for r in manifest
-        ),
-        manifest.source_tag,
+    records = tuple(
+        corpus.with_updates(r, audio_path=_relative_audio_cell(r, args.manifest, out_dir))
+        for r in manifest
     )
     cfg = corpus.FilterConfig(min_snr_db=args.min_snr, max_cer=args.max_cer, mode=args.flt)
-    result = corpus.apply_filter(rewritten, cfg)
+    result = corpus.apply_filter(corpus.Manifest(records, manifest.source_tag), cfg)
     corpus.save_manifest(result.kept, out_dir / "kept.tsv")
     corpus.save_dropped_report(result, out_dir / "dropped.tsv")
     kept_stats = corpus.summarize(result.kept)
@@ -538,20 +499,15 @@ def _histogram_dict(histogram) -> dict:
 
 
 def _print_histogram(name: str, histogram) -> None:
+    edges = histogram.edges
+    labels = [f"< {edges[0]:g}", *(f"[{lo:g}, {hi:g})" for lo, hi in zip(edges, edges[1:]))]
+    labels += [f">= {edges[-1]:g}", "inf", "-inf", "absent"]
+    counts = [histogram.n_below, *histogram.counts, histogram.n_above, histogram.n_pos_inf]
+    counts += [histogram.n_neg_inf, histogram.n_absent]
     print(f"{name} histogram:")
-    if histogram.n_below:
-        print(f"  < {histogram.edges[0]:g}: {histogram.n_below}")
-    for k in range(len(histogram.counts)):
-        if histogram.counts[k]:
-            print(f"  [{histogram.edges[k]:g}, {histogram.edges[k + 1]:g}): {histogram.counts[k]}")
-    if histogram.n_above:
-        print(f"  >= {histogram.edges[-1]:g}: {histogram.n_above}")
-    if histogram.n_pos_inf:
-        print(f"  inf: {histogram.n_pos_inf}")
-    if histogram.n_neg_inf:
-        print(f"  -inf: {histogram.n_neg_inf}")
-    if histogram.n_absent:
-        print(f"  absent: {histogram.n_absent}")
+    for label, count in zip(labels, counts):
+        if count:
+            print(f"  {label}: {count}")
 
 
 def cmd_report(args) -> int:
@@ -581,17 +537,38 @@ def cmd_report(args) -> int:
 # --------------------------------------------------------------------- parser
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
-    common.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-    common.add_argument(
+def _flag_groups() -> tuple:
+    """Parent parsers pool, seed, stft, vad and flt, for the commands that read them."""
+    pool, seed, stft, vad, flt = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    pool.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    pool.add_argument(
         "--sample-rate", type=int, default=22050, help="working sample rate (default 22050)"
     )
-    common.add_argument("--fft", type=int, default=1024, help="FFT size (default 1024)")
-    common.add_argument("--win", type=int, default=1024, help="window length (default 1024)")
-    common.add_argument("--hop", type=int, default=256, help="hop length (default 256)")
-    return common
+    seed.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
+    stft.add_argument("--fft", type=int, default=1024, help="FFT size (default 1024)")
+    stft.add_argument("--win", type=int, default=1024, help="window length (default 1024)")
+    stft.add_argument("--hop", type=int, default=256, help="hop length (default 256)")
+    vad.add_argument(
+        "--fill",
+        choices=["zeros", "comfort_noise"],
+        default="zeros",
+        help="fill for compressed silence (default zeros)",
+    )
+    vad.add_argument(
+        "--energy-threshold-db",
+        type=float,
+        default=-45.0,
+        help="VAD energy threshold in dBFS (default -45)",
+    )
+    flt.add_argument("--min-snr", type=float, default=15.0, help="SNR floor in dB (default 15)")
+    flt.add_argument("--max-cer", type=float, default=0.10, help="CER ceiling (default 0.10)")
+    flt.add_argument(
+        "--flt",
+        choices=["snr+cer", "cer"],
+        default="snr+cer",
+        help="which fields the filter checks (default snr+cer)",
+    )
+    return pool, seed, stft, vad, flt
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,11 +577,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Speech corpus preprocessing and synthesis evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_flags()
+    pool, seed, stft, vad, flt = _flag_groups()
 
     p = sub.add_parser(
         "preprocess",
-        parents=[common],
+        parents=[pool, seed, vad, flt],
         help="run enhancement/VAD/filter/normalize stages over a corpus",
     )
     p.add_argument("--manifest", required=True, help="input manifest TSV")
@@ -619,30 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of <name>.enhanced.wav files; omitted, the identity enhancer is used",
     )
     p.add_argument("--dry", type=float, default=0.01, help="dry share in the mix (default 0.01)")
-    p.add_argument(
-        "--fill",
-        choices=["zeros", "comfort_noise"],
-        default="zeros",
-        help="fill for compressed silence (default zeros)",
-    )
-    p.add_argument(
-        "--energy-threshold-db",
-        type=float,
-        default=-45.0,
-        help="VAD energy threshold in dBFS (default -45)",
-    )
-    p.add_argument("--min-snr", type=float, default=15.0, help="FLT SNR floor in dB (default 15)")
-    p.add_argument("--max-cer", type=float, default=0.10, help="FLT CER ceiling (default 0.10)")
-    p.add_argument(
-        "--flt",
-        choices=["snr+cer", "cer"],
-        default="snr+cer",
-        help="which fields FLT checks (default snr+cer)",
-    )
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser(
-        "metrics", parents=[common], help="evaluate hypothesis audio against references"
+        "metrics", parents=[pool, stft], help="evaluate hypothesis audio against references"
     )
     p.add_argument("--ref-manifest", required=True, help="reference manifest TSV")
     p.add_argument("--hyp-manifest", required=True, help="hypothesis manifest TSV")
@@ -655,17 +612,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mels", type=int, default=80, help="mel bands (default 80)")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("vad", parents=[common], help="trim and compress silence")
+    p = sub.add_parser("vad", parents=[pool, seed, vad], help="trim and compress silence")
     p.add_argument("--manifest", required=True, help="input manifest TSV")
     p.add_argument("--out-dir", required=True, help="directory for trimmed audio")
     p.add_argument(
         "--aggressiveness", type=int, choices=[0, 1, 2, 3], default=1, help="default 1"
     )
-    p.add_argument("--fill", choices=["zeros", "comfort_noise"], default="zeros")
-    p.add_argument("--energy-threshold-db", type=float, default=-45.0)
     p.set_defaults(func=cmd_vad)
 
-    p = sub.add_parser("snr", parents=[common], help="estimate SNR against enhanced audio")
+    p = sub.add_parser("snr", parents=[pool], help="estimate SNR against enhanced audio")
     p.add_argument("--manifest", required=True, help="input manifest TSV")
     p.add_argument(
         "--enhanced-dir", required=True, help="directory of <name>.enhanced.wav files"
@@ -674,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_snr)
 
     p = sub.add_parser(
-        "vocode", parents=[common], help="reconstruct audio from magnitude spectrograms"
+        "vocode", parents=[pool, seed, stft], help="reconstruct audio from magnitude spectrograms"
     )
     p.add_argument("--manifest", help="round-trip the audio in this manifest")
     p.add_argument("--spec-dir", help="reconstruct from .npy magnitude spectrograms")
@@ -682,20 +637,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=32, help="phase iterations (default 32)")
     p.set_defaults(func=cmd_vocode)
 
-    p = sub.add_parser("filter", parents=[common], help="split a manifest by quality thresholds")
+    p = sub.add_parser("filter", parents=[flt], help="split a manifest by quality thresholds")
     p.add_argument("--manifest", required=True, help="input manifest TSV")
     p.add_argument("--out-dir", required=True, help="directory for kept.tsv/dropped.tsv")
-    p.add_argument("--min-snr", type=float, default=15.0, help="SNR floor in dB (default 15)")
-    p.add_argument("--max-cer", type=float, default=0.10, help="CER ceiling (default 0.10)")
-    p.add_argument(
-        "--flt",
-        choices=["snr+cer", "cer"],
-        default="snr+cer",
-        help="which fields the filter checks (default snr+cer)",
-    )
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("report", parents=[common], help="summarize a manifest")
+    p = sub.add_parser("report", help="summarize a manifest")
     p.add_argument("--manifest", required=True, help="input manifest TSV")
     p.add_argument("--json", help="also write the summary as JSON here")
     p.set_defaults(func=cmd_report)
@@ -705,6 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("workers", "iters", "sample_rate"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            return _usage(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
     try:
         return args.func(args)
     except (VoxkitError, OSError) as exc:

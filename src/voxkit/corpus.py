@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidConfigError, ParseError
-from .serialize import format_field, parse_optional_float
+from .serialize import parse_optional_float, write_tsv
 
 MANIFEST_COLUMNS = ("id", "audio", "duration_s", "text", "hyp_text", "snr_db", "cer", "speaker")
 
@@ -141,21 +141,23 @@ def _record_cells(record: UtteranceRecord) -> list:
     return [
         record.utterance_id,
         record.audio_path,
-        format_field(record.duration_s),
+        record.duration_s,
         record.text,
         record.hyp_text,
-        format_field(record.snr_db),
-        format_field(record.cer),
+        record.snr_db,
+        record.cer,
         record.speaker,
     ]
 
 
 def save_manifest(manifest: Manifest, path) -> None:
     """Write a manifest TSV with LF endings and round-trippable floats."""
-    lines = [f"# source: {manifest.source_tag}", "\t".join(MANIFEST_COLUMNS)]
-    for record in manifest.records:
-        lines.append("\t".join(_record_cells(record)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_tsv(
+        path,
+        MANIFEST_COLUMNS,
+        map(_record_cells, manifest),
+        comment=f"source: {manifest.source_tag}",
+    )
 
 
 def resolve_audio_path(record: UtteranceRecord, manifest_path) -> Path:
@@ -226,15 +228,12 @@ def _drop_reason(record: UtteranceRecord, cfg: FilterConfig):
 
 def save_dropped_report(result: FilterResult, path) -> None:
     """Write the dropped records with a trailing reason column."""
-    lines = [
-        f"# source: {result.dropped.source_tag}",
-        "\t".join(MANIFEST_COLUMNS + ("reason",)),
-    ]
-    for record in result.dropped:
-        lines.append(
-            "\t".join(_record_cells(record) + [result.reasons[record.utterance_id]])
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_tsv(
+        path,
+        MANIFEST_COLUMNS + ("reason",),
+        (_record_cells(r) + [result.reasons[r.utterance_id]] for r in result.dropped),
+        comment=f"source: {result.dropped.source_tag}",
+    )
 
 
 @dataclass(frozen=True)

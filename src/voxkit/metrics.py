@@ -37,7 +37,7 @@ from .errors import (
     RateMismatchError,
 )
 from .pitch import PitchTrack
-from .serialize import format_field, json_value
+from .serialize import json_value, write_tsv
 
 GROSS_ERROR_RTOL = 0.2  # relative deviation from the reference pitch counted as gross
 
@@ -302,12 +302,8 @@ def report_means(reports) -> dict:
 def write_report_tsv(reports, path) -> None:
     """One row per utterance plus a final row of means with id 'mean'."""
     rows = [r.values() for r in reports]
-    lines = ["\t".join(REPORT_COLUMNS)]
-    for row in rows:
-        lines.append("\t".join(format_field(row[c]) for c in REPORT_COLUMNS))
-    means = _column_means(rows)
-    lines.append("\t".join(["mean"] + [format_field(means[c]) for c in REPORT_COLUMNS[1:]]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    means = {"id": "mean", **_column_means(rows)}
+    write_tsv(path, REPORT_COLUMNS, [[row[c] for c in REPORT_COLUMNS] for row in rows + [means]])
 
 
 def write_report_json(reports, path) -> None:

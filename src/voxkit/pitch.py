@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     TrackLengthWarning,
 )
+from .serialize import write_tsv
 
 
 @dataclass(frozen=True)
@@ -187,10 +188,12 @@ def align_tracks(ref: PitchTrack, hyp: PitchTrack) -> tuple:
 
 def save_pitch_tsv(track: PitchTrack, path) -> None:
     """Write a track as TSV with a frame-rate comment line."""
-    lines = [f"# frame_rate: {float(track.frame_rate)!r}", "frame\tf0_hz\tvoiced"]
-    for t in range(len(track)):
-        lines.append(f"{t}\t{float(track.f0[t])!r}\t{int(track.voiced[t])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_tsv(
+        path,
+        ("frame", "f0_hz", "voiced"),
+        zip(range(len(track)), track.f0.tolist(), track.voiced.astype(int).tolist()),
+        comment=f"frame_rate: {float(track.frame_rate)!r}",
+    )
 
 
 def load_pitch_tsv(path) -> PitchTrack:

@@ -1,10 +1,11 @@
-"""Field conventions shared by TSV manifests and metric reports.
+"""The TSV format of every table the toolkit writes, and its JSON values.
 
 Floats are written in shortest round-trip form, infinities as inf/-inf,
 and absent values as empty fields (null in JSON).
 """
 
 import math
+from pathlib import Path
 
 
 def format_field(value) -> str:
@@ -16,6 +17,14 @@ def format_field(value) -> str:
             return "inf" if value > 0 else "-inf"
         return repr(float(value))
     return str(value)
+
+
+def write_tsv(path, header, rows, comment=None) -> None:
+    """Write a UTF-8 TSV: an optional "# comment" line, the header, rows of format_field cells."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append("\t".join(header))
+    lines += ["\t".join(format_field(cell) for cell in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def parse_optional_float(text: str):

@@ -1,10 +1,14 @@
+import argparse
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voxkit import cli, corpus, dsp, wavio
+from voxkit import cli, corpus, dsp, metrics, wavio
+from voxkit.errors import VoxkitError
 from conftest import build_corpus, sine
 
 SR = 22050
@@ -612,3 +616,157 @@ def test_worker_count_does_not_change_outputs(command, tmp_path, capsys):
     # vad and vocode: 3 wavs, manifest.tsv or roundtrip.tsv, and errors.tsv
     assert len(outputs[0]) == (2 if command == "snr" else 5)
     assert outputs[0]["errors.tsv"].decode().splitlines()[1].startswith("utt001\t")
+
+
+def _minimal_argv(command, root):
+    """The required arguments of each command, pointing into root."""
+    manifest = str(root / "manifest.tsv")
+    out_dir = str(root / "out")
+    return {
+        "preprocess": ["preprocess", "--manifest", manifest, "--out-dir", out_dir],
+        "vad": ["vad", "--manifest", manifest, "--out-dir", out_dir],
+        "metrics": [
+            "metrics", "--ref-manifest", manifest, "--hyp-manifest", manifest,
+            "--out-dir", out_dir,
+        ],
+        "snr": ["snr", "--manifest", manifest, "--enhanced-dir", str(root / "enh"),
+                "--out", str(root / "out" / "scored.tsv")],
+        "vocode": ["vocode", "--manifest", manifest, "--out-dir", out_dir],
+        "filter": ["filter", "--manifest", manifest, "--out-dir", out_dir],
+        "report": ["report", "--manifest", manifest, "--json", str(root / "out" / "r.json")],
+    }[command]
+
+
+POSITIVE_FLAGS = [
+    (command, flag)
+    for command in ("preprocess", "vad", "metrics", "snr", "vocode")
+    for flag in ("--workers", "--sample-rate")
+] + [("vocode", "--iters")]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", POSITIVE_FLAGS)
+def test_count_below_one_is_usage_error_before_any_output(command, flag, value, tmp_path, capsys):
+    build_corpus(tmp_path, 1, seed=29)
+    code = cli.main(_minimal_argv(command, tmp_path) + [flag, value])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {flag} must be at least 1, got {value}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+# Every (command, flag) pair that the shared flags once gave a command that never read it.
+REMOVED_FLAGS = (
+    [("preprocess", f) for f in ("--fft", "--win", "--hop")]
+    + [("metrics", "--seed")]
+    + [("vad", f) for f in ("--fft", "--win", "--hop")]
+    + [("snr", f) for f in ("--seed", "--fft", "--win", "--hop")]
+    + [
+        (command, f)
+        for command in ("filter", "report")
+        for f in ("--workers", "--seed", "--sample-rate", "--fft", "--win", "--hop")
+    ]
+)
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_flag_the_command_does_not_read_is_rejected(command, flag, tmp_path, capsys):
+    build_corpus(tmp_path, 1, seed=29)
+    with pytest.raises(SystemExit) as info:
+        cli.main(_minimal_argv(command, tmp_path) + [flag, "128"])
+    assert info.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 128" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_readme_option_table_matches_the_parser():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        row = re.fullmatch(r"\| `(\w+)` \|(.*)\|", line)
+        if row:
+            flags = re.findall(r"`(--[a-z][a-z-]*)`", row.group(2))
+            assert len(flags) == len(set(flags)), line
+            documented[row.group(1)] = set(flags)
+    declared = {
+        name: {s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, sub in _subparsers().items()
+    }
+    assert documented == declared
+
+
+def test_tab_or_newline_in_spectrogram_name_is_an_error_row(tmp_path, capsys):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    frames = dsp.stft(dsp.Waveform(sine(440.0, 0.5), SR)).frames
+    bad_names = ("tab\there", "new\nline", "carriage\rreturn")
+    for name in bad_names + ("tone",):
+        np.save(spec_dir / f"{name}.npy", frames)
+    out_dir = tmp_path / "rebuilt"
+    code = cli.main([
+        "vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir), "--iters", "2",
+    ])
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    lines = (out_dir / "roundtrip.tsv").read_text().split("\n")
+    assert [line.split("\t")[0] for line in lines[1:-1]] == ["tone"]
+    errors = (out_dir / "errors.tsv").read_text().split("\n")[:-1]
+    assert len(errors) == 1 + len(bad_names)
+    assert all(len(line.split("\t")) == 3 for line in errors)
+    assert all("not a plain file name" in line for line in errors[1:])
+    assert sorted(p.name for p in out_dir.glob("*.wav")) == ["tone.wav"]
+
+
+def _run_bytes(argv, out_dir, capsys):
+    assert cli.main(argv + ["--out-dir", str(out_dir)]) == cli.EXIT_OK
+    capsys.readouterr()
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_stft_and_seed_flags_reach_the_code(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    manifest = str(build_corpus(root, 2, seed=31))
+    vocode = ["vocode", "--manifest", manifest, "--iters", "2"]
+    default = _run_bytes(vocode, tmp_path / "v0", capsys)
+    hop = _run_bytes(vocode + ["--hop", "128"], tmp_path / "v1", capsys)
+    assert default["roundtrip.tsv"] != hop["roundtrip.tsv"]
+    assert default["utt000.wav"] != hop["utt000.wav"]
+
+    hyp = tuple(
+        corpus.with_updates(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
+        for r in corpus.load_manifest(manifest)
+    )
+    corpus.save_manifest(corpus.Manifest(hyp), root / "hyp.tsv")
+    f0 = ["metrics", "--ref-manifest", manifest, "--hyp-manifest", str(root / "hyp.tsv")]
+    f0 += ["--which", "f0"]
+    default = _run_bytes(f0, tmp_path / "m0", capsys)
+    hop = _run_bytes(f0 + ["--hop", "128"], tmp_path / "m1", capsys)
+    assert default["report.tsv"] != hop["report.tsv"]
+
+    fill = ["preprocess", "--manifest", manifest, "--stages", "VAD-1", "--fill", "comfort_noise"]
+    seeded = [_run_bytes(fill + ["--seed", s], tmp_path / f"p{s}", capsys) for s in "01"]
+    assert seeded[0]["manifest.tsv"] == seeded[1]["manifest.tsv"]
+    assert seeded[0]["utt000.wav"] != seeded[1]["utt000.wav"]
+
+
+def test_log_mel_failure_gives_mcd_and_msd_rows(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise VoxkitError("no log-mel")
+
+    monkeypatch.setattr(metrics, "log_mel_pair", fail)
+    manifest = str(build_corpus(tmp_path / "corpus", 2, seed=37))
+    out = _run_bytes(
+        ["metrics", "--ref-manifest", manifest, "--hyp-manifest", manifest], tmp_path / "m", capsys
+    )
+    rows = [line.split("\t") for line in out["errors.tsv"].decode().splitlines()[1:]]
+    assert rows == [[u, m, "no log-mel"] for u in ("utt000", "utt001") for m in ("mcd", "msd")]
+    report = [line.split("\t") for line in out["report.tsv"].decode().splitlines()[1:-1]]
+    assert [row[1:4] for row in report] == [["", "", "0.0"]] * 2  # mcd, msd absent; gpe kept
