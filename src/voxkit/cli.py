@@ -537,8 +537,13 @@ def cmd_report(args) -> int:
 # --------------------------------------------------------------------- parser
 
 
-def _flag_groups() -> tuple:
-    """Parent parsers pool, seed, stft, vad and flt, for the commands that read them."""
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="voxkit",
+        description="Speech corpus preprocessing and synthesis evaluation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    # Each flag is declared once, in the parent parser of the commands that read it.
     pool, seed, stft, vad, flt = (argparse.ArgumentParser(add_help=False) for _ in range(5))
     pool.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     pool.add_argument(
@@ -568,16 +573,6 @@ def _flag_groups() -> tuple:
         default="snr+cer",
         help="which fields the filter checks (default snr+cer)",
     )
-    return pool, seed, stft, vad, flt
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="voxkit",
-        description="Speech corpus preprocessing and synthesis evaluation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    pool, seed, stft, vad, flt = _flag_groups()
 
     p = sub.add_parser(
         "preprocess",
