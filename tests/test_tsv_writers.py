@@ -1,4 +1,4 @@
-"""Golden bytes of every TSV the toolkit writes.
+"""Golden bytes of every TSV the toolkit writes, and of `report --json`.
 
 Each writer gets a small fixed input holding inf, -inf, absent cells,
 -0.0, int cells and its comment line, and its file must match byte for byte.
@@ -119,4 +119,83 @@ def test_vocode_roundtrip_tsv(tmp_path, monkeypatch, capsys):
         b"b\t-0.0\n"
         b"c\t0.1\n"
         b"d\t3\n"
+    )
+
+
+def test_report_json(tmp_path, capsys):
+    records = RECORDS + (
+        corpus.UtteranceRecord("d4", "d4.wav", 0.5, snr_db=12.5, cer=0.03, speaker="spk0"),
+        corpus.UtteranceRecord("e5", "e5.wav", 0.25, snr_db=-20.0, cer=2.0),
+    )
+    manifest = tmp_path / "m.tsv"
+    corpus.save_manifest(corpus.Manifest(records, "Raw+DN"), manifest)
+    path = tmp_path / "summary.json"
+    assert cli.main(["report", "--manifest", str(manifest), "--json", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert path.read_bytes() == (
+        b'{\n'
+        b'  "source": "Raw+DN",\n'
+        b'  "utterances": 5,\n'
+        b'  "hours": 0.0011388888888888887,\n'
+        b'  "per_speaker": {\n'
+        b'    "spk0": 2,\n'
+        b'    "": 3\n'
+        b'  },\n'
+        b'  "snr_db": {\n'
+        b'    "edges": [\n'
+        b'      -10.0,\n'
+        b'      -5.0,\n'
+        b'      0.0,\n'
+        b'      5.0,\n'
+        b'      10.0,\n'
+        b'      15.0,\n'
+        b'      20.0,\n'
+        b'      25.0,\n'
+        b'      30.0,\n'
+        b'      35.0,\n'
+        b'      40.0\n'
+        b'    ],\n'
+        b'    "counts": [\n'
+        b'      0,\n'
+        b'      0,\n'
+        b'      1,\n'
+        b'      0,\n'
+        b'      1,\n'
+        b'      0,\n'
+        b'      0,\n'
+        b'      0,\n'
+        b'      0,\n'
+        b'      0\n'
+        b'    ],\n'
+        b'    "below": 1,\n'
+        b'    "above": 0,\n'
+        b'    "pos_inf": 1,\n'
+        b'    "neg_inf": 1,\n'
+        b'    "absent": 0\n'
+        b'  },\n'
+        b'  "cer": {\n'
+        b'    "edges": [\n'
+        b'      0.0,\n'
+        b'      0.02,\n'
+        b'      0.05,\n'
+        b'      0.1,\n'
+        b'      0.2,\n'
+        b'      0.5,\n'
+        b'      1.0\n'
+        b'    ],\n'
+        b'    "counts": [\n'
+        b'      1,\n'
+        b'      1,\n'
+        b'      0,\n'
+        b'      0,\n'
+        b'      0,\n'
+        b'      1\n'
+        b'    ],\n'
+        b'    "below": 0,\n'
+        b'    "above": 1,\n'
+        b'    "pos_inf": 0,\n'
+        b'    "neg_inf": 0,\n'
+        b'    "absent": 1\n'
+        b'  }\n'
+        b'}\n'
     )
