@@ -13,7 +13,7 @@ import tokenize
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache, partial
 from pathlib import Path
 
@@ -47,8 +47,8 @@ def _map_ordered(func, jobs, workers: int) -> list:
         return list(pool.map(func, jobs, chunksize=1))
 
 
-def _run_utterances(func, items: dict, workers: int, *context, stage: str):
-    """Map func(id, item, *context, stage) over items, in their order.
+def _run_utterances(func, items: dict, args, cfg, stage: str):
+    """Map func(id, item, args, cfg, stage) over items, in their order, in --workers processes.
 
     func returns (value, errors), errors being (stage, message) rows.
     stage is a one-item list naming the stage func is in, starting at the
@@ -56,7 +56,7 @@ def _run_utterances(func, items: dict, workers: int, *context, stage: str):
     None and one error row for that stage. Returns ({id: value}, rows of
     (id, stage, message)).
     """
-    results = _map_ordered(partial(_attempt, func, stage, context), items.items(), workers)
+    results = _map_ordered(partial(_attempt, func, stage, args, cfg), items.items(), args.workers)
     values, error_rows = {}, []
     for utterance_id, (value, errors) in zip(items, results):
         values[utterance_id] = value
@@ -64,11 +64,11 @@ def _run_utterances(func, items: dict, workers: int, *context, stage: str):
     return values, error_rows
 
 
-def _attempt(func, label, context, named_item):
+def _attempt(func, label, args, cfg, named_item):
     utterance_id, item = named_item
     stage = [label]
     try:
-        return func(utterance_id, item, *context, stage)
+        return func(utterance_id, item, args, cfg, stage)
     except (VoxkitError, OSError) as exc:
         return None, ((stage[0], str(exc)),)
 
@@ -121,10 +121,59 @@ def _load(path, sample_rate: int) -> dsp.Waveform:
     return dsp.resample(wavio.read_wav(path), sample_rate)
 
 
+def _comma_list(flag: str, text: str, choices: tuple) -> tuple:
+    """The items of a non-empty comma list, each one from choices."""
+    items = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not items or not all(s in choices for s in items):
+        raise InvalidConfigError(f"{flag} must be a comma list from {choices}, got {text!r}")
+    return items
+
+
+def _configure(args) -> dict:
+    """Every config the command uses, by name, built before any input is read or output written.
+
+    A command has only the flags it reads, so they pick its configs. The checks on
+    --sample-rate run only for the stages and metrics that will run.
+    """
+    for flag in ("workers", "iters", "sample_rate"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise InvalidConfigError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
+    cfg = {"stages": (f"VAD-{args.aggressiveness}",)} if "aggressiveness" in args else {}
+    if "stages" in args:
+        cfg["stages"] = _comma_list("--stages", args.stages, ALL_STAGES)
+        try:
+            cfg["DN"] = enhance.DryWetConfig(args.dry)
+        except InvalidConfigError as exc:  # name the flag; DryWetConfig names its field
+            raise InvalidConfigError(f"--dry: {exc}") from None
+    if "flt" in args:
+        cfg["FLT"] = corpus.FilterConfig(args.min_snr, args.max_cer, args.flt)
+    if "fill" in args:
+        cfg["silence"] = enhance.SilencePolicy(fill=args.fill)
+        for name in cfg["stages"]:
+            if name.startswith("VAD-"):
+                enhance.check_vad_rate(args.sample_rate)
+                level, threshold = int(name[4:]), args.energy_threshold_db
+                cfg[name] = enhance.VadConfig(energy_threshold_db=threshold, aggressiveness=level)
+    if "spec_dir" in args and (args.manifest is None) == (args.spec_dir is None):
+        raise InvalidConfigError("pass exactly one of --manifest (round trip) or --spec-dir")
+    if "fft" in args:
+        cfg["stft"] = dsp.StftConfig(args.fft, args.win, args.hop)
+    if "mels" in args:
+        cfg["which"] = which = _comma_list("--which", args.which, METRIC_CHOICES)
+        cfg["mel"] = dsp.MelConfig(args.mels, stft=cfg["stft"])
+        cfg["f0"] = pitch.PitchConfig(frame_length=args.win, hop_length=args.hop)
+        if "mcd" in which:
+            dsp.check_cepstrum(args.mels)
+        if "f0" in which:
+            cfg["f0"].lags(args.sample_rate)
+    return cfg
+
+
 # ---------------------------------------------------------------- preprocess
 
 
-def _preprocess_one(utterance_id, record, args, stages, stage):
+def _preprocess_one(utterance_id, record, args, cfg, stage):
     """Run one record through the audio stages into <out-dir>/<id>.wav.
 
     Returns (updated record, durations): the input duration, then the
@@ -135,7 +184,7 @@ def _preprocess_one(utterance_id, record, args, stages, stage):
     w = _load(audio, args.sample_rate)
     durations = [w.duration_s]
     snr_db = record.snr_db
-    for name in stages:
+    for name in cfg["stages"]:
         if name == "FLT":
             continue
         stage[0] = name
@@ -146,67 +195,35 @@ def _preprocess_one(utterance_id, record, args, stages, stage):
                 enhanced_path = Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX)
                 enhanced = _load(enhanced_path, args.sample_rate)
             snr_db = enhance.estimate_snr(w, enhanced)
-            w = enhance.dry_wet_mix(w, enhanced, enhance.DryWetConfig(args.dry))
+            w = enhance.dry_wet_mix(w, enhanced, cfg["DN"])
         elif name.startswith("VAD-"):
-            cfg = enhance.VadConfig(
-                energy_threshold_db=args.energy_threshold_db,
-                aggressiveness=int(name[4:]),
-            )
-            labels = enhance.vad_label(w, cfg)
-            w = enhance.trim_and_compress(
-                w,
-                labels,
-                enhance.SilencePolicy(fill=args.fill),
-                seed=derive_seed(args.seed, utterance_id),
-            )
+            labels = enhance.vad_label(w, cfg[name])
+            seed = derive_seed(args.seed, utterance_id)
+            w = enhance.trim_and_compress(w, labels, cfg["silence"], seed=seed)
         else:  # VN
             w = enhance.normalize_volume(w)
         durations.append(w.duration_s)
     wavio.write_wav(out_path, w)
     cer, errors = record.cer, ()
-    if "FLT" in stages and cer is None and record.text and record.hyp_text:
+    if "FLT" in cfg["stages"] and cer is None and record.text and record.hyp_text:
         try:
             cer = metrics.cer(record.text, record.hyp_text).cer
         except VoxkitError as exc:
             errors = (("FLT", str(exc)),)
-    updated = corpus.with_updates(
+    updated = replace(
         record, audio_path=out_path.name, duration_s=w.duration_s, snr_db=snr_db, cer=cer
     )
     return (updated, tuple(durations)), errors
 
 
-def _comma_list(text: str, choices: tuple):
-    """The items of a comma list, or None if it is empty or names one not in choices."""
-    items = tuple(s.strip() for s in text.split(",") if s.strip())
-    return items if items and all(s in choices for s in items) else None
-
-
-def cmd_preprocess(args) -> int:
-    stages = _comma_list(args.stages, ALL_STAGES)
-    if stages is None:
-        return _usage(f"--stages must be a comma list from {ALL_STAGES}, got {args.stages!r}")
-    if not 0.0 <= args.dry <= 1.0:
-        return _usage(f"--dry must lie in [0, 1], got {args.dry}")
-    return _preprocess(args, stages)
-
-
-def cmd_vad(args) -> int:
-    return _preprocess(args, (f"VAD-{args.aggressiveness}",))
-
-
-def _preprocess(args, stages) -> int:
-    """Run stages over --manifest into --out-dir.
-
-    Only DN reads --dry and --enhanced-dir, and only FLT reads the filter
-    flags, so `vad`, which has neither stage, has none of these flags.
-    """
+def cmd_preprocess(args, cfg) -> int:
+    """Run stages over --manifest into --out-dir; `vad` runs its one VAD stage here."""
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = {r.utterance_id: r for r in manifest}
-    results, error_rows = _run_utterances(
-        _preprocess_one, records, args.workers, args, stages, stage="load"
-    )
+    stages = cfg["stages"]
+    results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, stage="load")
     error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
     updated, durations = {}, {}
     for utterance_id, result in results.items():
@@ -223,11 +240,8 @@ def _preprocess(args, stages) -> int:
     filter_result = None
     for k, stage in enumerate(stages):
         if stage == "FLT":
-            cfg = corpus.FilterConfig(
-                min_snr_db=args.min_snr, max_cer=args.max_cer, mode=args.flt
-            )
             filter_result = corpus.apply_filter(
-                corpus.Manifest(tuple(updated[i] for i in current_ids), "working"), cfg
+                corpus.Manifest(tuple(updated[i] for i in current_ids), "working"), cfg["FLT"]
             )
             current_ids = [r.utterance_id for r in filter_result.kept]
         else:
@@ -248,7 +262,7 @@ def _preprocess(args, stages) -> int:
     if filter_result is not None:
         # Dropped rows keep their input audio cells; the processed files are removed.
         dropped_records = tuple(
-            corpus.with_updates(
+            replace(
                 record,
                 audio_path=_relative_audio_cell(
                     records[record.utterance_id], args.manifest, out_dir
@@ -274,7 +288,7 @@ def _preprocess(args, stages) -> int:
 # ------------------------------------------------------------------- metrics
 
 
-def _metric_cells(name, ref, hyp, audio, log_mels, args) -> dict:
+def _metric_cells(name, ref, hyp, audio, log_mels, pitch_cfg) -> dict:
     """The report cells of one metric; log_mels() gives mcd and msd their shared input."""
     if name == "mcd":
         return {"mcd": metrics.mcd_from_log_mel(*log_mels())[0]}
@@ -282,8 +296,7 @@ def _metric_cells(name, ref, hyp, audio, log_mels, args) -> dict:
         ref_logm, hyp_logm = log_mels()
         return {"msd": metrics.dtw_rmse(ref_logm.frames, hyp_logm.frames)[0]}
     if name == "f0":
-        cfg = pitch.PitchConfig(frame_length=args.win, hop_length=args.hop)
-        tracks = pitch.align_tracks(*(pitch.extract_pitch(w, cfg) for w in audio))
+        tracks = pitch.align_tracks(*(pitch.extract_pitch(w, pitch_cfg) for w in audio))
         report = metrics.f0_metrics(*tracks)  # gpe is None when no frame is voiced in both
         return {column: getattr(report, column) for column in ("gpe", "vde", "ffe")}
     if not hyp.hyp_text:
@@ -292,7 +305,7 @@ def _metric_cells(name, ref, hyp, audio, log_mels, args) -> dict:
     return {c: getattr(report, c) for c in ("cer", "substitutions", "deletions", "insertions")}
 
 
-def _metrics_one(utterance_id, pair, args, which, mel_cfg, stage):
+def _metrics_one(utterance_id, pair, args, cfg, stage):
     """One row of metric values; each metric that fails gets its own error row.
 
     A failed log_mel_pair is raised again for msd, so it gives one row
@@ -300,27 +313,24 @@ def _metrics_one(utterance_id, pair, args, which, mel_cfg, stage):
     """
     ref, hyp = pair
     audio = None
-    if any(m in which for m in ("mcd", "msd", "f0")):
+    if any(m in cfg["which"] for m in ("mcd", "msd", "f0")):
         audio = (
             _load(corpus.resolve_audio_path(ref, args.ref_manifest), args.sample_rate),
             _load(corpus.resolve_audio_path(hyp, args.hyp_manifest), args.sample_rate),
         )
-    log_mels = cache(lambda: metrics.log_mel_pair(*audio, mel_cfg))
+    log_mels = cache(lambda: metrics.log_mel_pair(*audio, cfg["mel"]))
     row, errors = {}, []
     for name in METRIC_CHOICES:
-        if name in which:
+        if name in cfg["which"]:
             try:
-                row.update(_metric_cells(name, ref, hyp, audio, log_mels, args))
+                row.update(_metric_cells(name, ref, hyp, audio, log_mels, cfg["f0"]))
             except VoxkitError as exc:
                 errors.append((name, str(exc)))
     return row, tuple(errors)
 
 
-def cmd_metrics(args) -> int:
-    which = _comma_list(args.which, METRIC_CHOICES)
-    if which is None:
-        return _usage(f"--which must be a comma list from {METRIC_CHOICES}, got {args.which!r}")
-
+def cmd_metrics(args, cfg) -> int:
+    which = cfg["which"]
     ref_manifest = corpus.load_manifest(args.ref_manifest)
     hyp_manifest = corpus.load_manifest(args.hyp_manifest)
     ref_ids = set(ref_manifest.ids())
@@ -335,11 +345,7 @@ def cmd_metrics(args) -> int:
 
     hyp_by_id = {r.utterance_id: r for r in hyp_manifest}
     pairs = {r.utterance_id: (r, hyp_by_id[r.utterance_id]) for r in ref_manifest}
-    stft_cfg = dsp.StftConfig(fft_size=args.fft, win_length=args.win, hop_length=args.hop)
-    mel_cfg = dsp.MelConfig(n_mels=args.mels, stft=stft_cfg)
-    rows, error_rows = _run_utterances(
-        _metrics_one, pairs, args.workers, args, which, mel_cfg, stage="audio"
-    )
+    rows, error_rows = _run_utterances(_metrics_one, pairs, args, cfg, stage="audio")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -367,20 +373,20 @@ def cmd_metrics(args) -> int:
 # ----------------------------------------------------------------------- snr
 
 
-def _snr_one(utterance_id, audio, args, stage):
+def _snr_one(utterance_id, audio, args, cfg, stage):
     noisy = _load(audio, args.sample_rate)
     enhanced = _load(Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX), args.sample_rate)
     return enhance.estimate_snr(noisy, enhanced), ()
 
 
-def cmd_snr(args) -> int:
+def cmd_snr(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
-    snrs, error_rows = _run_utterances(_snr_one, audio, args.workers, args, stage="snr")
+    snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, stage="snr")
     records = tuple(
-        corpus.with_updates(
+        replace(
             record,
             audio_path=_relative_audio_cell(record, args.manifest, out_path.parent),
             snr_db=snrs[record.utterance_id],
@@ -434,11 +440,7 @@ def _vocode_one(name, source, args, cfg, stage):
     return gap, ()
 
 
-def cmd_vocode(args) -> int:
-    if (args.manifest is None) == (args.spec_dir is None):
-        return _usage("pass exactly one of --manifest (round trip) or --spec-dir")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_vocode(args, cfg) -> int:
     if args.manifest is not None:
         manifest = corpus.load_manifest(args.manifest)
         sources = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
@@ -447,10 +449,9 @@ def cmd_vocode(args) -> int:
         if not spec_paths:
             return _usage(f"no .npy spectrograms found in {args.spec_dir}")
         sources = {path.stem: path for path in spec_paths}
-    cfg = dsp.StftConfig(fft_size=args.fft, win_length=args.win, hop_length=args.hop)
-    gaps, error_rows = _run_utterances(
-        _vocode_one, sources, args.workers, args, cfg, stage="vocode"
-    )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg["stft"], stage="vocode")
 
     done = {name: gap for name, gap in gaps.items() if gap is not None}
     write_tsv(out_dir / "roundtrip.tsv", ("id", "spectral_convergence"), done.items())
@@ -464,16 +465,14 @@ def cmd_vocode(args) -> int:
 # ----------------------------------------------------------- filter / report
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = tuple(
-        corpus.with_updates(r, audio_path=_relative_audio_cell(r, args.manifest, out_dir))
-        for r in manifest
+        replace(r, audio_path=_relative_audio_cell(r, args.manifest, out_dir)) for r in manifest
     )
-    cfg = corpus.FilterConfig(min_snr_db=args.min_snr, max_cer=args.max_cer, mode=args.flt)
-    result = corpus.apply_filter(corpus.Manifest(records, manifest.source_tag), cfg)
+    result = corpus.apply_filter(corpus.Manifest(records, manifest.source_tag), cfg["FLT"])
     corpus.save_manifest(result.kept, out_dir / "kept.tsv")
     corpus.save_dropped_report(result, out_dir / "dropped.tsv")
     kept_stats = corpus.summarize(result.kept)
@@ -487,15 +486,7 @@ def cmd_filter(args) -> int:
 
 
 def _histogram_dict(histogram) -> dict:
-    return {
-        "edges": list(histogram.edges),
-        "counts": list(histogram.counts),
-        "below": histogram.n_below,
-        "above": histogram.n_above,
-        "pos_inf": histogram.n_pos_inf,
-        "neg_inf": histogram.n_neg_inf,
-        "absent": histogram.n_absent,
-    }
+    return {name.removeprefix("n_"): value for name, value in asdict(histogram).items()}
 
 
 def _print_histogram(name: str, histogram) -> None:
@@ -510,7 +501,7 @@ def _print_histogram(name: str, histogram) -> None:
             print(f"  {label}: {count}")
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
     stats = corpus.summarize(manifest)
     print(f"source: {manifest.source_tag}")
@@ -613,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--aggressiveness", type=int, choices=[0, 1, 2, 3], default=1, help="default 1"
     )
-    p.set_defaults(func=cmd_vad)
+    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("snr", parents=[pool], help="estimate SNR against enhanced audio")
     p.add_argument("--manifest", required=True, help="input manifest TSV")
@@ -647,12 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("workers", "iters", "sample_rate"):
-        value = getattr(args, flag, 1)
-        if value < 1:
-            return _usage(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
     try:
-        return args.func(args)
+        cfg = _configure(args)
+    except InvalidConfigError as exc:
+        return _usage(str(exc))
+    try:
+        return args.func(args, cfg)
     except (VoxkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

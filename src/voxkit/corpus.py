@@ -11,7 +11,7 @@ absent; infinite SNR values are written as inf / -inf. A leading
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidConfigError, ParseError
@@ -184,6 +184,8 @@ class FilterConfig:
     def __post_init__(self):
         if self.mode not in ("snr+cer", "cer"):
             raise InvalidConfigError(f"mode must be 'snr+cer' or 'cer', got {self.mode!r}")
+        if math.isnan(self.min_snr_db) or math.isnan(self.max_cer):
+            raise InvalidConfigError("min_snr_db and max_cer must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -300,8 +302,3 @@ def summarize(manifest: Manifest) -> CorpusStats:
         snr=_histogram((r.snr_db for r in manifest), SNR_HISTOGRAM_EDGES),
         cer=_histogram((r.cer for r in manifest), CER_HISTOGRAM_EDGES),
     )
-
-
-def with_updates(record: UtteranceRecord, **changes) -> UtteranceRecord:
-    """Copy a record with some fields replaced."""
-    return replace(record, **changes)

@@ -300,16 +300,21 @@ def mfcc(w: Waveform, cfg: MelConfig | None = None, n_coeffs: int = 13) -> Featu
     return mel_cepstrum(log_mel(w, cfg), n_coeffs)
 
 
+def check_cepstrum(n_mels: int, n_coeffs: int = 13) -> None:
+    """Raise InvalidConfigError unless n_mels bands yield n_coeffs cepstra, c0 excluded."""
+    if n_coeffs < 1:
+        raise InvalidConfigError(f"n_coeffs must be at least 1, got {n_coeffs}")
+    if n_coeffs >= n_mels:
+        raise InvalidConfigError(
+            f"n_coeffs {n_coeffs} must be smaller than n_mels {n_mels}"
+        )
+
+
 def mel_cepstrum(logm: FeatureSeq, n_coeffs: int = 13) -> FeatureSeq:
     """mfcc from log-mel frames already computed, for callers that need both."""
     if logm.kind != "log_mel":
         raise InvalidConfigError(f"expected log-mel frames, got {logm.kind!r}")
-    if n_coeffs < 1:
-        raise InvalidConfigError(f"n_coeffs must be at least 1, got {n_coeffs}")
-    if n_coeffs >= logm.dim:
-        raise InvalidConfigError(
-            f"n_coeffs {n_coeffs} must be smaller than n_mels {logm.dim}"
-        )
+    check_cepstrum(logm.dim, n_coeffs)
     coeffs = dct(logm.frames, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
     return FeatureSeq(coeffs, logm.frame_rate, "mfcc")
 

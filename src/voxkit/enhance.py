@@ -75,6 +75,8 @@ class VadConfig:
             raise InvalidConfigError(
                 f"aggressiveness must be 0, 1, 2, or 3, got {self.aggressiveness}"
             )
+        if math.isnan(self.energy_threshold_db):
+            raise InvalidConfigError("energy_threshold_db must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,16 @@ def _runs(mask: np.ndarray, value: bool) -> list:
     ]
 
 
+def check_vad_rate(sr: int) -> None:
+    """Raise InvalidConfigError unless vad_label accepts audio at sample rate sr."""
+    if sr not in VAD_SAMPLE_RATES:
+        raise InvalidConfigError(f"sample rate {sr} not in {VAD_SAMPLE_RATES}; resample first")
+
+
 def vad_label(w: Waveform, cfg: VadConfig | None = None) -> FrameLabels:
     """Label frames as speech by mean-power threshold in dBFS, then smooth."""
     cfg = cfg or VadConfig()
-    if w.sample_rate not in VAD_SAMPLE_RATES:
-        raise InvalidConfigError(
-            f"sample rate {w.sample_rate} not in {VAD_SAMPLE_RATES}; resample first"
-        )
+    check_vad_rate(w.sample_rate)
     if len(w) == 0:
         raise EmptySignalError("cannot label an empty signal")
     flen = frame_length_samples(w.sample_rate, cfg.frame_ms)

@@ -55,6 +55,18 @@ class PitchConfig:
                 f"voicing_threshold must be positive, got {self.voicing_threshold}"
             )
 
+    def lags(self, sr: int) -> tuple:
+        """(lag_min, lag_max), the period range in samples that the tracker searches at sr."""
+        if sr < 2 * self.f0_max:
+            raise InvalidConfigError(f"sample rate {sr} is below 2 * f0_max {self.f0_max}")
+        lag_max = int(sr / self.f0_min)
+        if lag_max >= self.frame_length:
+            raise InvalidConfigError(
+                f"frame_length {self.frame_length} cannot hold a full period"
+                f" of f0_min {self.f0_min}"
+            )
+        return max(2, math.ceil(sr / self.f0_max)), lag_max
+
 
 @dataclass(frozen=True)
 class PitchTrack:
@@ -123,14 +135,7 @@ def extract_pitch(w: Waveform, cfg: PitchConfig | None = None) -> PitchTrack:
     """
     cfg = cfg or PitchConfig()
     sr = w.sample_rate
-    if sr < 2 * cfg.f0_max:
-        raise InvalidConfigError(f"sample rate {sr} is below 2 * f0_max {cfg.f0_max}")
-    lag_max = int(sr / cfg.f0_min)
-    lag_min = max(2, math.ceil(sr / cfg.f0_max))
-    if lag_max >= cfg.frame_length:
-        raise InvalidConfigError(
-            f"frame_length {cfg.frame_length} cannot hold a full period of f0_min {cfg.f0_min}"
-        )
+    lag_min, lag_max = cfg.lags(sr)
     window = cfg.frame_length - lag_max
     padded = _center_pad(w.samples, cfg.frame_length)
     n_frames = 1 + (len(padded) - cfg.frame_length) // cfg.hop_length

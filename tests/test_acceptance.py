@@ -6,6 +6,7 @@ one pass/fail line per criterion (add -s to see the summary prints).
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ def test_10_worker_count_does_not_change_outputs(synthetic_corpus, tmp_path, cap
         assert (serial_dir / name).read_bytes() == (pooled_dir / name).read_bytes()
 
     hyp_records = tuple(
-        corpus.with_updates(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
+        replace(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
         for r in corpus.load_manifest(synthetic_corpus)
     )
     hyp_manifest = tmp_path / "hyp.tsv"

@@ -2,12 +2,15 @@ import argparse
 import io
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voxkit import cli, corpus, dsp, metrics, wavio
+from voxkit import cli, corpus, dsp, metrics, pitch, wavio
 from voxkit.errors import VoxkitError
 from conftest import build_corpus, sine
 
@@ -192,7 +195,7 @@ def metric_run(tmp_path_factory):
     ref_manifest = build_corpus(root, 4, seed=21)
     loaded = corpus.load_manifest(ref_manifest)
     hyp_records = tuple(
-        corpus.with_updates(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
+        replace(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
         for r in loaded
     )
     hyp_manifest = root / "hyp.tsv"
@@ -259,7 +262,7 @@ class TestMetrics:
         ref_manifest = build_corpus(root, 2, seed=31)
         loaded = corpus.load_manifest(ref_manifest)
         hyp_records = tuple(
-            corpus.with_updates(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
+            replace(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
             for r in loaded
         )
         hyp_manifest = root / "hyp.tsv"
@@ -275,15 +278,19 @@ class TestMetrics:
         assert "MSD" not in out
         assert "CER (S/D/I): " in out
 
-    def test_spectral_metrics_fail_independently(self, tmp_path, capsys):
-        # 13 cepstra need more than 13 mel bands: mcd fails, msd still runs
+    def test_spectral_metrics_fail_independently(self, tmp_path, monkeypatch, capsys):
+        # mcd fails on every utterance, msd still runs
+        def fail(*args):
+            raise VoxkitError("no cepstra")
+
+        monkeypatch.setattr(metrics, "mcd_from_log_mel", fail)
         root = tmp_path / "corpus"
         ref_manifest = build_corpus(root, 2, seed=41)
         out_dir = root / "report"
         code = cli.main([
             "metrics", "--ref-manifest", str(ref_manifest),
             "--hyp-manifest", str(ref_manifest), "--out-dir", str(out_dir),
-            "--which", "mcd,msd", "--mels", "13",
+            "--which", "mcd,msd",
         ])
         assert code == cli.EXIT_OK
         capsys.readouterr()
@@ -292,7 +299,7 @@ class TestMetrics:
         assert [row["mcd"] for row in rows] == [None, None]
         errors = (out_dir / "errors.tsv").read_text().splitlines()[1:]
         assert [e.split("\t")[:2] for e in errors] == [["utt000", "mcd"], ["utt001", "mcd"]]
-        assert "must be smaller than n_mels 13" in errors[0]
+        assert errors[0].endswith("\tno cepstra")
 
 
 class TestVad:
@@ -573,9 +580,9 @@ def test_preprocess_error_rows_put_flt_after_audio_stages(tmp_path, capsys):
     build_corpus(root, 5, seed=19, with_enhanced=False)
     wavio.write_wav(root / "raw" / "utt001.wav", dsp.Waveform(np.zeros(SR), SR))
     records = list(corpus.load_manifest(root / "manifest.tsv").records)
-    records[0] = corpus.with_updates(records[0], text="!!!")  # empty once normalized
-    records[2] = corpus.with_updates(records[2], audio_path="raw/missing.wav")
-    records[3] = corpus.with_updates(records[3], text="!!!")
+    records[0] = replace(records[0], text="!!!")  # empty once normalized
+    records[2] = replace(records[2], audio_path="raw/missing.wav")
+    records[3] = replace(records[3], text="!!!")
     manifest = root / "bad.tsv"
     corpus.save_manifest(corpus.Manifest(tuple(records)), manifest)
     for workers in (1, 2):
@@ -597,7 +604,7 @@ def test_worker_count_does_not_change_outputs(command, tmp_path, capsys):
     root = tmp_path / "corpus"
     manifest = build_corpus(root, 4, seed=23)
     records = list(corpus.load_manifest(manifest).records)
-    records[1] = corpus.with_updates(records[1], audio_path="raw/missing.wav")
+    records[1] = replace(records[1], audio_path="raw/missing.wav")
     corpus.save_manifest(corpus.Manifest(tuple(records)), manifest)
     outputs = []
     for workers in (1, 2):
@@ -654,6 +661,112 @@ def test_count_below_one_is_usage_error_before_any_output(command, flag, value, 
     assert captured.err == f"usage error: {flag} must be at least 1, got {value}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+# Configurations that fail for every utterance, or at least the same way for each one.
+CONFIG_ERRORS = [
+    ("metrics", ["--which", "f0", "--win", "256", "--hop", "128"], "frame_length 256 cannot hold"),
+    ("metrics", ["--which", "f0", "--sample-rate", "1000"], "sample rate 1000 is below 2 * f0_max"),
+    ("metrics", ["--which", "mcd", "--mels", "13"], "n_coeffs 13 must be smaller than n_mels 13"),
+    ("metrics", ["--hop", "0"], "hop_length must be positive"),
+    ("metrics", ["--mels", "0"], "n_mels must be at least 1, got 0"),
+    ("vad", ["--sample-rate", "12000"], "sample rate 12000 not in"),
+    ("vad", ["--energy-threshold-db", "nan"], "energy_threshold_db must not be NaN"),
+    ("preprocess", ["--min-snr", "nan"], "min_snr_db and max_cer must not be NaN"),
+    ("preprocess", ["--stages", "VAD-2", "--sample-rate", "11025"], "sample rate 11025 not in"),
+    ("filter", ["--max-cer", "nan"], "min_snr_db and max_cer must not be NaN"),
+    ("vocode", ["--fft", "512"], "win_length 1024 exceeds fft_size 512"),
+]
+
+
+@pytest.mark.parametrize("command, extra, message", CONFIG_ERRORS)
+def test_config_error_is_usage_error_before_any_output(command, extra, message, tmp_path, capsys):
+    build_corpus(tmp_path, 1, seed=29)
+    code = cli.main(_minimal_argv(command, tmp_path) + extra)
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_vocode_without_spectrograms_creates_no_out_dir(tmp_path, capsys):
+    (tmp_path / "specs").mkdir()
+    argv = ["vocode", "--spec-dir", str(tmp_path / "specs"), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "no .npy spectrograms found" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("metrics", ["--which", "msd", "--mels", "13"]),  # only mcd takes 13 cepstra
+    ("preprocess", ["--stages", "DN,VN", "--sample-rate", "12000"]),  # no VAD stage runs
+    ("metrics", ["--which", "mcd,msd,cer", "--win", "256", "--hop", "128"]),  # no f0
+])
+def test_rate_and_cepstrum_checks_run_only_for_what_runs(command, extra, tmp_path, capsys):
+    build_corpus(tmp_path, 2, seed=29)
+    assert cli.main(_minimal_argv(command, tmp_path) + extra) == cli.EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "out" / "errors.tsv").read_text() == "id\tstage\terror\n"
+
+
+def test_metrics_builds_one_pitch_config_per_run(tmp_path, monkeypatch, capsys):
+    built = []
+    post_init = pitch.PitchConfig.__post_init__
+    monkeypatch.setattr(pitch.PitchConfig, "__post_init__", lambda cfg: built.append(post_init(cfg)))
+    build_corpus(tmp_path, 3, seed=29)
+    argv = _minimal_argv("metrics", tmp_path) + ["--which", "f0", "--workers", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+@pytest.fixture(scope="module")
+def clean_corpus(tmp_path_factory):
+    """Two clean one-second utterances with transcripts."""
+    root = tmp_path_factory.mktemp("clean")
+    (root / "raw").mkdir()
+    records = []
+    for k, freq in enumerate((220.0, 330.0)):
+        utterance_id = f"utt{k:03d}"
+        wavio.write_wav(root / "raw" / f"{utterance_id}.wav", dsp.Waveform(sine(freq, 1.0), SR))
+        records.append(corpus.UtteranceRecord(
+            utterance_id, f"raw/{utterance_id}.wav", 1.0, text="a tone", hyp_text="a tune"
+        ))
+    corpus.save_manifest(corpus.Manifest(tuple(records)), root / "manifest.tsv")
+    return root / "manifest.tsv"
+
+
+@given(
+    command=st.sampled_from(["metrics", "vocode"]),
+    fft=st.sampled_from([0, 1024, 2048, 4096]),
+    win=st.sampled_from([256, 512, 1024, 2048]),
+    hop=st.sampled_from([0, 128, 256, 512]),
+    mels=st.sampled_from([0, 13, 14, 80]),
+    which=st.lists(st.sampled_from(cli.METRIC_CHOICES), min_size=1, max_size=4),
+    sample_rate=st.sampled_from([8000, 16000, 22050, 44100]),
+)
+@settings(max_examples=40, deadline=None)
+# --hop equal to --win rebuilds audio far above full scale; that is not what this test checks
+@pytest.mark.filterwarnings("ignore::voxkit.errors.ClippingWarning")
+def test_drawn_configuration_fails_whole_or_not_at_all(
+    clean_corpus, tmp_path_factory, command, fft, win, hop, mels, which, sample_rate
+):
+    manifest = str(clean_corpus)
+    out_dir = tmp_path_factory.mktemp("drawn") / "out"
+    argv = [command, "--fft", str(fft), "--win", str(win), "--hop", str(hop)]
+    argv += ["--sample-rate", str(sample_rate), "--out-dir", str(out_dir)]
+    if command == "metrics":
+        argv += ["--ref-manifest", manifest, "--hyp-manifest", manifest]
+        argv += ["--mels", str(mels), "--which", ",".join(which)]
+    else:
+        argv += ["--manifest", manifest, "--iters", "2"]
+    code = cli.main(argv)
+    if code == cli.EXIT_USAGE:
+        assert not out_dir.exists()
+    else:
+        assert code == cli.EXIT_OK
+        assert (out_dir / "errors.tsv").read_text() == "id\tstage\terror\n"
 
 
 # Every (command, flag) pair that the shared flags once gave a command that never read it.
@@ -741,7 +854,7 @@ def test_stft_and_seed_flags_reach_the_code(tmp_path, capsys):
     assert default["utt000.wav"] != hop["utt000.wav"]
 
     hyp = tuple(
-        corpus.with_updates(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
+        replace(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
         for r in corpus.load_manifest(manifest)
     )
     corpus.save_manifest(corpus.Manifest(hyp), root / "hyp.tsv")

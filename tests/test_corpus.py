@@ -186,6 +186,18 @@ class TestFilter:
         with pytest.raises(InvalidConfigError):
             FilterConfig(mode="vibes")
 
+    @pytest.mark.parametrize("field", ["min_snr_db", "max_cer"])
+    def test_nan_threshold_rejected(self, field):
+        with pytest.raises(InvalidConfigError, match="must not be NaN"):
+            FilterConfig(**{field: math.nan})
+
+    def test_infinite_thresholds_allowed(self):
+        m = Manifest((rec("a", snr=-math.inf, cer=0.0), rec("b", snr=math.inf, cer=5.0)))
+        keep_all = corpus.apply_filter(m, FilterConfig(min_snr_db=-math.inf, max_cer=math.inf))
+        assert keep_all.kept.ids() == ["b"]  # -inf is not above -inf
+        drop_all = corpus.apply_filter(m, FilterConfig(min_snr_db=math.inf, max_cer=-math.inf))
+        assert drop_all.kept.ids() == []
+
     def test_partition(self):
         m = Manifest(tuple(
             rec(f"u{i:03d}", snr=float(i), cer=i / 200.0, duration=float(i + 1))
@@ -284,10 +296,3 @@ class TestSummarize:
         assert h.counts == (1, 1, 1, 0, 0, 1)
         assert h.n_above == 2
         assert h.n_absent == 1
-
-    def test_with_updates_replaces_fields(self):
-        r = rec("a", snr=5.0)
-        r2 = corpus.with_updates(r, snr_db=25.0, cer=0.01)
-        assert (r2.snr_db, r2.cer) == (25.0, 0.01)
-        assert r2.utterance_id == "a"
-        assert r.snr_db == 5.0

@@ -163,6 +163,15 @@ class TestMfcc:
         with pytest.raises(InvalidConfigError):
             dsp.mfcc(tone(220.0, 0.1), n_coeffs=80)
 
+    def test_cepstrum_check_needs_more_bands_than_coefficients(self):
+        dsp.check_cepstrum(14)
+        dsp.check_cepstrum(2, n_coeffs=1)
+        for n_mels, n_coeffs in ((13, 13), (5, 13), (80, 0)):
+            with pytest.raises(InvalidConfigError):
+                dsp.check_cepstrum(n_mels, n_coeffs)
+        with pytest.raises(InvalidConfigError, match="must be smaller than n_mels 13"):
+            dsp.mfcc(tone(220.0, 0.1), dsp.MelConfig(n_mels=13))
+
     @given(st.integers(0, 2**32 - 1), st.integers(600, 4000))
     @settings(max_examples=20, deadline=None)
     def test_finite_for_any_finite_input(self, seed, n):

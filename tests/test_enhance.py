@@ -124,6 +124,26 @@ class TestVad:
         with pytest.raises(InvalidConfigError):
             enhance.VadConfig(aggressiveness=4)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(InvalidConfigError, match="must not be NaN"):
+            enhance.VadConfig(energy_threshold_db=float("nan"))
+
+    def test_infinite_thresholds_allowed(self):
+        x = np.concatenate([np.zeros(1600), sine(440.0, 1600, 16000, amp=0.5)])
+        low = enhance.vad_label(wav(x, 16000), enhance.VadConfig(energy_threshold_db=-np.inf))
+        assert low.speech.tolist() == [False] * 10 + [True] * 10  # digital silence is -inf dB
+        high = enhance.vad_label(wav(x, 16000), enhance.VadConfig(energy_threshold_db=np.inf))
+        assert not high.speech.any()
+
+    def test_rate_check_is_the_one_vad_label_applies(self):
+        for sr in enhance.VAD_SAMPLE_RATES:
+            enhance.check_vad_rate(sr)
+        with pytest.raises(InvalidConfigError) as direct:
+            enhance.check_vad_rate(12000)
+        with pytest.raises(InvalidConfigError) as labeled:
+            enhance.vad_label(wav(np.ones(1200), sr=12000))
+        assert str(direct.value) == str(labeled.value)
+
 
 def make_labeled(pattern, flen=160, sr=16000):
     """Build a waveform plus labels from (is_speech, n_frames) spans."""

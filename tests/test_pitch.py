@@ -72,6 +72,16 @@ class TestExtraction:
         with pytest.raises(InvalidConfigError):
             pitch.extract_pitch(tone(220.0, 0.3), cfg)
 
+    def test_lags_apply_the_rules_of_extract_pitch(self):
+        assert pitch.PitchConfig().lags(22050) == (41, 441)
+        assert pitch.PitchConfig().lags(8000) == (15, 160)
+        for cfg, sr in ((pitch.PitchConfig(), 1000), (pitch.PitchConfig(frame_length=256), SR)):
+            with pytest.raises(InvalidConfigError) as direct:
+                cfg.lags(sr)
+            with pytest.raises(InvalidConfigError) as extracted:
+                pitch.extract_pitch(tone(220.0, 0.3, sr=sr), cfg)
+            assert str(direct.value) == str(extracted.value)
+
     def test_track_invariant_enforced(self):
         with pytest.raises(InvalidConfigError):
             make_track([100.0, 100.0], [True, False])
