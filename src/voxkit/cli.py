@@ -150,11 +150,11 @@ def _configure(args) -> dict:
         cfg["FLT"] = corpus.FilterConfig(args.min_snr, args.max_cer, args.flt)
     if "fill" in args:
         cfg["silence"] = enhance.SilencePolicy(fill=args.fill)
+        vad = enhance.VadConfig(energy_threshold_db=args.energy_threshold_db)
         for name in cfg["stages"]:
             if name.startswith("VAD-"):
                 enhance.check_vad_rate(args.sample_rate)
-                level, threshold = int(name[4:]), args.energy_threshold_db
-                cfg[name] = enhance.VadConfig(energy_threshold_db=threshold, aggressiveness=level)
+                cfg[name] = replace(vad, aggressiveness=int(name[4:]))
     if "spec_dir" in args and (args.manifest is None) == (args.spec_dir is None):
         raise InvalidConfigError("pass exactly one of --manifest (round trip) or --spec-dir")
     if "fft" in args:
