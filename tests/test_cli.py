@@ -663,7 +663,7 @@ def test_count_below_one_is_usage_error_before_any_output(command, flag, value, 
     assert not (tmp_path / "out").exists()
 
 
-# Configurations that fail for every utterance, or at least the same way for each one.
+# Flag values that would fail every utterance the same way.
 CONFIG_ERRORS = [
     ("metrics", ["--which", "f0", "--win", "256", "--hop", "128"], "frame_length 256 cannot hold"),
     ("metrics", ["--which", "f0", "--sample-rate", "1000"], "sample rate 1000 is below 2 * f0_max"),
@@ -713,7 +713,12 @@ def test_rate_and_cepstrum_checks_run_only_for_what_runs(command, extra, tmp_pat
 def test_metrics_builds_one_pitch_config_per_run(tmp_path, monkeypatch, capsys):
     built = []
     post_init = pitch.PitchConfig.__post_init__
-    monkeypatch.setattr(pitch.PitchConfig, "__post_init__", lambda cfg: built.append(post_init(cfg)))
+
+    def counted_post_init(cfg):
+        built.append(cfg)
+        post_init(cfg)
+
+    monkeypatch.setattr(pitch.PitchConfig, "__post_init__", counted_post_init)
     build_corpus(tmp_path, 3, seed=29)
     argv = _minimal_argv("metrics", tmp_path) + ["--which", "f0", "--workers", "1"]
     assert cli.main(argv) == cli.EXIT_OK
