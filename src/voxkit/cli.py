@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import tokenize
+import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, dsp, enhance, metrics, pitch, wavio
-from .errors import InvalidConfigError, VoxkitError
+from .errors import ClippingWarning, InvalidConfigError, TrackLengthWarning, VoxkitError
 from .serialize import json_value, write_tsv
 
 EXIT_OK = 0
@@ -32,6 +33,7 @@ ALL_STAGES = AUDIO_STAGES + ("FLT",)
 ENHANCED_SUFFIX = ".enhanced.wav"
 
 METRIC_CHOICES = ("mcd", "msd", "f0", "cer")
+VOXKIT_WARNINGS = (ClippingWarning, TrackLengthWarning)
 
 
 def derive_seed(base_seed: int, utterance_id: str) -> int:
@@ -53,24 +55,44 @@ def _run_utterances(func, items: dict, args, cfg, stage: str):
     func returns (value, errors), errors being (stage, message) rows.
     stage is a one-item list naming the stage func is in, starting at the
     given label; a VoxkitError or OSError that func raises gives the value
-    None and one error row for that stage. Returns ({id: value}, rows of
-    (id, stage, message)).
+    None and one error row for that stage. Once every item is done, the
+    voxkit warnings each one raised go to stderr, in item order, one
+    `warning: <id>: <Category>: <message>` line each. Returns
+    ({id: value}, rows of (id, stage, message)).
     """
     results = _map_ordered(partial(_attempt, func, stage, args, cfg), items.items(), args.workers)
     values, error_rows = {}, []
-    for utterance_id, (value, errors) in zip(items, results):
+    for utterance_id, (value, errors, caught) in zip(items, results):
         values[utterance_id] = value
         error_rows += [(utterance_id, s, message) for s, message in errors]
+        for line in caught:
+            print(_sanitize(f"warning: {utterance_id}: {line}"), file=sys.stderr)
     return values, error_rows
 
 
 def _attempt(func, label, args, cfg, named_item):
+    """(value, errors, caught): func's result and the voxkit warnings it raised.
+
+    Other warnings are shown as usual, and the warning filters apply to all of them.
+    """
     utterance_id, item = named_item
     stage = [label]
-    try:
-        return func(utterance_id, item, args, cfg, stage)
-    except (VoxkitError, OSError) as exc:
-        return None, ((stage[0], str(exc)),)
+    caught = []
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def keep_ours(message, category, *rest, **kwargs):
+            if issubclass(category, VOXKIT_WARNINGS):
+                caught.append(f"{category.__name__}: {message}")
+            else:
+                show(message, category, *rest, **kwargs)
+
+        warnings.showwarning = keep_ours
+        try:
+            value, errors = func(utterance_id, item, args, cfg, stage)
+        except (VoxkitError, OSError) as exc:
+            value, errors = None, ((stage[0], str(exc)),)
+    return value, errors, tuple(caught)
 
 
 def _out_wav(out_dir, utterance_id: str) -> Path:
@@ -159,6 +181,11 @@ def _configure(args) -> dict:
         raise InvalidConfigError("pass exactly one of --manifest (round trip) or --spec-dir")
     if "fft" in args:
         cfg["stft"] = dsp.StftConfig(args.fft, args.win, args.hop)
+    if "iters" in args and 2 * args.hop > args.win:
+        # Overlap-add divides by the summed squared windows, which nears 0 with less overlap.
+        raise InvalidConfigError(
+            f"vocode needs --hop at most half of --win, got --hop {args.hop} and --win {args.win}"
+        )
     if "mels" in args:
         cfg["which"] = which = _comma_list("--which", args.which, METRIC_CHOICES)
         cfg["mel"] = dsp.MelConfig(args.mels, stft=cfg["stft"])

@@ -26,6 +26,7 @@ DEFAULT_FFT_SIZE = 1024
 DEFAULT_WIN_LENGTH = 1024
 DEFAULT_HOP_LENGTH = 256
 LOG_FLOOR = 1e-10  # added to mel power before the log
+MEL_F_MIN = 0.0  # Hz; the mel filters span MEL_F_MIN to the Nyquist frequency
 
 _FEATURE_KINDS = ("magnitude_spectrogram", "log_mel", "mfcc")
 
@@ -57,12 +58,11 @@ class Waveform:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Framing parameters for the short-time Fourier transform."""
+    """Framing parameters for the short-time Fourier transform; the window is periodic Hann."""
 
     fft_size: int = DEFAULT_FFT_SIZE
     win_length: int = DEFAULT_WIN_LENGTH
     hop_length: int = DEFAULT_HOP_LENGTH
-    window: str = "hann"
 
     def __post_init__(self):
         if min(self.fft_size, self.win_length, self.hop_length) <= 0:
@@ -75,8 +75,6 @@ class StftConfig:
             raise InvalidConfigError(
                 f"hop_length {self.hop_length} exceeds win_length {self.win_length}"
             )
-        if self.window != "hann":
-            raise InvalidConfigError(f"unsupported window {self.window!r}")
 
     @property
     def n_bins(self) -> int:
@@ -87,23 +85,15 @@ class StftConfig:
 class MelConfig:
     """Mel filterbank parameters on top of an STFT configuration.
 
-    f_max of None means half the sample rate of whatever signal is analyzed.
+    The filters span MEL_F_MIN to half the sample rate of whatever signal is analyzed.
     """
 
     n_mels: int = 80
-    f_min: float = 0.0
-    f_max: float | None = None
     stft: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self):
         if self.n_mels < 1:
             raise InvalidConfigError(f"n_mels must be at least 1, got {self.n_mels}")
-        if self.f_min < 0:
-            raise InvalidConfigError(f"f_min must be non-negative, got {self.f_min}")
-        if self.f_max is not None and self.f_max <= self.f_min:
-            raise InvalidConfigError(
-                f"f_max {self.f_max} must exceed f_min {self.f_min}"
-            )
 
 
 @dataclass(frozen=True)
@@ -259,12 +249,7 @@ def mel_to_hz(m):
 
 
 def _mel_edges(sample_rate: int, cfg: MelConfig) -> np.ndarray:
-    f_max = cfg.f_max if cfg.f_max is not None else sample_rate / 2.0
-    if f_max > sample_rate / 2.0 + 1e-9:
-        raise InvalidConfigError(f"f_max {f_max} exceeds Nyquist {sample_rate / 2.0}")
-    if f_max <= cfg.f_min:
-        raise InvalidConfigError(f"f_max {f_max} must exceed f_min {cfg.f_min}")
-    mel_pts = np.linspace(hz_to_mel(cfg.f_min), hz_to_mel(f_max), cfg.n_mels + 2)
+    mel_pts = np.linspace(hz_to_mel(MEL_F_MIN), hz_to_mel(sample_rate / 2.0), cfg.n_mels + 2)
     return mel_to_hz(mel_pts)
 
 

@@ -20,6 +20,9 @@ from .errors import (
 
 VAD_SAMPLE_RATES = (8000, 16000, 22050, 44100, 48000)
 PEAK_TARGET = 0.95  # headroom below full scale after normalization
+VAD_FRAME_MS = 10.0  # VAD frame duration
+MAX_INTERNAL_SILENCE_MS = 300.0  # longest pause trim_and_compress keeps
+COMFORT_NOISE_LEVEL_DB = -60.0  # RMS of the comfort-noise fill, dBFS
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,16 @@ class DryWetConfig:
             raise InvalidConfigError(f"dry must lie in [0, 1], got {self.dry}")
 
 
+def _check_pair(noisy: Waveform, enhanced: Waveform) -> None:
+    """Raise unless the two signals share a sample rate and a length."""
+    if noisy.sample_rate != enhanced.sample_rate:
+        raise RateMismatchError(
+            f"sample rates differ: {noisy.sample_rate} vs {enhanced.sample_rate}"
+        )
+    if len(noisy) != len(enhanced):
+        raise LengthMismatchError(f"lengths differ: {len(noisy)} vs {len(enhanced)}")
+
+
 def dry_wet_mix(noisy: Waveform, enhanced: Waveform, cfg: DryWetConfig | None = None) -> Waveform:
     """Blend dry * noisy + (1 - dry) * enhanced and clip to [-1, 1].
 
@@ -40,12 +53,7 @@ def dry_wet_mix(noisy: Waveform, enhanced: Waveform, cfg: DryWetConfig | None = 
     the clipped-sample count when clipping occurs.
     """
     cfg = cfg or DryWetConfig()
-    if noisy.sample_rate != enhanced.sample_rate:
-        raise RateMismatchError(
-            f"sample rates differ: {noisy.sample_rate} vs {enhanced.sample_rate}"
-        )
-    if len(noisy) != len(enhanced):
-        raise LengthMismatchError(f"lengths differ: {len(noisy)} vs {len(enhanced)}")
+    _check_pair(noisy, enhanced)
     mixed = cfg.dry * noisy.samples + (1.0 - cfg.dry) * enhanced.samples
     clipped = np.clip(mixed, -1.0, 1.0)
     n_clipped = int(np.count_nonzero(clipped != mixed))
@@ -56,7 +64,7 @@ def dry_wet_mix(noisy: Waveform, enhanced: Waveform, cfg: DryWetConfig | None = 
 
 @dataclass(frozen=True)
 class VadConfig:
-    """Energy-threshold voice activity detection parameters.
+    """Energy-threshold voice activity detection parameters, over VAD_FRAME_MS frames.
 
     Aggressiveness L widens the smoothing window to 2L+1 frames (a frame
     survives only if its whole window is above threshold) and drops speech
@@ -64,13 +72,10 @@ class VadConfig:
     speech frames.
     """
 
-    frame_ms: float = 10.0
     energy_threshold_db: float = -45.0
     aggressiveness: int = 0
 
     def __post_init__(self):
-        if self.frame_ms <= 0:
-            raise InvalidConfigError(f"frame_ms must be positive, got {self.frame_ms}")
         if self.aggressiveness not in (0, 1, 2, 3):
             raise InvalidConfigError(
                 f"aggressiveness must be 0, 1, 2, or 3, got {self.aggressiveness}"
@@ -81,17 +86,14 @@ class VadConfig:
 
 @dataclass(frozen=True)
 class FrameLabels:
-    """Per-frame speech flags at a fixed nominal frame duration."""
+    """Per-frame speech flags, one per VAD_FRAME_MS frame."""
 
     speech: np.ndarray
-    frame_ms: float
 
     def __post_init__(self):
         speech = np.asarray(self.speech, dtype=bool)
         if speech.ndim != 1 or len(speech) == 0:
             raise InvalidConfigError("labels must be a non-empty 1-D array")
-        if self.frame_ms <= 0:
-            raise InvalidConfigError(f"frame_ms must be positive, got {self.frame_ms}")
         object.__setattr__(self, "speech", speech)
 
     def __len__(self):
@@ -138,7 +140,7 @@ def vad_label(w: Waveform, cfg: VadConfig | None = None) -> FrameLabels:
     check_vad_rate(w.sample_rate)
     if len(w) == 0:
         raise EmptySignalError("cannot label an empty signal")
-    flen = frame_length_samples(w.sample_rate, cfg.frame_ms)
+    flen = frame_length_samples(w.sample_rate, VAD_FRAME_MS)
     power = _frame_powers(w.samples, flen)
     with np.errstate(divide="ignore"):
         level_db = 10.0 * np.log10(power)  # silence becomes -inf, below any threshold
@@ -150,22 +152,16 @@ def vad_label(w: Waveform, cfg: VadConfig | None = None) -> FrameLabels:
         for start, end in _runs(speech, True):
             if end - start < level + 1:
                 speech[start:end] = False
-    return FrameLabels(speech, cfg.frame_ms)
+    return FrameLabels(speech)
 
 
 @dataclass(frozen=True)
 class SilencePolicy:
-    """What to do with silence inside and around an utterance."""
+    """What fills internal silence that trim_and_compress shortens."""
 
-    max_internal_silence_ms: float = 300.0
     fill: str = "zeros"
-    comfort_noise_level_db: float = -60.0
 
     def __post_init__(self):
-        if self.max_internal_silence_ms < 0:
-            raise InvalidConfigError(
-                f"max_internal_silence_ms must be non-negative, got {self.max_internal_silence_ms}"
-            )
         if self.fill not in ("zeros", "comfort_noise"):
             raise InvalidConfigError(
                 f"fill must be 'zeros' or 'comfort_noise', got {self.fill!r}"
@@ -178,7 +174,7 @@ def _fill_samples(n: int, policy: SilencePolicy, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n)
     rms = math.sqrt(float((noise**2).mean()))
-    target = 10.0 ** (policy.comfort_noise_level_db / 20.0)
+    target = 10.0 ** (COMFORT_NOISE_LEVEL_DB / 20.0)
     return noise * (target / max(rms, np.finfo(np.float64).tiny))
 
 
@@ -188,13 +184,13 @@ def trim_and_compress(
     policy: SilencePolicy | None = None,
     seed: int = 0,
 ) -> Waveform:
-    """Drop edge silence and cap internal silence runs at the policy length.
+    """Drop edge silence and cap internal silence runs at MAX_INTERNAL_SILENCE_MS.
 
     Internal silence strictly longer than the cap is replaced by exactly
     the cap's worth of fill; runs at or under the cap are kept verbatim.
     """
     policy = policy or SilencePolicy()
-    flen = frame_length_samples(w.sample_rate, labels.frame_ms)
+    flen = frame_length_samples(w.sample_rate, VAD_FRAME_MS)
     n = len(w.samples)
     if len(labels) != (n + flen - 1) // flen:
         raise LengthMismatchError(
@@ -202,7 +198,7 @@ def trim_and_compress(
         )
     if not labels.speech.any():
         raise AllSilenceError("every frame is labeled silence")
-    cap = int(round(policy.max_internal_silence_ms / 1000.0 * w.sample_rate))
+    cap = int(round(MAX_INTERNAL_SILENCE_MS / 1000.0 * w.sample_rate))
     spans = _runs(labels.speech, True)
     pieces = []
     prev_end = None
@@ -225,12 +221,7 @@ def estimate_snr(noisy: Waveform, enhanced: Waveform) -> float:
     zero enhanced signal -inf), so downstream filters can treat the values
     ordinarily.
     """
-    if noisy.sample_rate != enhanced.sample_rate:
-        raise RateMismatchError(
-            f"sample rates differ: {noisy.sample_rate} vs {enhanced.sample_rate}"
-        )
-    if len(noisy) != len(enhanced):
-        raise LengthMismatchError(f"lengths differ: {len(noisy)} vs {len(enhanced)}")
+    _check_pair(noisy, enhanced)
     if len(noisy) == 0:
         raise EmptySignalError("cannot estimate SNR of empty signals")
     residual = noisy.samples - enhanced.samples
@@ -243,13 +234,11 @@ def estimate_snr(noisy: Waveform, enhanced: Waveform) -> float:
     return 10.0 * math.log10(p_signal / p_residual)
 
 
-def normalize_volume(w: Waveform, peak: float = PEAK_TARGET) -> Waveform:
-    """Scale so the absolute peak sits at the target level."""
-    if not 0.0 < peak <= 1.0:
-        raise InvalidConfigError(f"peak must lie in (0, 1], got {peak}")
+def normalize_volume(w: Waveform) -> Waveform:
+    """Scale so the absolute peak sits at PEAK_TARGET."""
     if len(w) == 0:
         raise EmptySignalError("cannot normalize an empty signal")
     top = float(np.abs(w.samples).max())
     if top == 0.0:
         raise AllZeroError("cannot normalize an all-zero signal")
-    return Waveform(w.samples * (peak / top), w.sample_rate)
+    return Waveform(w.samples * (PEAK_TARGET / top), w.sample_rate)

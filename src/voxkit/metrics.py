@@ -42,43 +42,6 @@ from .serialize import json_value, write_tsv
 GROSS_ERROR_RTOL = 0.2  # relative deviation from the reference pitch counted as gross
 
 
-def _check_tracks(ref: PitchTrack, hyp: PitchTrack) -> None:
-    if len(ref) == 0 or len(hyp) == 0:
-        raise EmptyTrackError("pitch metrics need non-empty tracks")
-    if len(ref) != len(hyp):
-        raise LengthMismatchError(
-            f"track lengths differ: {len(ref)} vs {len(hyp)}; align them first"
-        )
-
-
-def _gross_errors(ref: PitchTrack, hyp: PitchTrack) -> tuple:
-    both = ref.voiced & hyp.voiced
-    gross = both & (np.abs(ref.f0 - hyp.f0) > GROSS_ERROR_RTOL * ref.f0)
-    return int(gross.sum()), int(both.sum())
-
-
-def gpe(ref: PitchTrack, hyp: PitchTrack) -> float:
-    """Gross pitch error over co-voiced frames."""
-    _check_tracks(ref, hyp)
-    n_gross, n_covoiced = _gross_errors(ref, hyp)
-    if n_covoiced == 0:
-        raise NoCovoicedFramesError("no frame is voiced in both tracks")
-    return n_gross / n_covoiced
-
-
-def vde(ref: PitchTrack, hyp: PitchTrack) -> float:
-    """Voicing decision error over all frames."""
-    _check_tracks(ref, hyp)
-    return int((ref.voiced != hyp.voiced).sum()) / len(ref)
-
-
-def ffe(ref: PitchTrack, hyp: PitchTrack) -> float:
-    """F0 frame error: voicing errors plus gross pitch errors, over all frames."""
-    _check_tracks(ref, hyp)
-    n_gross, _ = _gross_errors(ref, hyp)
-    return vde(ref, hyp) + n_gross / len(ref)
-
-
 @dataclass(frozen=True)
 class F0MetricReport:
     """Joint pitch-track error rates; gpe is None when no frame is co-voiced."""
@@ -92,8 +55,15 @@ class F0MetricReport:
 
 def f0_metrics(ref: PitchTrack, hyp: PitchTrack) -> F0MetricReport:
     """All pitch-track error rates in one pass."""
-    _check_tracks(ref, hyp)
-    n_gross, n_covoiced = _gross_errors(ref, hyp)
+    if len(ref) == 0 or len(hyp) == 0:
+        raise EmptyTrackError("pitch metrics need non-empty tracks")
+    if len(ref) != len(hyp):
+        raise LengthMismatchError(
+            f"track lengths differ: {len(ref)} vs {len(hyp)}; align them first"
+        )
+    both = ref.voiced & hyp.voiced
+    gross = both & (np.abs(ref.f0 - hyp.f0) > GROSS_ERROR_RTOL * ref.f0)
+    n_gross, n_covoiced = int(gross.sum()), int(both.sum())
     n = len(ref)
     vde_value = int((ref.voiced != hyp.voiced).sum()) / n
     return F0MetricReport(
@@ -103,6 +73,24 @@ def f0_metrics(ref: PitchTrack, hyp: PitchTrack) -> F0MetricReport:
         n_frames=n,
         n_covoiced=n_covoiced,
     )
+
+
+def gpe(ref: PitchTrack, hyp: PitchTrack) -> float:
+    """Gross pitch error over co-voiced frames."""
+    report = f0_metrics(ref, hyp)
+    if report.gpe is None:
+        raise NoCovoicedFramesError("no frame is voiced in both tracks")
+    return report.gpe
+
+
+def vde(ref: PitchTrack, hyp: PitchTrack) -> float:
+    """Voicing decision error over all frames."""
+    return f0_metrics(ref, hyp).vde
+
+
+def ffe(ref: PitchTrack, hyp: PitchTrack) -> float:
+    """F0 frame error: voicing errors plus gross pitch errors, over all frames."""
+    return f0_metrics(ref, hyp).ffe
 
 
 def dtw_rmse(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -152,45 +140,11 @@ def msd(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class DistortionReport:
-    """Cepstral and log-mel distortion; path_length is the cepstral path."""
-
-    mcd: float
-    msd: float
-    path_length: int
-
-
-def distortion_report(
-    ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None, n_coeffs: int = 13
-) -> DistortionReport:
-    """Compute both spectral distortions for one utterance pair."""
-    ref_logm, hyp_logm = log_mel_pair(ref, hyp, cfg)
-    mcd_value, path_length = mcd_from_log_mel(ref_logm, hyp_logm, n_coeffs)
-    msd_value, _ = dtw_rmse(ref_logm.frames, hyp_logm.frames)
-    return DistortionReport(mcd=mcd_value, msd=msd_value, path_length=path_length)
-
-
-@dataclass(frozen=True)
-class TextNorm:
-    """Normalization applied to both strings before character alignment."""
-
-    lowercase: bool = True
-    strip_punctuation: bool = True
-    collapse_whitespace: bool = True
-
-
-def normalize_text(text: str, norm: TextNorm | None = None) -> str:
-    """Unicode NFC plus the configured lowering/stripping/collapsing steps."""
-    norm = norm or TextNorm()
-    text = unicodedata.normalize("NFC", text)
-    if norm.lowercase:
-        text = text.lower()
-    if norm.strip_punctuation:
-        text = "".join(c for c in text if not unicodedata.category(c).startswith("P"))
-    if norm.collapse_whitespace:
-        text = " ".join(text.split())
-    return text
+def normalize_text(text: str) -> str:
+    """Unicode NFC, lowercased, punctuation removed and whitespace runs collapsed to one space."""
+    text = unicodedata.normalize("NFC", text).lower()
+    text = "".join(c for c in text if not unicodedata.category(c).startswith("P"))
+    return " ".join(text.split())
 
 
 def edit_counts(ref: str, hyp: str) -> tuple:
@@ -242,10 +196,10 @@ class CerReport:
     n_insertions: int
 
 
-def cer(reference: str, hypothesis: str, norm: TextNorm | None = None) -> CerReport:
+def cer(reference: str, hypothesis: str) -> CerReport:
     """Character error rate between a reference text and a transcript."""
-    ref = normalize_text(reference, norm)
-    hyp = normalize_text(hypothesis, norm)
+    ref = normalize_text(reference)
+    hyp = normalize_text(hypothesis)
     if not ref:
         raise EmptyReferenceError("reference text is empty after normalization")
     n_sub, n_del, n_ins = edit_counts(ref, hyp)

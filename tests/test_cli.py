@@ -1,7 +1,11 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxkit import cli, corpus, dsp, metrics, pitch, wavio
+from voxkit import cli, corpus, dsp, enhance, metrics, pitch, wavio
 from voxkit.errors import VoxkitError
 from conftest import build_corpus, sine
 
@@ -625,6 +629,58 @@ def test_worker_count_does_not_change_outputs(command, tmp_path, capsys):
     assert outputs[0]["errors.tsv"].decode().splitlines()[1].startswith("utt001\t")
 
 
+def _voxkit_processes(argvs, cwd):
+    """Run `python -m voxkit.cli` once per argv, all at once; returns (exit code, stderr) each."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "voxkit.cli"]
+    procs = [
+        subprocess.Popen(command + argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True)
+        for argv in argvs
+    ]
+    stderrs = [p.communicate(timeout=120)[1] for p in procs]
+    return [(p.returncode, stderr) for p, stderr in zip(procs, stderrs)]
+
+
+def test_warnings_print_one_line_each_in_manifest_order(tmp_path):
+    # Each hypothesis is far shorter than its reference, so aligning the pitch tracks
+    # warns. utt000 is the longest, so at --workers 2 it finishes last.
+    refs, hyps = [], []
+    for k, (ref_s, hyp_s) in enumerate([(3.0, 1.0), (0.5, 0.3)]):
+        for records, name, seconds in ((refs, "ref", ref_s), (hyps, "hyp", hyp_s)):
+            path = tmp_path / f"{name}{k}.wav"
+            wavio.write_wav(path, dsp.Waveform(sine(200.0, seconds), SR))
+            records.append(corpus.UtteranceRecord(f"utt{k:03d}", path.name, seconds))
+    for name, records in (("ref", refs), ("hyp", hyps)):
+        corpus.save_manifest(corpus.Manifest(tuple(records)), tmp_path / f"{name}.tsv")
+    argvs = [
+        ["metrics", "--ref-manifest", "ref.tsv", "--hyp-manifest", "hyp.tsv", "--which", "f0",
+         "--out-dir", f"out{workers}", "--workers", str(workers)]
+        for workers in (1, 2)
+    ]
+    (code_one, stderr), (code_two, stderr_two) = _voxkit_processes(argvs, tmp_path)
+    assert code_one == code_two == cli.EXIT_OK
+    assert stderr == stderr_two
+    lines = stderr.splitlines()
+    assert [line.split(": ")[:2] for line in lines] == [
+        ["warning", "utt000"], ["warning", "utt001"]
+    ]
+    assert all(": TrackLengthWarning: track lengths " in line for line in lines)
+    assert ".py:" not in stderr
+
+
+def test_other_warnings_keep_their_filters(tmp_path, monkeypatch):
+    def warns(noisy, enhanced):
+        warnings.warn(RuntimeWarning("not a voxkit warning"))
+
+    monkeypatch.setattr(enhance, "estimate_snr", warns)
+    build_corpus(tmp_path, 1, seed=29)
+    with pytest.raises(RuntimeWarning, match="not a voxkit warning"):  # -W error::RuntimeWarning
+        cli.main(_minimal_argv("snr", tmp_path))
+
+
 def _minimal_argv(command, root):
     """The required arguments of each command, pointing into root."""
     manifest = str(root / "manifest.tsv")
@@ -676,6 +732,8 @@ CONFIG_ERRORS = [
     ("preprocess", ["--stages", "VAD-2", "--sample-rate", "11025"], "sample rate 11025 not in"),
     ("filter", ["--max-cer", "nan"], "min_snr_db and max_cer must not be NaN"),
     ("vocode", ["--fft", "512"], "win_length 1024 exceeds fft_size 512"),
+    ("vocode", ["--win", "512", "--hop", "512"], "vocode needs --hop at most half of --win"),
+    ("vocode", ["--win", "512", "--hop", "257"], "got --hop 257 and --win 512"),
 ]
 
 
@@ -702,6 +760,7 @@ def test_vocode_without_spectrograms_creates_no_out_dir(tmp_path, capsys):
     ("metrics", ["--which", "msd", "--mels", "13"]),  # only mcd takes 13 cepstra
     ("preprocess", ["--stages", "DN,VN", "--sample-rate", "12000"]),  # no VAD stage runs
     ("metrics", ["--which", "mcd,msd,cer", "--win", "256", "--hop", "128"]),  # no f0
+    ("vocode", ["--win", "512", "--hop", "256", "--iters", "2"]),  # half overlap is enough
 ])
 def test_rate_and_cepstrum_checks_run_only_for_what_runs(command, extra, tmp_path, capsys):
     build_corpus(tmp_path, 2, seed=29)

@@ -81,8 +81,6 @@ class TestStft:
             dsp.StftConfig(fft_size=512, win_length=1024)
         with pytest.raises(InvalidConfigError):
             dsp.StftConfig(hop_length=2048)
-        with pytest.raises(InvalidConfigError):
-            dsp.StftConfig(window="hamming")
 
     def test_istft_inverts_complex_stft(self):
         rng = np.random.default_rng(3)
@@ -130,11 +128,6 @@ class TestMel:
         rng = np.random.default_rng(0)
         w = dsp.Waveform(0.3 * rng.standard_normal(SR), SR)
         assert np.all(dsp.log_mel(w).frames > np.log(1e-10))
-
-    def test_f_max_above_nyquist_rejected(self):
-        cfg = dsp.MelConfig(f_max=12000.0)
-        with pytest.raises(InvalidConfigError):
-            dsp.mel_filterbank(SR, cfg)
 
 
 class TestMfcc:

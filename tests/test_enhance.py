@@ -154,7 +154,7 @@ def make_labeled(pattern, flen=160, sr=16000):
         pieces.append(sine(440.0, n, sr, amp=0.5) if is_speech else np.zeros(n))
         speech.extend([is_speech] * n_frames)
     return wav(np.concatenate(pieces), sr), enhance.FrameLabels(
-        np.asarray(speech, dtype=bool), 10.0
+        np.asarray(speech, dtype=bool)
     )
 
 
@@ -207,7 +207,7 @@ class TestTrimAndCompress:
 
     def test_label_coverage_checked(self):
         w, _ = make_labeled([(True, 10)])
-        short = enhance.FrameLabels(np.ones(5, dtype=bool), 10.0)
+        short = enhance.FrameLabels(np.ones(5, dtype=bool))
         with pytest.raises(LengthMismatchError):
             enhance.trim_and_compress(w, short)
 

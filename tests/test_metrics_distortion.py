@@ -67,11 +67,3 @@ def test_sample_rate_mismatch_rejected():
         metrics.mcd(a, b)
     with pytest.raises(RateMismatchError):
         metrics.msd(a, b)
-
-
-def test_report_agrees_with_standalone_calls():
-    ref, hyp = tone(220.0), tone(240.0)
-    report = metrics.distortion_report(ref, hyp)
-    assert report.mcd == metrics.mcd(ref, hyp)
-    assert report.msd == metrics.msd(ref, hyp)
-    assert report.path_length >= max(dsp.mfcc(ref).n_frames, dsp.mfcc(hyp).n_frames)
