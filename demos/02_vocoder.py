@@ -34,10 +34,11 @@ def main():
         gap = spectral_convergence(target, rebuilt, cfg)
         print(f"{n_iters:>10}  {gap:>18.4f}")
 
-    out_dir = Path(tempfile.mkdtemp(prefix="voxkit-vocoder-"))
-    write_wav(out_dir / "original.wav", w)
-    write_wav(out_dir / "rebuilt.wav", rebuilt)
-    print(f"wrote original.wav and rebuilt.wav to {out_dir}")
+    with tempfile.TemporaryDirectory(prefix="voxkit-vocoder-") as tmp:
+        out_dir = Path(tmp)
+        write_wav(out_dir / "original.wav", w)
+        write_wav(out_dir / "rebuilt.wav", rebuilt)
+        print(f"wrote original.wav and rebuilt.wav to {out_dir} (removed when the demo ends)")
 
 
 if __name__ == "__main__":

@@ -61,25 +61,26 @@ def build_corpus(root: Path, n_utterances: int, seed: int = 0) -> Path:
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="voxkit-pipeline-"))
-    manifest = build_corpus(root, 12)
-    print(f"synthesized 12 noisy utterances under {root}\n")
+    with tempfile.TemporaryDirectory(prefix="voxkit-pipeline-") as tmp:
+        root = Path(tmp)
+        manifest = build_corpus(root, 12)
+        print(f"synthesized 12 noisy utterances under {root}\n")
 
-    print("== preprocess: denoise, trim, filter, normalize ==")
-    voxkit_main([
-        "preprocess",
-        "--manifest", str(manifest),
-        "--out-dir", str(root / "clean"),
-        "--stages", "DN,VAD-2,FLT,VN",
-        "--enhanced-dir", str(root / "enh"),
-    ])
+        print("== preprocess: denoise, trim, filter, normalize ==")
+        voxkit_main([
+            "preprocess",
+            "--manifest", str(manifest),
+            "--out-dir", str(root / "clean"),
+            "--stages", "DN,VAD-2,FLT,VN",
+            "--enhanced-dir", str(root / "enh"),
+        ])
 
-    print("\n== report on the curated corpus ==")
-    voxkit_main(["report", "--manifest", str(root / "clean" / "manifest.tsv")])
+        print("\n== report on the curated corpus ==")
+        voxkit_main(["report", "--manifest", str(root / "clean" / "manifest.tsv")])
 
-    print("\nartifacts:")
-    for name in ("manifest.tsv", "dropped.tsv", "errors.tsv"):
-        print(f"  {root / 'clean' / name}")
+        print("\nartifacts, removed when the demo ends:")
+        for name in ("manifest.tsv", "dropped.tsv", "errors.tsv"):
+            print(f"  {root / 'clean' / name}")
 
 
 if __name__ == "__main__":

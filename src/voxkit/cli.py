@@ -96,11 +96,14 @@ def _attempt(func, label, args, cfg, named_item):
 
 
 def _out_wav(out_dir, utterance_id: str) -> Path:
-    """<out_dir>/<id>.wav, for an id that is one plain path component.
+    """<out_dir>/<id>.wav, for an id that is one plain path component of UTF-8 text.
 
     Any other id would name a file outside out_dir or break a TSV cell, so it is an error.
+    A lone surrogate is how Python decodes a file-name byte that is not UTF-8.
     """
-    if utterance_id in (".", "..") or any(c in utterance_id for c in "/\\\0\t\n\r"):
+    if utterance_id in (".", "..") or any(
+        c in "/\\\0\t\n\r" or "\ud800" <= c <= "\udfff" for c in utterance_id
+    ):
         raise InvalidConfigError(f"utterance id {utterance_id!r} is not a plain file name")
     return Path(out_dir) / f"{utterance_id}.wav"
 
@@ -117,6 +120,9 @@ def _usage(message: str) -> int:
 
 
 def _sanitize(message: str) -> str:
+    """message as one TSV cell or line: tabs and line breaks become spaces, and a
+    file-name byte that is not UTF-8, decoded as a lone surrogate, is written \\xNN."""
+    message = message.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
     return message.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
 
@@ -189,11 +195,10 @@ def _configure(args) -> dict:
     if "mels" in args:
         cfg["which"] = which = _comma_list("--which", args.which, METRIC_CHOICES)
         cfg["mel"] = dsp.MelConfig(args.mels, stft=cfg["stft"])
-        cfg["f0"] = pitch.PitchConfig(frame_length=args.win, hop_length=args.hop)
         if "mcd" in which:
             dsp.check_cepstrum(args.mels)
         if "f0" in which:
-            cfg["f0"].lags(args.sample_rate)
+            pitch.lags(args.sample_rate, args.win)
     return cfg
 
 
@@ -315,7 +320,7 @@ def cmd_preprocess(args, cfg) -> int:
 # ------------------------------------------------------------------- metrics
 
 
-def _metric_cells(name, ref, hyp, audio, log_mels, pitch_cfg) -> dict:
+def _metric_cells(name, ref, hyp, audio, log_mels, stft_cfg) -> dict:
     """The report cells of one metric; log_mels() gives mcd and msd their shared input."""
     if name == "mcd":
         return {"mcd": metrics.mcd_from_log_mel(*log_mels())[0]}
@@ -323,7 +328,7 @@ def _metric_cells(name, ref, hyp, audio, log_mels, pitch_cfg) -> dict:
         ref_logm, hyp_logm = log_mels()
         return {"msd": metrics.dtw_rmse(ref_logm.frames, hyp_logm.frames)[0]}
     if name == "f0":
-        tracks = pitch.align_tracks(*(pitch.extract_pitch(w, pitch_cfg) for w in audio))
+        tracks = pitch.align_tracks(*(pitch.extract_pitch(w, stft_cfg) for w in audio))
         report = metrics.f0_metrics(*tracks)  # gpe is None when no frame is voiced in both
         return {column: getattr(report, column) for column in ("gpe", "vde", "ffe")}
     if not hyp.hyp_text:
@@ -350,7 +355,7 @@ def _metrics_one(utterance_id, pair, args, cfg, stage):
     for name in METRIC_CHOICES:
         if name in cfg["which"]:
             try:
-                row.update(_metric_cells(name, ref, hyp, audio, log_mels, cfg["f0"]))
+                row.update(_metric_cells(name, ref, hyp, audio, log_mels, cfg["stft"]))
             except VoxkitError as exc:
                 errors.append((name, str(exc)))
     return row, tuple(errors)

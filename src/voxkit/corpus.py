@@ -85,14 +85,24 @@ class Manifest:
         return [r.utterance_id for r in self.records]
 
 
+def _text_lines(data: bytes) -> list:
+    """Lines of UTF-8 bytes, split at \\n, \\r\\n and \\r as Path.read_text reads them."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def load_manifest(path) -> Manifest:
     """Parse a manifest TSV, reporting the line number of any defect."""
-    path = Path(path)
+    data = Path(path).read_bytes()
+    try:
+        lines = _text_lines(data)
+    except UnicodeDecodeError as exc:
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ParseError(message, line=len(_text_lines(data[: exc.start]))) from None
     source_tag = "Raw"
     records = []
     seen = {}
     header_seen = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
+    for lineno, line in enumerate(lines, 1):
         if line == "":
             continue
         if line.startswith("#"):

@@ -21,12 +21,13 @@ from .errors import (
     InvalidRateError,
 )
 
-DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_FFT_SIZE = 1024
 DEFAULT_WIN_LENGTH = 1024
 DEFAULT_HOP_LENGTH = 256
 LOG_FLOOR = 1e-10  # added to mel power before the log
 MEL_F_MIN = 0.0  # Hz; the mel filters span MEL_F_MIN to the Nyquist frequency
+N_CEPSTRA = 13  # mel cepstra c1..c13 that mfcc and mcd keep; c0 is dropped
+GRIFFIN_LIM_MOMENTUM = 0.9  # weight of the previous rebuilt spectrum in each phase step
 
 _FEATURE_KINDS = ("magnitude_spectrogram", "log_mel", "mfcc")
 
@@ -280,27 +281,25 @@ def log_mel(w: Waveform, cfg: MelConfig | None = None) -> FeatureSeq:
     return FeatureSeq(np.log(power @ fb.T + LOG_FLOOR), spec.frame_rate, "log_mel")
 
 
-def mfcc(w: Waveform, cfg: MelConfig | None = None, n_coeffs: int = 13) -> FeatureSeq:
-    """Cepstral coefficients c1..c_n of the log-mel frames, c0 excluded."""
-    return mel_cepstrum(log_mel(w, cfg), n_coeffs)
+def mfcc(w: Waveform, cfg: MelConfig | None = None) -> FeatureSeq:
+    """Cepstral coefficients c1..c_N_CEPSTRA of the log-mel frames, c0 excluded."""
+    return mel_cepstrum(log_mel(w, cfg))
 
 
-def check_cepstrum(n_mels: int, n_coeffs: int = 13) -> None:
-    """Raise InvalidConfigError unless n_mels bands yield n_coeffs cepstra, c0 excluded."""
-    if n_coeffs < 1:
-        raise InvalidConfigError(f"n_coeffs must be at least 1, got {n_coeffs}")
-    if n_coeffs >= n_mels:
+def check_cepstrum(n_mels: int) -> None:
+    """Raise InvalidConfigError unless n_mels bands yield N_CEPSTRA cepstra, c0 excluded."""
+    if N_CEPSTRA >= n_mels:
         raise InvalidConfigError(
-            f"n_coeffs {n_coeffs} must be smaller than n_mels {n_mels}"
+            f"n_coeffs {N_CEPSTRA} must be smaller than n_mels {n_mels}"
         )
 
 
-def mel_cepstrum(logm: FeatureSeq, n_coeffs: int = 13) -> FeatureSeq:
+def mel_cepstrum(logm: FeatureSeq) -> FeatureSeq:
     """mfcc from log-mel frames already computed, for callers that need both."""
     if logm.kind != "log_mel":
         raise InvalidConfigError(f"expected log-mel frames, got {logm.kind!r}")
-    check_cepstrum(logm.dim, n_coeffs)
-    coeffs = dct(logm.frames, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
+    check_cepstrum(logm.dim)
+    coeffs = dct(logm.frames, type=2, norm="ortho", axis=1)[:, 1 : N_CEPSTRA + 1]
     return FeatureSeq(coeffs, logm.frame_rate, "mfcc")
 
 
@@ -376,12 +375,11 @@ def griffin_lim(
     cfg: StftConfig | None = None,
     n_iters: int = 32,
     seed: int = 0,
-    momentum: float = 0.9,
 ) -> Waveform:
     """Reconstruct audio from a magnitude spectrogram by phase iteration.
 
     Starts from random phases drawn from the seeded generator, then
-    alternates resynthesis and reanalysis with momentum extrapolation,
+    alternates resynthesis and reanalysis with GRIFFIN_LIM_MOMENTUM extrapolation,
     keeping the target magnitude throughout. Returns the iterate with the
     smallest relative magnitude gap, so more iterations never reconstruct
     worse for a fixed seed.
@@ -395,8 +393,6 @@ def griffin_lim(
         )
     if n_iters < 1:
         raise InvalidConfigError(f"n_iters must be at least 1, got {n_iters}")
-    if not 0.0 <= momentum < 1.0:
-        raise InvalidConfigError(f"momentum must lie in [0, 1), got {momentum}")
     mag = spec.frames
     if np.any(mag < 0):
         raise InvalidConfigError("magnitude spectrogram has negative entries")
@@ -420,7 +416,7 @@ def griffin_lim(
     # best stays a view of the signal buffer it was found in; the next
     # iterations write into the other one.
     signal, spare = np.empty(n_samples), np.empty(n_samples)
-    shrink = momentum / (1.0 + momentum)
+    shrink = GRIFFIN_LIM_MOMENTUM / (1.0 + GRIFFIN_LIM_MOMENTUM)
     best_err = math.inf
     best = None
     for k in range(n_iters + 1):

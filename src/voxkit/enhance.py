@@ -100,9 +100,9 @@ class FrameLabels:
         return len(self.speech)
 
 
-def frame_length_samples(sample_rate: int, frame_ms: float) -> int:
-    """Samples per analysis frame (10 ms at 22050 Hz rounds to 220)."""
-    return max(1, int(round(sample_rate * frame_ms / 1000.0)))
+def frame_length_samples(sample_rate: int) -> int:
+    """Samples per VAD_FRAME_MS frame (10 ms at 22050 Hz rounds to 220)."""
+    return max(1, int(round(sample_rate * VAD_FRAME_MS / 1000.0)))
 
 
 def _frame_powers(samples: np.ndarray, flen: int) -> np.ndarray:
@@ -140,7 +140,7 @@ def vad_label(w: Waveform, cfg: VadConfig | None = None) -> FrameLabels:
     check_vad_rate(w.sample_rate)
     if len(w) == 0:
         raise EmptySignalError("cannot label an empty signal")
-    flen = frame_length_samples(w.sample_rate, VAD_FRAME_MS)
+    flen = frame_length_samples(w.sample_rate)
     power = _frame_powers(w.samples, flen)
     with np.errstate(divide="ignore"):
         level_db = 10.0 * np.log10(power)  # silence becomes -inf, below any threshold
@@ -190,7 +190,7 @@ def trim_and_compress(
     the cap's worth of fill; runs at or under the cap are kept verbatim.
     """
     policy = policy or SilencePolicy()
-    flen = frame_length_samples(w.sample_rate, VAD_FRAME_MS)
+    flen = frame_length_samples(w.sample_rate)
     n = len(w.samples)
     if len(labels) != (n + flen - 1) // flen:
         raise LengthMismatchError(

@@ -122,14 +122,14 @@ def log_mel_pair(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None) -> 
     return log_mel(ref, cfg), log_mel(hyp, cfg)
 
 
-def mcd_from_log_mel(ref: FeatureSeq, hyp: FeatureSeq, n_coeffs: int = 13) -> tuple:
+def mcd_from_log_mel(ref: FeatureSeq, hyp: FeatureSeq) -> tuple:
     """Mel-cepstral distortion of log_mel_pair output; returns (mcd, path length)."""
-    return dtw_rmse(mel_cepstrum(ref, n_coeffs).frames, mel_cepstrum(hyp, n_coeffs).frames)
+    return dtw_rmse(mel_cepstrum(ref).frames, mel_cepstrum(hyp).frames)
 
 
-def mcd(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None, n_coeffs: int = 13) -> float:
+def mcd(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None) -> float:
     """Mel-cepstral distortion after temporal alignment."""
-    value, _ = mcd_from_log_mel(*log_mel_pair(ref, hyp, cfg), n_coeffs)
+    value, _ = mcd_from_log_mel(*log_mel_pair(ref, hyp, cfg))
     return value
 
 

@@ -8,64 +8,35 @@ normalization that makes the decision independent of amplitude scaling.
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import Waveform, _center_pad
+from .dsp import StftConfig, Waveform, _center_pad
 from .errors import (
     EmptyTrackError,
     FrameRateMismatchError,
     InvalidConfigError,
     InvalidRateError,
-    ParseError,
     TrackLengthWarning,
 )
-from .serialize import write_tsv
+
+F0_MIN = 50.0  # Hz; the lowest f0 the tracker reports
+F0_MAX = 550.0  # Hz; the highest
+VOICING_THRESHOLD = 0.3  # a frame is voiced when its normalized-difference minimum is below this
 
 
-@dataclass(frozen=True)
-class PitchConfig:
-    """Analysis parameters for the pitch tracker.
-
-    frame_length and hop_length mirror the spectrogram framing so a pitch
-    track lines up frame-for-frame with features of the same signal.
-    """
-
-    frame_length: int = 1024
-    hop_length: int = 256
-    f0_min: float = 50.0
-    f0_max: float = 550.0
-    voicing_threshold: float = 0.3
-
-    def __post_init__(self):
-        if self.frame_length <= 0 or self.hop_length <= 0:
-            raise InvalidConfigError("frame_length and hop_length must be positive")
-        if self.hop_length > self.frame_length:
-            raise InvalidConfigError(
-                f"hop_length {self.hop_length} exceeds frame_length {self.frame_length}"
-            )
-        if not 0.0 < self.f0_min < self.f0_max:
-            raise InvalidConfigError(
-                f"need 0 < f0_min < f0_max, got {self.f0_min} and {self.f0_max}"
-            )
-        if self.voicing_threshold <= 0.0:
-            raise InvalidConfigError(
-                f"voicing_threshold must be positive, got {self.voicing_threshold}"
-            )
-
-    def lags(self, sr: int) -> tuple:
-        """(lag_min, lag_max), the period range in samples that the tracker searches at sr."""
-        if sr < 2 * self.f0_max:
-            raise InvalidConfigError(f"sample rate {sr} is below 2 * f0_max {self.f0_max}")
-        lag_max = int(sr / self.f0_min)
-        if lag_max >= self.frame_length:
-            raise InvalidConfigError(
-                f"frame_length {self.frame_length} cannot hold a full period"
-                f" of f0_min {self.f0_min}"
-            )
-        return max(2, math.ceil(sr / self.f0_max)), lag_max
+def lags(sr: int, frame_length: int) -> tuple:
+    """(lag_min, lag_max), the period range in samples that the tracker searches at sr."""
+    if sr < 2 * F0_MAX:
+        raise InvalidConfigError(f"sample rate {sr} is below 2 * f0_max {F0_MAX}")
+    lag_max = int(sr / F0_MIN)
+    if lag_max >= frame_length:
+        raise InvalidConfigError(
+            f"frame_length {frame_length} cannot hold a full period"
+            f" of f0_min {F0_MIN}"
+        )
+    return max(2, math.ceil(sr / F0_MAX)), lag_max
 
 
 @dataclass(frozen=True)
@@ -127,24 +98,24 @@ def _cmnd_frames(padded: np.ndarray, n_frames: int, hop: int, lag_max: int, wind
         yield from cmnd
 
 
-def extract_pitch(w: Waveform, cfg: PitchConfig | None = None) -> PitchTrack:
-    """Estimate per-frame f0; track length matches the spectrogram frame count.
+def extract_pitch(w: Waveform, cfg: StftConfig | None = None) -> PitchTrack:
+    """Estimate per-frame f0 on the frames of stft(w, cfg): win_length and hop_length.
 
-    A frame is voiced when the normalized-difference minimum falls below the
-    voicing threshold and the refined f0 lies inside [f0_min, f0_max].
+    A frame is voiced when the normalized-difference minimum falls below
+    VOICING_THRESHOLD and the refined f0 lies inside [F0_MIN, F0_MAX].
     """
-    cfg = cfg or PitchConfig()
+    cfg = cfg or StftConfig()
     sr = w.sample_rate
-    lag_min, lag_max = cfg.lags(sr)
-    window = cfg.frame_length - lag_max
-    padded = _center_pad(w.samples, cfg.frame_length)
-    n_frames = 1 + (len(padded) - cfg.frame_length) // cfg.hop_length
+    lag_min, lag_max = lags(sr, cfg.win_length)
+    window = cfg.win_length - lag_max
+    padded = _center_pad(w.samples, cfg.win_length)
+    n_frames = 1 + (len(padded) - cfg.win_length) // cfg.hop_length
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
     cmnds = _cmnd_frames(padded, n_frames, cfg.hop_length, lag_max, window)
     for t, cmnd in enumerate(cmnds):
         region = cmnd[lag_min : lag_max + 1]
-        below = np.flatnonzero(region < cfg.voicing_threshold)
+        below = np.flatnonzero(region < VOICING_THRESHOLD)
         if len(below):
             # first dip under the threshold, walked down to its bottom
             k = int(below[0]) + lag_min
@@ -152,7 +123,7 @@ def extract_pitch(w: Waveform, cfg: PitchConfig | None = None) -> PitchTrack:
                 k += 1
         else:
             k = int(np.argmin(region)) + lag_min
-        if cmnd[k] >= cfg.voicing_threshold:
+        if cmnd[k] >= VOICING_THRESHOLD:
             continue
         shift = 0.0
         if k < lag_max:
@@ -161,7 +132,7 @@ def extract_pitch(w: Waveform, cfg: PitchConfig | None = None) -> PitchTrack:
             if abs(denom) > 1e-12:
                 shift = min(0.5, max(-0.5, 0.5 * (y0 - y2) / denom))
         freq = sr / (k + shift)
-        if cfg.f0_min <= freq <= cfg.f0_max:
+        if F0_MIN <= freq <= F0_MAX:
             voiced[t] = True
             f0[t] = freq
     return PitchTrack(f0, voiced, sr / cfg.hop_length)
@@ -189,44 +160,3 @@ def align_tracks(ref: PitchTrack, hyp: PitchTrack) -> tuple:
         )
     n = min(n1, n2)
     return _truncate(ref, n), _truncate(hyp, n)
-
-
-def save_pitch_tsv(track: PitchTrack, path) -> None:
-    """Write a track as TSV with a frame-rate comment line."""
-    write_tsv(
-        path,
-        ("frame", "f0_hz", "voiced"),
-        zip(range(len(track)), track.f0.tolist(), track.voiced.astype(int).tolist()),
-        comment=f"frame_rate: {float(track.frame_rate)!r}",
-    )
-
-
-def load_pitch_tsv(path) -> PitchTrack:
-    """Read a track written by save_pitch_tsv."""
-    frame_rate = None
-    f0 = []
-    voiced = []
-    header_seen = False
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# frame_rate:"):
-                frame_rate = float(line.split(":", 1)[1])
-            continue
-        if not header_seen:
-            if line != "frame\tf0_hz\tvoiced":
-                raise ParseError(f"unexpected header {line!r}", line=lineno)
-            header_seen = True
-            continue
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise ParseError(f"expected 3 fields, got {len(cells)}", line=lineno)
-        try:
-            f0.append(float(cells[1]))
-            voiced.append(bool(int(cells[2])))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    if frame_rate is None or not header_seen:
-        raise ParseError("missing frame-rate comment or header line")
-    return PitchTrack(np.array(f0), np.array(voiced, dtype=bool), frame_rate)

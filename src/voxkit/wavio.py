@@ -16,6 +16,8 @@ def read_wav(path) -> Waveform:
         rate, data = scipy.io.wavfile.read(path)
     except (ValueError, struct.error) as exc:  # struct.error: cut inside the header
         raise UnsupportedWavError(f"{path}: {exc}") from None
+    except (UnboundLocalError, ZeroDivisionError):  # scipy on a bad fmt chunk size; 0 channels
+        raise UnsupportedWavError(f"{path}: malformed WAV header") from None
     if data.ndim != 1:
         raise UnsupportedWavError(
             f"{path}: expected mono audio, got {data.shape[1]} channels"

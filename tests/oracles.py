@@ -11,6 +11,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial.distance import cdist
 
+from voxkit.pitch import F0_MAX, F0_MIN, VOICING_THRESHOLD
+
 
 def dtw_min_cost_by_enumeration(dist):
     """Minimum summed cost over every monotone unit-step path, walked
@@ -198,26 +200,26 @@ def pitch_per_frame(samples, sr, cfg):
     The same arithmetic as pitch.extract_pitch, frame by frame: each
     frame's lag-k difference is one contiguous sum of squared differences.
     """
-    lag_max = int(sr / cfg.f0_min)
-    lag_min = max(2, math.ceil(sr / cfg.f0_max))
-    window = cfg.frame_length - lag_max
-    pad = cfg.frame_length // 2
+    lag_max = int(sr / F0_MIN)
+    lag_min = max(2, math.ceil(sr / F0_MAX))
+    window = cfg.win_length - lag_max
+    pad = cfg.win_length // 2
     padded = np.pad(np.asarray(samples, dtype=np.float64), pad, mode="reflect")
-    n_frames = 1 + (len(padded) - cfg.frame_length) // cfg.hop_length
+    n_frames = 1 + (len(padded) - cfg.win_length) // cfg.hop_length
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
     for t in range(n_frames):
         start = t * cfg.hop_length
-        cmnd = _cmnd_one_frame(padded[start : start + cfg.frame_length].copy(), lag_max, window)
+        cmnd = _cmnd_one_frame(padded[start : start + cfg.win_length].copy(), lag_max, window)
         region = cmnd[lag_min : lag_max + 1]
-        below = np.flatnonzero(region < cfg.voicing_threshold)
+        below = np.flatnonzero(region < VOICING_THRESHOLD)
         if len(below):
             k = int(below[0]) + lag_min
             while k + 1 <= lag_max and cmnd[k + 1] < cmnd[k]:
                 k += 1
         else:
             k = int(np.argmin(region)) + lag_min
-        if cmnd[k] >= cfg.voicing_threshold:
+        if cmnd[k] >= VOICING_THRESHOLD:
             continue
         shift = 0.0
         if k < lag_max:
@@ -226,7 +228,7 @@ def pitch_per_frame(samples, sr, cfg):
             if abs(denom) > 1e-12:
                 shift = min(0.5, max(-0.5, 0.5 * (y0 - y2) / denom))
         freq = sr / (k + shift)
-        if cfg.f0_min <= freq <= cfg.f0_max:
+        if F0_MIN <= freq <= F0_MAX:
             voiced[t] = True
             f0[t] = freq
     return f0, voiced

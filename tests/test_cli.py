@@ -1,12 +1,14 @@
 import argparse
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxkit import cli, corpus, dsp, enhance, metrics, pitch, wavio
+import voxkit
+from voxkit import cli, corpus, dsp, enhance, metrics, wavio
 from voxkit.errors import VoxkitError
 from conftest import build_corpus, sine
 
@@ -154,6 +157,31 @@ class TestPreprocess:
         lines = (out_dir / "errors.tsv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("utt001\tload\t")
+
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    def test_corrupt_wav_headers_are_reported_at_any_worker_count(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        manifest = build_corpus(root, 3, seed=12, with_enhanced=False)
+        for name, offset, value in (("utt001", 19, 50), ("utt002", 22, 0)):
+            path = root / "raw" / f"{name}.wav"
+            data = bytearray(path.read_bytes())
+            data[offset] = value  # the fmt chunk size; the channel count
+            path.write_bytes(data)
+        outputs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"out{workers}"
+            code = cli.main([
+                "preprocess", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                "--stages", "VN", "--workers", workers,
+            ])
+            assert code == cli.EXIT_OK
+            capsys.readouterr()
+            outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == ["errors.tsv", "manifest.tsv", "utt000.wav"]
+        rows = outputs[0]["errors.tsv"].decode().splitlines()[1:]
+        assert [row.split("\t")[:2] for row in rows] == [["utt001", "load"], ["utt002", "load"]]
+        assert all(row.endswith(".wav: malformed WAV header") for row in rows)
 
     def test_dropped_report_points_at_input_audio(self, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -771,13 +799,13 @@ def test_rate_and_cepstrum_checks_run_only_for_what_runs(command, extra, tmp_pat
 
 def test_metrics_builds_one_pitch_config_per_run(tmp_path, monkeypatch, capsys):
     built = []
-    post_init = pitch.PitchConfig.__post_init__
+    post_init = dsp.StftConfig.__post_init__
 
     def counted_post_init(cfg):
         built.append(cfg)
         post_init(cfg)
 
-    monkeypatch.setattr(pitch.PitchConfig, "__post_init__", counted_post_init)
+    monkeypatch.setattr(dsp.StftConfig, "__post_init__", counted_post_init)
     build_corpus(tmp_path, 3, seed=29)
     argv = _minimal_argv("metrics", tmp_path) + ["--which", "f0", "--workers", "1"]
     assert cli.main(argv) == cli.EXIT_OK
@@ -878,6 +906,66 @@ def test_readme_option_table_matches_the_parser():
         for name, sub in _subparsers().items()
     }
     assert documented == declared
+
+
+# The CLI flag that sets each field of voxkit's *Config and *Policy dataclasses.
+# MelConfig.stft is the StftConfig that --fft, --win and --hop build.
+CONFIG_FLAGS = {
+    "StftConfig": {"fft_size": "--fft", "win_length": "--win", "hop_length": "--hop"},
+    "MelConfig": {"n_mels": "--mels", "stft": "--fft"},
+    "DryWetConfig": {"dry": "--dry"},
+    "VadConfig": {
+        "energy_threshold_db": "--energy-threshold-db", "aggressiveness": "--aggressiveness"
+    },
+    "SilencePolicy": {"fill": "--fill"},
+    "FilterConfig": {"min_snr_db": "--min-snr", "max_cer": "--max-cer", "mode": "--flt"},
+}
+
+
+def test_every_config_field_is_set_by_a_cli_flag():
+    configs = {}
+    for info in pkgutil.iter_modules(voxkit.__path__):
+        for name, cls in vars(importlib.import_module(f"voxkit.{info.name}")).items():
+            if name.endswith(("Config", "Policy")) and is_dataclass(cls):
+                configs[name] = {f.name for f in fields(cls)}
+    assert configs == {name: set(table) for name, table in CONFIG_FLAGS.items()}
+    parsers = _subparsers().values()
+    declared = {s for sub in parsers for action in sub._actions for s in action.option_strings}
+    assert {flag for table in CONFIG_FLAGS.values() for flag in table.values()} <= declared
+
+
+@pytest.mark.parametrize("command", ["report", "preprocess", "metrics"])
+def test_manifest_that_is_not_utf8_is_an_error_with_its_line(command, tmp_path, capsys):
+    build_corpus(tmp_path, 3, seed=29)
+    manifest = tmp_path / "manifest.tsv"
+    lines = manifest.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b"\tspk", b"\tsp\xffk")  # the speaker cell of utt001
+    manifest.write_bytes(b"\n".join(lines))
+    assert cli.main(_minimal_argv(command, tmp_path)) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 4: byte 0xff is not UTF-8 (invalid start byte)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_spectrogram_name_that_is_not_utf8_is_an_error_row(workers, tmp_path, capsys):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    frames = dsp.stft(dsp.Waveform(sine(440.0, 0.5), SR)).frames
+    for name in (os.fsdecode(b"bad\xff"), "good"):
+        np.save(spec_dir / f"{name}.npy", frames)
+    out_dir = tmp_path / "rebuilt"
+    code = cli.main([
+        "vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir), "--iters", "2",
+        "--workers", workers,
+    ])
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    assert (out_dir / "errors.tsv").read_bytes() == (
+        b"id\tstage\terror\n"
+        b"bad\\xff\tvocode\tutterance id 'bad\\udcff' is not a plain file name\n"
+    )
+    assert sorted(p.name for p in out_dir.glob("*.wav")) == ["good.wav"]
 
 
 def test_tab_or_newline_in_spectrogram_name_is_an_error_row(tmp_path, capsys):

@@ -12,15 +12,20 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.fixture(scope="module")
-def demo_runs(tmp_path_factory):
+def demo_tmpdir(tmp_path_factory):
+    """The working and TMPDIR directory of the demo runs."""
+    return tmp_path_factory.mktemp("demos")
+
+
+@pytest.fixture(scope="module")
+def demo_runs(demo_tmpdir):
     """(process, stdout, stderr) of every demo by file name; the demos run at the same time."""
-    tmp = tmp_path_factory.mktemp("demos")
-    env = dict(os.environ, TMPDIR=str(tmp))
+    env = dict(os.environ, TMPDIR=str(demo_tmpdir))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     procs = {
         demo.name: subprocess.Popen(
             [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
-            cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            cwd=demo_tmpdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         for demo in DEMOS
     }
@@ -37,3 +42,7 @@ def test_demo_runs_cleanly(demo_runs, name):
     assert proc.returncode == 0, stderr
     assert stderr == ""
     assert stdout
+
+
+def test_demos_leave_no_temporary_directory(demo_runs, demo_tmpdir):
+    assert sorted(p.name for p in demo_tmpdir.glob("voxkit-*")) == []

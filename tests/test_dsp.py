@@ -154,14 +154,13 @@ class TestMfcc:
 
     def test_too_many_coefficients_rejected(self):
         with pytest.raises(InvalidConfigError):
-            dsp.mfcc(tone(220.0, 0.1), n_coeffs=80)
+            dsp.mfcc(tone(220.0, 0.1), dsp.MelConfig(n_mels=10))  # 13 cepstra from 10 bands
 
     def test_cepstrum_check_needs_more_bands_than_coefficients(self):
         dsp.check_cepstrum(14)
-        dsp.check_cepstrum(2, n_coeffs=1)
-        for n_mels, n_coeffs in ((13, 13), (5, 13), (80, 0)):
+        for n_mels in (13, 5):
             with pytest.raises(InvalidConfigError):
-                dsp.check_cepstrum(n_mels, n_coeffs)
+                dsp.check_cepstrum(n_mels)
         with pytest.raises(InvalidConfigError, match="must be smaller than n_mels 13"):
             dsp.mfcc(tone(220.0, 0.1), dsp.MelConfig(n_mels=13))
 

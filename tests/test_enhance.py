@@ -70,9 +70,9 @@ class TestDryWetMix:
 
 class TestVad:
     def test_frame_length_rounding(self):
-        assert enhance.frame_length_samples(22050, 10.0) == 220
-        assert enhance.frame_length_samples(16000, 10.0) == 160
-        assert enhance.frame_length_samples(8000, 10.0) == 80
+        assert enhance.frame_length_samples(22050) == 220
+        assert enhance.frame_length_samples(16000) == 160
+        assert enhance.frame_length_samples(8000) == 80
 
     def test_digital_silence_is_all_non_speech(self):
         labels = enhance.vad_label(wav(np.zeros(SR)))
@@ -82,7 +82,7 @@ class TestVad:
         half = int(0.5 * SR)
         x = np.concatenate([np.zeros(half), sine(440.0, SR), np.zeros(half)])
         labels = enhance.vad_label(wav(x))
-        flen = enhance.frame_length_samples(SR, 10.0)
+        flen = enhance.frame_length_samples(SR)
         first, last = half / flen, (half + SR) / flen
         speech_idx = np.nonzero(labels.speech)[0]
         assert abs(speech_idx[0] - first) <= 2
@@ -247,7 +247,7 @@ class TestTrimAndCompress:
                 labels = enhance.vad_label(w, cfg)
                 out = enhance.trim_and_compress(w, labels)
                 relabeled = enhance.vad_label(out, cfg)
-                flen = enhance.frame_length_samples(SR, 10.0)
+                flen = enhance.frame_length_samples(SR)
                 cap_frames = -(-round(0.3 * SR) // flen) + 2 * level
                 runs = []
                 run = 0

@@ -101,7 +101,7 @@ def assert_same_track(x, sr, cfg):
 class TestChunkedPitch:
     @pytest.mark.parametrize("n_frames", [1, 15, 16, 17, 33])
     def test_frame_counts_around_the_chunk_size(self, n_frames):
-        cfg = pitch.PitchConfig()
+        cfg = dsp.StftConfig()
         n_samples = (n_frames - 1) * cfg.hop_length + 100
         track = assert_same_track(speechlike(n_samples, 22050, n_frames), 22050, cfg)
         assert len(track) == n_frames
@@ -111,18 +111,18 @@ class TestChunkedPitch:
         [(1024, 1), (1024, 1024), (1024, 300), (1000, 1000), (2048, 512)],
     )
     def test_hops(self, frame_length, hop_length):
-        cfg = pitch.PitchConfig(frame_length=frame_length, hop_length=hop_length)
+        cfg = dsp.StftConfig(frame_length, frame_length, hop_length)
         x = speechlike(20 * hop_length + 77, 22050, hop_length)
         assert_same_track(x, 22050, cfg)
 
     @pytest.mark.parametrize("sr", [16000, 22050, 44100])
     def test_sample_rates(self, sr):
-        cfg = pitch.PitchConfig()
+        cfg = dsp.StftConfig()
         track = assert_same_track(speechlike(int(0.4 * sr), sr, sr), sr, cfg)
         assert track.voiced.any() and not track.voiced.all()
 
     def test_all_silence_takes_the_zero_sum_branch(self):
-        track = assert_same_track(np.zeros(5000), 22050, pitch.PitchConfig())
+        track = assert_same_track(np.zeros(5000), 22050, dsp.StftConfig())
         assert not track.voiced.any()
 
 
@@ -160,9 +160,9 @@ def magnitude(cfg, n_frames, seed):
     return spec
 
 
-def griffin_lim(mag, cfg, n_iters, seed, momentum):
+def griffin_lim(mag, cfg, n_iters, seed):
     spec = dsp.FeatureSeq(mag, 22050 / cfg.hop_length, "magnitude_spectrogram")
-    return dsp.griffin_lim(spec, cfg, n_iters=n_iters, seed=seed, momentum=momentum).samples
+    return dsp.griffin_lim(spec, cfg, n_iters=n_iters, seed=seed).samples
 
 
 @pytest.mark.parametrize("cfg", STFT_CONFIGS.values(), ids=STFT_CONFIGS.keys())
@@ -179,27 +179,30 @@ class TestStftRoundTrip:
         x = speechlike(cfg.hop_length * (n_frames - 1) + 5, 22050, n_frames)
         assert dsp._stft_complex(x, cfg).tobytes() == stft_complex_gather(x, cfg).tobytes()
 
+    # GRIFFIN_LIM_MOMENTUM is patched so that the kernel is checked without extrapolation too
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_griffin_lim(self, cfg, n_frames, momentum):
+    def test_griffin_lim(self, cfg, n_frames, momentum, monkeypatch):
+        monkeypatch.setattr(dsp, "GRIFFIN_LIM_MOMENTUM", momentum)
         n_iters = 3 if n_frames > 3 else 6
         mag = magnitude(cfg, n_frames, seed=n_frames)
         expected, _ = griffin_lim_loop(mag, cfg, n_iters, 5, momentum)
-        assert griffin_lim(mag, cfg, n_iters, 5, momentum).tobytes() == expected.tobytes()
+        assert griffin_lim(mag, cfg, n_iters, 5).tobytes() == expected.tobytes()
 
     def test_griffin_lim_all_zero_magnitude(self, cfg, n_frames):
         mag = np.zeros((n_frames, cfg.n_bins))
         expected = istft_frame_loop(mag.astype(np.complex128), cfg)
-        assert griffin_lim(mag, cfg, 4, 0, 0.9).tobytes() == expected.tobytes()
+        assert griffin_lim(mag, cfg, 4, 0).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
-def test_griffin_lim_returns_an_earlier_best_iterate_intact(momentum):
+def test_griffin_lim_returns_an_earlier_best_iterate_intact(momentum, monkeypatch):
     # the best iterate's signal buffer must not be overwritten by the later ones
+    monkeypatch.setattr(dsp, "GRIFFIN_LIM_MOMENTUM", momentum)
     cfg = dsp.StftConfig()
     mag = magnitude(cfg, 2, seed=1)
     expected, best_k = griffin_lim_loop(mag, cfg, 4, 1, momentum)
     assert best_k < 4
-    assert griffin_lim(mag, cfg, 4, 1, momentum).tobytes() == expected.tobytes()
+    assert griffin_lim(mag, cfg, 4, 1).tobytes() == expected.tobytes()
 
 
 def recorded(fn, *args):
@@ -245,4 +248,4 @@ def test_griffin_lim_needs_two_frames_like_istft(win_length, scale):
     cfg = dsp.StftConfig(win_length=win_length)
     mag = np.full((1, cfg.n_bins), scale)
     with pytest.raises(EmptySequenceError, match="at least 2 frames"):
-        griffin_lim(mag, cfg, 2, 0, 0.9)
+        griffin_lim(mag, cfg, 2, 0)

@@ -64,8 +64,6 @@ def test_rejects_bad_inputs(tone_spec):
     with pytest.raises(InvalidConfigError):
         dsp.griffin_lim(tone_spec, n_iters=0)
     with pytest.raises(InvalidConfigError):
-        dsp.griffin_lim(tone_spec, momentum=1.0)
-    with pytest.raises(InvalidConfigError):
         lm = dsp.FeatureSeq(np.ones((4, 80)), SR / 256, "log_mel")
         dsp.griffin_lim(lm)
     with pytest.raises(InvalidConfigError):

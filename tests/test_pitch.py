@@ -6,7 +6,6 @@ from voxkit.errors import (
     EmptyTrackError,
     FrameRateMismatchError,
     InvalidConfigError,
-    ParseError,
     TrackLengthWarning,
 )
 
@@ -68,16 +67,16 @@ class TestExtraction:
             pitch.extract_pitch(w)
 
     def test_rejects_frame_shorter_than_longest_lag(self):
-        cfg = pitch.PitchConfig(frame_length=256, f0_min=50.0)
+        cfg = dsp.StftConfig(256, 256, 256)
         with pytest.raises(InvalidConfigError):
             pitch.extract_pitch(tone(220.0, 0.3), cfg)
 
     def test_lags_apply_the_rules_of_extract_pitch(self):
-        assert pitch.PitchConfig().lags(22050) == (41, 441)
-        assert pitch.PitchConfig().lags(8000) == (15, 160)
-        for cfg, sr in ((pitch.PitchConfig(), 1000), (pitch.PitchConfig(frame_length=256), SR)):
+        assert pitch.lags(22050, 1024) == (41, 441)
+        assert pitch.lags(8000, 1024) == (15, 160)
+        for cfg, sr in ((dsp.StftConfig(), 1000), (dsp.StftConfig(256, 256, 256), SR)):
             with pytest.raises(InvalidConfigError) as direct:
-                cfg.lags(sr)
+                pitch.lags(sr, cfg.win_length)
             with pytest.raises(InvalidConfigError) as extracted:
                 pitch.extract_pitch(tone(220.0, 0.3, sr=sr), cfg)
             assert str(direct.value) == str(extracted.value)
@@ -120,27 +119,3 @@ class TestAlign:
         with pytest.raises(EmptyTrackError):
             pitch.align_tracks(empty, empty)
 
-
-class TestTsv:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(2)
-        voiced = rng.random(40) < 0.6
-        f0 = np.where(voiced, rng.uniform(60.0, 500.0, 40), 0.0)
-        track = make_track(f0, voiced)
-        path = tmp_path / "track.tsv"
-        pitch.save_pitch_tsv(track, path)
-        loaded = pitch.load_pitch_tsv(path)
-        np.testing.assert_array_equal(loaded.f0, track.f0)
-        np.testing.assert_array_equal(loaded.voiced, track.voiced)
-        assert loaded.frame_rate == track.frame_rate
-
-    def test_parse_error_carries_line_number(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text(
-            "# frame_rate: 86.1328125\nframe\tf0_hz\tvoiced\n0\tnot_a_number\t1\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(ParseError) as info:
-            pitch.load_pitch_tsv(path)
-        assert info.value.line == 3
-        assert "line 3" in str(info.value)

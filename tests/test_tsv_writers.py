@@ -1,12 +1,14 @@
-"""Golden bytes of every TSV the toolkit writes, and of `report --json`.
+"""Golden bytes of the five TSVs the toolkit writes, and of `report --json`.
 
-Each writer gets a small fixed input holding inf, -inf, absent cells,
--0.0, int cells and its comment line, and its file must match byte for byte.
+The writers are save_manifest, save_dropped_report, write_report_tsv,
+errors.tsv and vocode's roundtrip.tsv. Each gets a small fixed input
+holding inf, -inf, absent cells, -0.0, int cells and its comment line,
+if it has one, and its file must match byte for byte.
 """
 
 import numpy as np
 
-from voxkit import cli, corpus, dsp, metrics, pitch
+from voxkit import cli, corpus, dsp, metrics
 
 INF = float("inf")
 
@@ -62,22 +64,6 @@ def test_write_report_tsv(tmp_path):
         b"u2\t1.0\t-inf\t0.125\t\t\t0.2\t2\t1\t0\n"
         b"u3\t\t\t\t\t\t\t\t\t\n"
         b"mean\tinf\t-inf\t0.125\t0.5\t0.25\t0.15000000000000002\t1.5\t0.5\t0.0\n"
-    )
-
-
-def test_save_pitch_tsv(tmp_path):
-    track = pitch.PitchTrack(
-        np.array([0.0, -0.0, 220.5, 1e-300]), np.array([False, False, True, True]), 86
-    )
-    path = tmp_path / "f0.tsv"
-    pitch.save_pitch_tsv(track, path)
-    assert path.read_bytes() == (
-        b"# frame_rate: 86.0\n"
-        b"frame\tf0_hz\tvoiced\n"
-        b"0\t0.0\t0\n"
-        b"1\t-0.0\t0\n"
-        b"2\t220.5\t1\n"
-        b"3\t1e-300\t1\n"
     )
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxkit import wavio
 from voxkit.dsp import Waveform
@@ -62,6 +64,47 @@ def test_rejects_file_cut_inside_header(tmp_path, n_bytes):
     path.write_bytes(path.read_bytes()[:n_bytes])
     with pytest.raises(UnsupportedWavError):
         wavio.read_wav(path)
+
+
+# Header bytes whose corruption makes scipy raise outside ValueError: byte 19 of the
+# fmt chunk size, which then reads past the header, and the channel count at byte 22.
+@pytest.mark.parametrize("offset, value", [(19, 50), (22, 0)])
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+def test_rejects_corrupt_header_field(tmp_path, offset, value):
+    path = tmp_path / "bad.wav"
+    wavio.write_wav(path, Waveform(np.zeros(100), 8000))
+    data = bytearray(path.read_bytes())
+    data[offset] = value
+    path.write_bytes(data)
+    with pytest.raises(UnsupportedWavError, match="bad.wav: malformed WAV header"):
+        wavio.read_wav(path)
+
+
+@pytest.fixture(scope="module")
+def good_wav(tmp_path_factory):
+    """(bytes of a 16-bit mono WAV, a path to write drawn variants to)."""
+    root = tmp_path_factory.mktemp("drawn_wav")
+    wavio.write_wav(root / "good.wav", Waveform(0.5 * np.sin(np.arange(400) / 3.0), 16000))
+    return (root / "good.wav").read_bytes(), root / "drawn.wav"
+
+
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 255)), max_size=4),
+    cut=st.none() | st.integers(0, 844),
+)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+def test_corrupt_header_reads_or_raises_unsupported_wav(good_wav, edits, cut):
+    data, path = good_wav
+    data = bytearray(data[:cut])
+    for offset, value in edits:
+        if offset < len(data):
+            data[offset] = value
+    path.write_bytes(data)
+    try:
+        assert isinstance(wavio.read_wav(path), Waveform)
+    except (UnsupportedWavError, OSError):
+        pass
 
 
 def test_write_clips_and_warns(tmp_path):
