@@ -1,14 +1,21 @@
-"""Golden bytes of the five TSVs the toolkit writes, and of `report --json`.
+"""Golden bytes of the five TSVs the toolkit writes, and of `report --json` and `metrics`.
 
 The writers are save_manifest, save_dropped_report, write_report_tsv,
 errors.tsv and vocode's roundtrip.tsv. Each gets a small fixed input
 holding inf, -inf, absent cells, -0.0, int cells and its comment line,
 if it has one, and its file must match byte for byte.
+
+`voxkit metrics` runs with its metric kernels fixed, so its report.tsv,
+report.json, errors.tsv and stdout are pinned without DSP rounding.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from voxkit import cli, corpus, dsp, metrics
+from voxkit import cli, corpus, dsp, metrics, pitch, wavio
+from voxkit.errors import VoxkitError
+from voxkit.metrics import CerReport, F0MetricReport
 
 INF = float("inf")
 
@@ -184,4 +191,184 @@ def test_report_json(tmp_path, capsys):
         b'    "absent": 1\n'
         b'  }\n'
         b'}\n'
+    )
+
+
+
+def _fixed_metrics_run(tmp_path, monkeypatch, capsys, argv, hyp_texts, results):
+    """Files and stdout of `voxkit metrics` on one manifest whose metric kernels are fixed.
+
+    Utterance k is u<k>, with hyp_text hyp_texts[k-1]. results maps each
+    metric to what its kernel gives at each call, in manifest order; a
+    VoxkitError there is raised instead.
+    """
+    def kernel(name, wrap):
+        values = iter(results.get(name, ()))
+
+        def fixed(*args):
+            value = next(values)
+            if isinstance(value, VoxkitError):
+                raise value
+            return wrap(value)
+
+        return fixed
+
+    features = SimpleNamespace(frames=None)
+    monkeypatch.setattr(metrics, "log_mel_pair", lambda *args: (features, features))
+    monkeypatch.setattr(metrics, "mcd_from_log_mel", kernel("mcd", lambda v: (v, 1)))
+    monkeypatch.setattr(metrics, "dtw_rmse", kernel("msd", lambda v: (v, 1)))
+    monkeypatch.setattr(pitch, "extract_pitch", lambda *args: None)
+    monkeypatch.setattr(pitch, "align_tracks", lambda ref, hyp: (ref, hyp))
+    monkeypatch.setattr(metrics, "f0_metrics", kernel("f0", lambda v: F0MetricReport(*v, 4, 2)))
+    monkeypatch.setattr(metrics, "cer", kernel("cer", lambda v: CerReport(*v, 20, 1, 1, 0)))
+    records = []
+    for k, hyp_text in enumerate(hyp_texts, 1):
+        wavio.write_wav(tmp_path / f"u{k}.wav", dsp.Waveform(np.zeros(2205), 22050))
+        records.append(corpus.UtteranceRecord(f"u{k}", f"u{k}.wav", 0.1, "a b", hyp_text))
+    manifest = str(tmp_path / "m.tsv")
+    corpus.save_manifest(corpus.Manifest(tuple(records)), manifest)
+    out_dir = tmp_path / "out"
+    code = cli.main([
+        "metrics", "--ref-manifest", manifest, "--hyp-manifest", manifest,
+        "--out-dir", str(out_dir), *argv,
+    ])
+    assert code == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return files, captured.out.replace(str(out_dir), "<out>")
+
+
+def test_metrics_report_files_and_summary(tmp_path, monkeypatch, capsys):
+    files, stdout = _fixed_metrics_run(tmp_path, monkeypatch, capsys, [], ["a c", "", "a b"], {
+        "mcd": [INF, -0.0, VoxkitError("no cepstra")],
+        "msd": [-0.0, 2.5, -INF],
+        "f0": [(None, 1.0, 1.0), (0.125, 0.25, 0.375), (0.5, 0.0, 0.5)],
+        "cer": [(0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)],
+    })
+    assert files["report.tsv"] == (
+        b"id\tmcd\tmsd\tgpe\tvde\tffe\tcer\tsubstitutions\tdeletions\tinsertions\n"
+        b"u1\tinf\t-0.0\t\t1.0\t1.0\t0.5\t0.5\t0.0\t0.0\n"
+        b"u2\t-0.0\t2.5\t0.125\t0.25\t0.375\t\t\t\t\n"
+        b"u3\t\t-inf\t0.5\t0.0\t0.5\t0.0\t0.0\t0.0\t0.0\n"
+        b"mean\tinf\t-inf\t0.3125\t0.4166666666666667\t0.625\t0.25\t0.25\t0.0\t0.0\n"
+    )
+    assert files["report.json"] == (
+        b'{\n'
+        b'  "utterances": [\n'
+        b'    {\n'
+        b'      "id": "u1",\n'
+        b'      "mcd": "inf",\n'
+        b'      "msd": -0.0,\n'
+        b'      "gpe": null,\n'
+        b'      "vde": 1.0,\n'
+        b'      "ffe": 1.0,\n'
+        b'      "cer": 0.5,\n'
+        b'      "substitutions": 0.5,\n'
+        b'      "deletions": 0.0,\n'
+        b'      "insertions": 0.0\n'
+        b'    },\n'
+        b'    {\n'
+        b'      "id": "u2",\n'
+        b'      "mcd": -0.0,\n'
+        b'      "msd": 2.5,\n'
+        b'      "gpe": 0.125,\n'
+        b'      "vde": 0.25,\n'
+        b'      "ffe": 0.375,\n'
+        b'      "cer": null,\n'
+        b'      "substitutions": null,\n'
+        b'      "deletions": null,\n'
+        b'      "insertions": null\n'
+        b'    },\n'
+        b'    {\n'
+        b'      "id": "u3",\n'
+        b'      "mcd": null,\n'
+        b'      "msd": "-inf",\n'
+        b'      "gpe": 0.5,\n'
+        b'      "vde": 0.0,\n'
+        b'      "ffe": 0.5,\n'
+        b'      "cer": 0.0,\n'
+        b'      "substitutions": 0.0,\n'
+        b'      "deletions": 0.0,\n'
+        b'      "insertions": 0.0\n'
+        b'    }\n'
+        b'  ],\n'
+        b'  "mean": {\n'
+        b'    "mcd": "inf",\n'
+        b'    "msd": "-inf",\n'
+        b'    "gpe": 0.3125,\n'
+        b'    "vde": 0.4166666666666667,\n'
+        b'    "ffe": 0.625,\n'
+        b'    "cer": 0.25,\n'
+        b'    "substitutions": 0.25,\n'
+        b'    "deletions": 0.0,\n'
+        b'    "insertions": 0.0\n'
+        b'  }\n'
+        b'}\n'
+    )
+    assert files["errors.tsv"] == (
+        b"id\tstage\terror\n"
+        b"u2\tcer\thyp_text is missing\n"
+        b"u3\tmcd\tno cepstra\n"
+    )
+    assert stdout == (
+        "MCD: inf\n"
+        "MSD: -inf\n"
+        "GPE: 0.3125\n"
+        "VDE: 0.4167\n"
+        "FFE: 0.6250\n"
+        "CER (S/D/I): 25.0 (25.0/0.0/0.0)\n"
+        "wrote 3 rows to <out>/report.tsv (2 errors)\n"
+    )
+
+
+def test_metrics_summary_of_absent_means(tmp_path, monkeypatch, capsys):
+    # No frame is voiced in both tracks, and CER fails: both read n/a. Lines keep
+    # the report's order, whatever the order of --which.
+    files, stdout = _fixed_metrics_run(
+        tmp_path, monkeypatch, capsys, ["--which", "cer,f0,msd"], [""],
+        {"msd": [-0.0], "f0": [(None, 1.0, 1.0)]},
+    )
+    assert files["report.tsv"] == (
+        b"id\tmcd\tmsd\tgpe\tvde\tffe\tcer\tsubstitutions\tdeletions\tinsertions\n"
+        b"u1\t\t-0.0\t\t1.0\t1.0\t\t\t\t\n"
+        b"mean\t\t0.0\t\t1.0\t1.0\t\t\t\t\n"  # the mean of -0.0 alone is 0.0
+    )
+    assert files["report.json"] == (
+        b'{\n'
+        b'  "utterances": [\n'
+        b'    {\n'
+        b'      "id": "u1",\n'
+        b'      "mcd": null,\n'
+        b'      "msd": -0.0,\n'
+        b'      "gpe": null,\n'
+        b'      "vde": 1.0,\n'
+        b'      "ffe": 1.0,\n'
+        b'      "cer": null,\n'
+        b'      "substitutions": null,\n'
+        b'      "deletions": null,\n'
+        b'      "insertions": null\n'
+        b'    }\n'
+        b'  ],\n'
+        b'  "mean": {\n'
+        b'    "mcd": null,\n'
+        b'    "msd": 0.0,\n'
+        b'    "gpe": null,\n'
+        b'    "vde": 1.0,\n'
+        b'    "ffe": 1.0,\n'
+        b'    "cer": null,\n'
+        b'    "substitutions": null,\n'
+        b'    "deletions": null,\n'
+        b'    "insertions": null\n'
+        b'  }\n'
+        b'}\n'
+    )
+    assert files["errors.tsv"] == b"id\tstage\terror\nu1\tcer\thyp_text is missing\n"
+    assert stdout == (
+        "MSD: 0.0000\n"
+        "GPE: n/a\n"
+        "VDE: 1.0000\n"
+        "FFE: 1.0000\n"
+        "CER (S/D/I): n/a\n"
+        "wrote 1 rows to <out>/report.tsv (1 errors)\n"
     )
