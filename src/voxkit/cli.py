@@ -19,6 +19,7 @@ from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
+from scipy.io.wavfile import WavFileWarning
 
 from . import corpus, dsp, enhance, metrics, pitch, wavio
 from .errors import ClippingWarning, InvalidConfigError, TrackLengthWarning, VoxkitError
@@ -32,8 +33,10 @@ AUDIO_STAGES = ("DN", "VAD-0", "VAD-1", "VAD-2", "VAD-3", "VN")
 ALL_STAGES = AUDIO_STAGES + ("FLT",)
 ENHANCED_SUFFIX = ".enhanced.wav"
 
-METRIC_CHOICES = ("mcd", "msd", "f0", "cer")
-VOXKIT_WARNINGS = (ClippingWarning, TrackLengthWarning)
+METRIC_CHOICES = tuple(metrics.METRIC_COLUMNS)
+# Warnings about one utterance; the runner prints them with its id. A WAV cut inside
+# its data chunk gives scipy's WavFileWarning and is read as shorter audio.
+UTTERANCE_WARNINGS = (ClippingWarning, TrackLengthWarning, WavFileWarning)
 
 
 def derive_seed(base_seed: int, utterance_id: str) -> int:
@@ -56,7 +59,7 @@ def _run_utterances(func, items: dict, args, cfg, stage: str):
     stage is a one-item list naming the stage func is in, starting at the
     given label; a VoxkitError or OSError that func raises gives the value
     None and one error row for that stage. Once every item is done, the
-    voxkit warnings each one raised go to stderr, in item order, one
+    UTTERANCE_WARNINGS each one raised go to stderr, in item order, one
     `warning: <id>: <Category>: <message>` line each. Returns
     ({id: value}, rows of (id, stage, message)).
     """
@@ -71,7 +74,7 @@ def _run_utterances(func, items: dict, args, cfg, stage: str):
 
 
 def _attempt(func, label, args, cfg, named_item):
-    """(value, errors, caught): func's result and the voxkit warnings it raised.
+    """(value, errors, caught): func's result and the UTTERANCE_WARNINGS it raised.
 
     Other warnings are shown as usual, and the warning filters apply to all of them.
     """
@@ -82,7 +85,7 @@ def _attempt(func, label, args, cfg, named_item):
         show = warnings.showwarning
 
         def keep_ours(message, category, *rest, **kwargs):
-            if issubclass(category, VOXKIT_WARNINGS):
+            if issubclass(category, UTTERANCE_WARNINGS):
                 caught.append(f"{category.__name__}: {message}")
             else:
                 show(message, category, *rest, **kwargs)
@@ -266,6 +269,10 @@ def cmd_preprocess(args, cfg) -> int:
     def hours(ids, column):
         return sum(durations[i][column] for i in ids) / 3600.0
 
+    def source_tag(n_stages):  # the manifest's tag after the first n_stages stages
+        source = [] if manifest.source_tag == "Raw" else [manifest.source_tag]
+        return "+".join(source + list(stages[:n_stages])) or "Raw"
+
     current_ids = sorted(updated)
     table = [("Raw", hours(current_ids, 0), len(current_ids))]
     column = 0
@@ -273,7 +280,7 @@ def cmd_preprocess(args, cfg) -> int:
     for k, stage in enumerate(stages):
         if stage == "FLT":
             filter_result = corpus.apply_filter(
-                corpus.Manifest(tuple(updated[i] for i in current_ids), "working"), cfg["FLT"]
+                corpus.Manifest(tuple(updated[i] for i in current_ids), source_tag(k)), cfg["FLT"]
             )
             current_ids = [r.utterance_id for r in filter_result.kept]
         else:
@@ -286,10 +293,7 @@ def cmd_preprocess(args, cfg) -> int:
         if utterance_id not in kept:
             _discard_wav(out_dir, utterance_id)
 
-    tag_parts = ([] if manifest.source_tag == "Raw" else [manifest.source_tag]) + list(stages)
-    out_manifest = corpus.Manifest(
-        tuple(updated[i] for i in current_ids), "+".join(tag_parts)
-    )
+    out_manifest = corpus.Manifest(tuple(updated[i] for i in current_ids), source_tag(len(stages)))
     corpus.save_manifest(out_manifest, out_dir / "manifest.tsv")
     if filter_result is not None:
         # Dropped rows keep their input audio cells; the processed files are removed.
@@ -322,19 +326,20 @@ def cmd_preprocess(args, cfg) -> int:
 
 def _metric_cells(name, ref, hyp, audio, log_mels, stft_cfg) -> dict:
     """The report cells of one metric; log_mels() gives mcd and msd their shared input."""
+    columns = metrics.METRIC_COLUMNS[name]
     if name == "mcd":
-        return {"mcd": metrics.mcd_from_log_mel(*log_mels())[0]}
+        return {columns[0]: metrics.mcd_from_log_mel(*log_mels())[0]}
     if name == "msd":
         ref_logm, hyp_logm = log_mels()
-        return {"msd": metrics.dtw_rmse(ref_logm.frames, hyp_logm.frames)[0]}
+        return {columns[0]: metrics.dtw_rmse(ref_logm.frames, hyp_logm.frames)[0]}
     if name == "f0":
         tracks = pitch.align_tracks(*(pitch.extract_pitch(w, stft_cfg) for w in audio))
         report = metrics.f0_metrics(*tracks)  # gpe is None when no frame is voiced in both
-        return {column: getattr(report, column) for column in ("gpe", "vde", "ffe")}
-    if not hyp.hyp_text:
+    elif not hyp.hyp_text:
         raise VoxkitError("hyp_text is missing")
-    report = metrics.cer(ref.text, hyp.hyp_text)
-    return {c: getattr(report, c) for c in ("cer", "substitutions", "deletions", "insertions")}
+    else:
+        report = metrics.cer(ref.text, hyp.hyp_text)
+    return {column: getattr(report, column) for column in columns}
 
 
 def _metrics_one(utterance_id, pair, args, cfg, stage):
@@ -381,24 +386,21 @@ def cmd_metrics(args, cfg) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = [
-        metrics.UtteranceReport(utterance_id=i, **(row or {})) for i, row in rows.items()
-    ]
-    metrics.write_report_tsv(reports, out_dir / "report.tsv")
-    metrics.write_report_json(reports, out_dir / "report.json")
+    means = metrics.write_report({i: row or {} for i, row in rows.items()}, out_dir)
     _write_errors(out_dir / "errors.tsv", error_rows)
 
-    means = metrics.report_means(reports)
-    for name in ("mcd", "msd", "gpe", "vde", "ffe"):
-        if name in which or (name in ("gpe", "vde", "ffe") and "f0" in which):
-            value = means[name]
-            print(f"{name.upper()}: {value:.4f}" if value is not None else f"{name.upper()}: n/a")
-    if "cer" in which and means["cer"] is None:
-        print("CER (S/D/I): n/a")
-    elif "cer" in which:
-        percents = [100 * means[c] for c in ("cer", "substitutions", "deletions", "insertions")]
-        print("CER (S/D/I): {:.1f} ({:.1f}/{:.1f}/{:.1f})".format(*percents))
-    print(f"wrote {len(reports)} rows to {out_dir / 'report.tsv'} ({len(error_rows)} errors)")
+    for name, columns in metrics.METRIC_COLUMNS.items():
+        if name not in which:
+            continue
+        values = [means[c] for c in columns]
+        if name != "cer":
+            for column, value in zip(columns, values):
+                print(f"{column.upper()}: " + ("n/a" if value is None else f"{value:.4f}"))
+        elif values[0] is None:
+            print("CER (S/D/I): n/a")
+        else:
+            print("CER (S/D/I): {:.1f} ({:.1f}/{:.1f}/{:.1f})".format(*(100 * v for v in values)))
+    print(f"wrote {len(rows)} rows to {out_dir / 'report.tsv'} ({len(error_rows)} errors)")
     return EXIT_OK
 
 

@@ -91,13 +91,13 @@ def _text_lines(data: bytes) -> list:
 
 
 def load_manifest(path) -> Manifest:
-    """Parse a manifest TSV, reporting the line number of any defect."""
+    """Parse a manifest TSV; a ParseError names the file and the line of the defect."""
     data = Path(path).read_bytes()
     try:
         lines = _text_lines(data)
     except UnicodeDecodeError as exc:
         message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        raise ParseError(message, line=len(_text_lines(data[: exc.start]))) from None
+        raise ParseError(message, len(_text_lines(data[: exc.start])), path) from None
     source_tag = "Raw"
     records = []
     seen = {}
@@ -113,19 +113,18 @@ def load_manifest(path) -> Manifest:
         if not header_seen:
             if cells != list(MANIFEST_COLUMNS):
                 raise ParseError(
-                    f"expected header {list(MANIFEST_COLUMNS)}, got {cells}", line=lineno
+                    f"expected header {list(MANIFEST_COLUMNS)}, got {cells}", lineno, path
                 )
             header_seen = True
             continue
         if len(cells) != len(MANIFEST_COLUMNS):
             raise ParseError(
-                f"expected {len(MANIFEST_COLUMNS)} fields, got {len(cells)}", line=lineno
+                f"expected {len(MANIFEST_COLUMNS)} fields, got {len(cells)}", lineno, path
             )
         rid, audio, duration, text, hyp_text, snr, cer, speaker = cells
         if rid in seen:
             raise ParseError(
-                f"duplicate utterance id {rid!r}, first seen on line {seen[rid]}",
-                line=lineno,
+                f"duplicate utterance id {rid!r}, first seen on line {seen[rid]}", lineno, path
             )
         seen[rid] = lineno
         try:
@@ -140,10 +139,10 @@ def load_manifest(path) -> Manifest:
                 speaker=speaker,
             )
         except (ValueError, InvalidConfigError) as exc:
-            raise ParseError(str(exc), line=lineno) from None
+            raise ParseError(str(exc), lineno, path) from None
         records.append(record)
     if not header_seen:
-        raise ParseError("missing header line")
+        raise ParseError("missing header line", path=path)
     return Manifest(tuple(records), source_tag)
 
 

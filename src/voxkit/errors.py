@@ -41,10 +41,6 @@ class EmptyTrackError(VoxkitError):
     """An operation received a pitch track with no frames."""
 
 
-class NoCovoicedFramesError(VoxkitError):
-    """No frame is voiced in both tracks, so the ratio is undefined."""
-
-
 class EmptyReferenceError(VoxkitError):
     """The reference text is empty after normalization."""
 
@@ -58,14 +54,17 @@ class AllZeroError(VoxkitError):
 
 
 class ParseError(VoxkitError):
-    """A manifest or track file is malformed.
+    """A manifest file is malformed.
 
-    Carries the 1-based line number when one is known.
+    Carries the 1-based line number when one is known; the message starts
+    with the file's path, when given, and the line.
     """
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

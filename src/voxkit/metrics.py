@@ -1,9 +1,9 @@
 """Evaluation metrics for synthesized speech.
 
-Pitch-track metrics
+Pitch-track metrics, all from f0_metrics
     gpe   gross pitch error: of the frames voiced in both tracks, the
           fraction whose f0 deviates from the reference by more than 20%
-          of the reference value (strictly).
+          of the reference value (strictly); None when there are none.
     vde   voicing decision error: fraction of all frames whose voicing
           flags disagree.
     ffe   f0 frame error: fraction of all frames with either a voicing
@@ -23,7 +23,7 @@ Text metric
 import json
 import math
 import unicodedata
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .errors import (
     EmptyReferenceError,
     EmptyTrackError,
     LengthMismatchError,
-    NoCovoicedFramesError,
     RateMismatchError,
 )
 from .pitch import PitchTrack
@@ -73,24 +72,6 @@ def f0_metrics(ref: PitchTrack, hyp: PitchTrack) -> F0MetricReport:
         n_frames=n,
         n_covoiced=n_covoiced,
     )
-
-
-def gpe(ref: PitchTrack, hyp: PitchTrack) -> float:
-    """Gross pitch error over co-voiced frames."""
-    report = f0_metrics(ref, hyp)
-    if report.gpe is None:
-        raise NoCovoicedFramesError("no frame is voiced in both tracks")
-    return report.gpe
-
-
-def vde(ref: PitchTrack, hyp: PitchTrack) -> float:
-    """Voicing decision error over all frames."""
-    return f0_metrics(ref, hyp).vde
-
-
-def ffe(ref: PitchTrack, hyp: PitchTrack) -> float:
-    """F0 frame error: voicing errors plus gross pitch errors, over all frames."""
-    return f0_metrics(ref, hyp).ffe
 
 
 def dtw_rmse(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -217,54 +198,34 @@ def cer(reference: str, hypothesis: str) -> CerReport:
     )
 
 
-@dataclass(frozen=True)
-class UtteranceReport:
-    """Metric values for one utterance; None marks a metric not computed."""
-
-    utterance_id: str
-    mcd: float | None = None
-    msd: float | None = None
-    gpe: float | None = None
-    vde: float | None = None
-    ffe: float | None = None
-    cer: float | None = None
-    substitutions: float | None = None
-    deletions: float | None = None
-    insertions: float | None = None
-
-    def values(self) -> dict:
-        """Report columns by name: the id under "id", then each metric."""
-        return dict(zip(REPORT_COLUMNS, (getattr(self, f.name) for f in fields(self))))
+METRIC_COLUMNS = {
+    "mcd": ("mcd",),
+    "msd": ("msd",),
+    "f0": ("gpe", "vde", "ffe"),
+    "cer": ("cer", "substitutions", "deletions", "insertions"),
+}  # each metric's report columns, in report order
+REPORT_COLUMNS = ("id",) + sum(METRIC_COLUMNS.values(), ())
 
 
-REPORT_COLUMNS = ("id",) + tuple(f.name for f in fields(UtteranceReport)[1:])
+def write_report(rows: dict, out_dir) -> dict:
+    """Write report.tsv and report.json from {id: {column: value}} rows; returns the column means.
 
-
-def _column_means(rows) -> dict:
+    A column missing from a row is absent (None). Each mean is over the rows
+    where its column is present, and None when there are none. report.tsv
+    ends with a row of the means with id 'mean'; report.json holds the
+    utterance rows and a mean block.
+    """
+    table = [{"id": i, **{c: row.get(c) for c in REPORT_COLUMNS[1:]}} for i, row in rows.items()]
     means = {}
     for column in REPORT_COLUMNS[1:]:
-        values = [row[column] for row in rows if row[column] is not None]
+        values = [row[column] for row in table if row[column] is not None]
         means[column] = sum(values) / len(values) if values else None
-    return means
-
-
-def report_means(reports) -> dict:
-    """Column means over the utterances where each metric is present."""
-    return _column_means([r.values() for r in reports])
-
-
-def write_report_tsv(reports, path) -> None:
-    """One row per utterance plus a final row of means with id 'mean'."""
-    rows = [r.values() for r in reports]
-    means = {"id": "mean", **_column_means(rows)}
-    write_tsv(path, REPORT_COLUMNS, [[row[c] for c in REPORT_COLUMNS] for row in rows + [means]])
-
-
-def write_report_json(reports, path) -> None:
-    """The same report as JSON: utterance rows plus a mean block."""
-    rows = [r.values() for r in reports]
+    out_dir = Path(out_dir)
+    cells = [row.values() for row in table + [{"id": "mean", **means}]]
+    write_tsv(out_dir / "report.tsv", REPORT_COLUMNS, cells)
     payload = {
-        "utterances": [{c: json_value(row[c]) for c in REPORT_COLUMNS} for row in rows],
-        "mean": {c: json_value(v) for c, v in _column_means(rows).items()},
+        "utterances": [{c: json_value(v) for c, v in row.items()} for row in table],
+        "mean": {c: json_value(v) for c, v in means.items()},
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return means

@@ -206,6 +206,24 @@ class TestPreprocess:
         # processed wavs for dropped records are cleaned up
         assert not list(out_dir.glob("utt*.wav"))
 
+    @pytest.mark.parametrize("stages, tag", [
+        ("DN,VAD-2,FLT,VN", "DN+VAD-2+FLT-dropped"),
+        ("FLT,VN", "Raw+FLT-dropped"),  # as `filter` tags a Raw manifest's dropped rows
+    ])
+    def test_dropped_report_is_tagged_with_the_chain_before_flt(
+        self, stages, tag, tmp_path, capsys
+    ):
+        root = tmp_path / "corpus"
+        manifest = build_corpus(root, 2, seed=7)
+        out_dir = tmp_path / "out"
+        code = cli.main([
+            "preprocess", "--manifest", str(manifest), "--out-dir", str(out_dir),
+            "--stages", stages, "--enhanced-dir", str(root / "enh"),
+        ])
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+        assert (out_dir / "dropped.tsv").read_text().splitlines()[0] == f"# source: {tag}"
+
     def test_identity_enhancer_when_no_enhanced_dir(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         manifest = build_corpus(root, 2, seed=5, with_enhanced=False)
@@ -699,6 +717,28 @@ def test_warnings_print_one_line_each_in_manifest_order(tmp_path):
     assert ".py:" not in stderr
 
 
+def test_wav_cut_inside_its_data_is_read_short_with_a_warning_line(tmp_path):
+    manifest = build_corpus(tmp_path, 3, seed=12, with_enhanced=False)
+    cut = tmp_path / "raw" / "utt001.wav"
+    riff_size = len(cut.read_bytes())
+    cut.write_bytes(cut.read_bytes()[:3000])
+    argvs = [
+        ["preprocess", "--manifest", manifest.name, "--stages", "VN", "--out-dir", f"out{workers}",
+         "--workers", str(workers)]
+        for workers in (1, 2)
+    ]
+    (code_one, stderr), (code_two, stderr_two) = _voxkit_processes(argvs, tmp_path)
+    assert code_one == code_two == cli.EXIT_OK
+    assert stderr == stderr_two == (
+        "warning: utt001: WavFileWarning: Reached EOF prematurely; finished at 3000 bytes, "
+        f"expected {riff_size} bytes from header.\n"
+    )
+    for out_dir in ("out1", "out2"):
+        assert (tmp_path / out_dir / "errors.tsv").read_text() == "id\tstage\terror\n"
+        short = corpus.load_manifest(tmp_path / out_dir / "manifest.tsv").records[1]
+        assert short.duration_s == (3000 - 44) // 2 / SR
+
+
 def test_other_warnings_keep_their_filters(tmp_path, monkeypatch):
     def warns(noisy, enhanced):
         warnings.warn(RuntimeWarning("not a voxkit warning"))
@@ -943,8 +983,21 @@ def test_manifest_that_is_not_utf8_is_an_error_with_its_line(command, tmp_path, 
     manifest.write_bytes(b"\n".join(lines))
     assert cli.main(_minimal_argv(command, tmp_path)) == cli.EXIT_RUNTIME
     captured = capsys.readouterr()
-    assert captured.err == "error: line 4: byte 0xff is not UTF-8 (invalid start byte)\n"
+    message = "line 4: byte 0xff is not UTF-8 (invalid start byte)"
+    assert captured.err == f"error: {manifest}: {message}\n"
     assert captured.out == ""
+
+
+def test_manifest_parse_error_names_the_manifest(tmp_path, capsys):
+    ref = build_corpus(tmp_path, 1, seed=29)
+    hyp = tmp_path / "hyp.tsv"
+    lines = [line.split("\t") for line in ref.read_text().split("\n")]
+    lines[2][2] = "x"  # the duration_s cell of utt000
+    hyp.write_text("\n".join("\t".join(cells) for cells in lines))
+    argv = ["metrics", "--ref-manifest", str(ref), "--hyp-manifest", str(hyp)]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {hyp}: line 3: could not convert string to float: 'x'\n"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import f0_error_counts, random_pitch_track_pair
 from voxkit import metrics, pitch
-from voxkit.errors import EmptyTrackError, LengthMismatchError, NoCovoicedFramesError
+from voxkit.errors import EmptyTrackError, LengthMismatchError
 
 FRAME_RATE = 22050 / 256
 
@@ -28,14 +28,14 @@ def test_matches_per_frame_enumeration():
         n_frames, n_covoiced, n_gross, n_disagree = f0_error_counts(
             ref.f0, ref.voiced, hyp.f0, hyp.voiced
         )
-        assert metrics.vde(ref, hyp) == n_disagree / n_frames
-        assert metrics.ffe(ref, hyp) == n_disagree / n_frames + n_gross / n_frames
+        report = metrics.f0_metrics(ref, hyp)
+        assert report.vde == n_disagree / n_frames
+        assert report.ffe == n_disagree / n_frames + n_gross / n_frames
         if n_covoiced:
-            assert metrics.gpe(ref, hyp) == n_gross / n_covoiced
+            assert report.gpe == n_gross / n_covoiced
             checked_gpe += 1
         else:
-            with pytest.raises(NoCovoicedFramesError):
-                metrics.gpe(ref, hyp)
+            assert report.gpe is None
     assert checked_gpe > 300
 
 
@@ -55,23 +55,21 @@ def test_gross_threshold_is_strict():
     # exactly 20 percent off is not a gross error; just past it is
     ref = track([100.0, 100.0], [True, True])
     at_edge = track([120.0, 80.0], [True, True])
-    assert metrics.gpe(ref, at_edge) == 0.0
+    assert metrics.f0_metrics(ref, at_edge).gpe == 0.0
     past_edge = track([100.0 + 20.000001, 100.0], [True, True])
-    assert metrics.gpe(ref, past_edge) == 0.5
+    assert metrics.f0_metrics(ref, past_edge).gpe == 0.5
 
 
 def test_threshold_is_relative_to_reference():
     ref = track([100.0], [True])
     hyp = track([121.0], [True])
-    assert metrics.gpe(ref, hyp) == 1.0
-    assert metrics.gpe(hyp, ref) == 0.0  # 21 off 121 is under 20 percent
+    assert metrics.f0_metrics(ref, hyp).gpe == 1.0
+    assert metrics.f0_metrics(hyp, ref).gpe == 0.0  # 21 off 121 is under 20 percent
 
 
 def test_no_covoiced_frames_is_an_error_not_zero():
     ref = track([100.0, 0.0], [True, False])
     hyp = track([0.0, 100.0], [False, True])
-    with pytest.raises(NoCovoicedFramesError):
-        metrics.gpe(ref, hyp)
     report = metrics.f0_metrics(ref, hyp)
     assert report.gpe is None
     assert report.vde == 1.0
@@ -89,10 +87,10 @@ def test_identical_tracks_are_perfect():
 
 def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatchError):
-        metrics.vde(track([100.0], [True]), track([100.0, 100.0], [True, True]))
+        metrics.f0_metrics(track([100.0], [True]), track([100.0, 100.0], [True, True]))
 
 
 def test_empty_tracks_rejected():
     empty = track([], [])
     with pytest.raises(EmptyTrackError):
-        metrics.vde(empty, empty)
+        metrics.f0_metrics(empty, empty)

@@ -1,6 +1,6 @@
 """Golden bytes of the five TSVs the toolkit writes, and of `report --json` and `metrics`.
 
-The writers are save_manifest, save_dropped_report, write_report_tsv,
+The writers are save_manifest, save_dropped_report, write_report's report.tsv,
 errors.tsv and vocode's roundtrip.tsv. Each gets a small fixed input
 holding inf, -inf, absent cells, -0.0, int cells and its comment line,
 if it has one, and its file must match byte for byte.
@@ -56,16 +56,15 @@ def test_save_dropped_report(tmp_path):
 
 
 def test_write_report_tsv(tmp_path):
-    reports = [
-        metrics.UtteranceReport("u1", mcd=INF, msd=-0.0, vde=0.5, ffe=0.25, cer=0.1,
-                                substitutions=1, deletions=0, insertions=0),
-        metrics.UtteranceReport("u2", mcd=1.0, msd=-INF, gpe=0.125, cer=0.2,
-                                substitutions=2, deletions=1, insertions=0),
-        metrics.UtteranceReport("u3"),
-    ]
-    path = tmp_path / "report.tsv"
-    metrics.write_report_tsv(reports, path)
-    assert path.read_bytes() == (
+    rows = {
+        "u1": dict(mcd=INF, msd=-0.0, vde=0.5, ffe=0.25, cer=0.1,
+                   substitutions=1, deletions=0, insertions=0),
+        "u2": dict(mcd=1.0, msd=-INF, gpe=0.125, cer=0.2,
+                   substitutions=2, deletions=1, insertions=0),
+        "u3": {},
+    }
+    metrics.write_report(rows, tmp_path)
+    assert (tmp_path / "report.tsv").read_bytes() == (
         b"id\tmcd\tmsd\tgpe\tvde\tffe\tcer\tsubstitutions\tdeletions\tinsertions\n"
         b"u1\tinf\t-0.0\t\t0.5\t0.25\t0.1\t1\t0\t0\n"
         b"u2\t1.0\t-inf\t0.125\t\t\t0.2\t2\t1\t0\n"
