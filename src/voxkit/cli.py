@@ -173,6 +173,8 @@ def _configure(args) -> dict:
     cfg = {"stages": (f"VAD-{args.aggressiveness}",)} if "aggressiveness" in args else {}
     if "stages" in args:
         cfg["stages"] = _comma_list("--stages", args.stages, ALL_STAGES)
+        if cfg["stages"].count("FLT") > 1:  # a second FLT would lose the first one's drops
+            raise InvalidConfigError(f"--stages may name FLT only once, got {args.stages!r}")
         try:
             cfg["DN"] = enhance.DryWetConfig(args.dry)
         except InvalidConfigError as exc:  # name the flag; DryWetConfig names its field

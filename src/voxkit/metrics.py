@@ -128,25 +128,36 @@ def normalize_text(text: str) -> str:
     return " ".join(text.split())
 
 
+def _edit_distance_matrix(ref: str, hyp: str) -> np.ndarray:
+    """The (len(ref) + 1, len(hyp) + 1) Wagner-Fischer grid of prefix edit distances.
+
+    Row i takes the diagonal and up candidates in one vector step; the left
+    dependency row[j] = min(tmp[j], row[j - 1] + 1) unrolls to
+    j + min(tmp[k] - k for k <= j), a running minimum, exact in integers.
+    """
+    m = len(hyp)
+    cols = np.arange(m + 1, dtype=np.int64)
+    hyp_codes = np.fromiter(map(ord, hyp), dtype=np.int64, count=m)
+    dist = np.empty((len(ref) + 1, m + 1), dtype=np.int64)
+    dist[0] = cols
+    tmp = np.empty(m + 1, dtype=np.int64)
+    for i, ref_c in enumerate(ref, start=1):
+        prev = dist[i - 1]
+        tmp[0] = i
+        np.minimum(prev[:-1] + (hyp_codes != ord(ref_c)), prev[1:] + 1, out=tmp[1:])
+        np.minimum.accumulate(tmp - cols, out=dist[i])
+        dist[i] += cols
+    return dist
+
+
 def edit_counts(ref: str, hyp: str) -> tuple:
     """Substitution/deletion/insertion counts of one optimal alignment.
 
+    The grid fill is row-vectorized and exact, equal cell for cell to a scalar fill.
     Ties during backtrace prefer substitution, then insertion, then deletion.
     """
     n, m = len(ref), len(hyp)
-    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(n + 1)
-    dist[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        prev = dist[i - 1]
-        row = dist[i]
-        ref_c = ref[i - 1]
-        for j in range(1, m + 1):
-            row[j] = min(
-                prev[j - 1] + (ref_c != hyp[j - 1]),
-                row[j - 1] + 1,
-                prev[j] + 1,
-            )
+    dist = _edit_distance_matrix(ref, hyp)
     n_sub = n_del = n_ins = 0
     i, j = n, m
     while i or j:

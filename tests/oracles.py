@@ -106,6 +106,29 @@ def edit_distance_two_rows(ref, hyp):
     return prev[len(hyp)]
 
 
+def edit_distance_matrix_loop(ref, hyp):
+    """The full Wagner-Fischer grid of prefix distances, one cell at a time.
+
+    The same recurrence as metrics._edit_distance_matrix, which fills a
+    row per numpy step; edit_counts backtraces over either.
+    """
+    n, m = len(ref), len(hyp)
+    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
+    dist[:, 0] = np.arange(n + 1)
+    dist[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        prev = dist[i - 1]
+        row = dist[i]
+        ref_c = ref[i - 1]
+        for j in range(1, m + 1):
+            row[j] = min(
+                prev[j - 1] + (ref_c != hyp[j - 1]),
+                row[j - 1] + 1,
+                prev[j] + 1,
+            )
+    return dist
+
+
 def f0_error_counts(ref_f0, ref_voiced, hyp_f0, hyp_voiced):
     """Frame-by-frame tallies behind the pitch metrics, in plain ints.
 

@@ -1,21 +1,26 @@
 """The vectorized kernels against their scalar references, bit for bit.
 
 dsp.dtw_align fills the cost grid one anti-diagonal at a time,
-pitch.extract_pitch computes difference functions for chunks of frames,
-and dsp.istft and dsp.griffin_lim overlap-add in strided chunks into
-preallocated buffers; all must reproduce the row-major, per-frame and
-whole-array arithmetic exactly, so every comparison here is ==, never a
-tolerance.
+metrics.edit_counts fills its edit-distance grid one vectorized row at a
+time, pitch.extract_pitch computes difference functions for chunks of
+frames, and dsp.istft and dsp.griffin_lim overlap-add in strided chunks
+into preallocated buffers; all must reproduce the cell-by-cell,
+per-frame and whole-array arithmetic exactly, so every comparison here
+is ==, never a tolerance.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import dct
 
 from oracles import (
     dtw_row_major,
+    edit_distance_matrix_loop,
     frame_signal_gather,
     griffin_lim_loop,
     istft_frame_loop,
@@ -77,6 +82,51 @@ class TestDtwWavefront:
         a = np.stack([np.sin(7 * t), np.cos(3 * t)], axis=1)
         b = np.stack([np.sin(7 * t**1.3), np.cos(3 * t**1.3)], axis=1)[::2]
         assert_same_alignment(a, b)
+
+
+def assert_same_edit_grid(ref, hyp):
+    """The row-vectorized grid equals the cell-by-cell one, and so do the counts
+    backtraced over each."""
+    expected = edit_distance_matrix_loop(ref, hyp)
+    dist = metrics._edit_distance_matrix(ref, hyp)
+    assert dist.dtype == expected.dtype
+    assert np.array_equal(dist, expected)
+    counts = metrics.edit_counts(ref, hyp)
+    with mock.patch.object(metrics, "_edit_distance_matrix", edit_distance_matrix_loop):
+        assert counts == metrics.edit_counts(ref, hyp)
+
+
+class TestEditDistanceRows:
+    @pytest.mark.parametrize("ref,hyp", [("", ""), ("", "abc"), ("abc", "")])
+    def test_empty_sides(self, ref, hyp):
+        assert_same_edit_grid(ref, hyp)
+
+    @pytest.mark.parametrize("ref,hyp", [
+        ("a", "a"), ("a", "b"), ("a", "banana"), ("x", "banana"), ("banana", "a"), ("banana", "x"),
+    ])
+    def test_one_by_n_and_n_by_one(self, ref, hyp):
+        assert_same_edit_grid(ref, hyp)
+
+    @pytest.mark.parametrize("ref,hyp", [
+        ("aaaaaaa", "aaa"), ("aaa", "aaaaaaa"), ("aaaaa", "bbbbb"), ("aaaa", "abababab"),
+    ])
+    def test_runs_of_one_character(self, ref, hyp):
+        assert_same_edit_grid(ref, hyp)
+
+    @pytest.mark.parametrize("ref,hyp", [
+        ("café au lait", "cafe au lait"),
+        ("straße", "strasse"),
+        ("日本語のテキスト", "日本のテキスト語"),
+        ("a\U0001F600b\U0001F600", "\U0001F600ab"),  # code points above U+FFFF
+        ("\U00010348\U00010349", "\U00010349\U00010348x"),
+    ])
+    def test_non_ascii(self, ref, hyp):
+        assert_same_edit_grid(ref, hyp)
+
+    @given(st.text(alphabet="ab é", max_size=24), st.text(alphabet="ab é", max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_pairs_over_a_small_alphabet(self, ref, hyp):
+        assert_same_edit_grid(ref, hyp)
 
 
 def speechlike(n_samples, sr, seed):
