@@ -798,11 +798,11 @@ CONFIG_ERRORS = [
     ("vad", ["--energy-threshold-db", "nan"], "energy_threshold_db must not be NaN"),
     ("preprocess", ["--min-snr", "nan"], "min_snr_db and max_cer must not be NaN"),
     ("preprocess", ["--stages", "VAD-2", "--sample-rate", "11025"], "sample rate 11025 not in"),
-    ("preprocess", ["--stages", "FLT,VN,FLT"], "--stages may name FLT only once, got 'FLT,VN,FLT'"),
     ("filter", ["--max-cer", "nan"], "min_snr_db and max_cer must not be NaN"),
     ("vocode", ["--fft", "512"], "win_length 1024 exceeds fft_size 512"),
     ("vocode", ["--win", "512", "--hop", "512"], "vocode needs --hop at most half of --win"),
     ("vocode", ["--win", "512", "--hop", "257"], "got --hop 257 and --win 512"),
+    ("preprocess", ["--stages", "FLT,VN,FLT"], "--stages may name FLT only once, got 'FLT,VN,FLT'"),
 ]
 
 
