@@ -222,15 +222,16 @@ def write_report(rows: dict, out_dir) -> dict:
     """Write report.tsv and report.json from {id: {column: value}} rows; returns the column means.
 
     A column missing from a row is absent (None). Each mean is over the rows
-    where its column is present, and None when there are none. report.tsv
-    ends with a row of the means with id 'mean'; report.json holds the
-    utterance rows and a mean block.
+    where its column is present, and None when there are none. Sums start
+    at -0.0, the identity of float addition, so a column of -0.0 alone has
+    the mean -0.0. report.tsv ends with a row of the means with id 'mean';
+    report.json holds the utterance rows and a mean block.
     """
     table = [{"id": i, **{c: row.get(c) for c in REPORT_COLUMNS[1:]}} for i, row in rows.items()]
     means = {}
     for column in REPORT_COLUMNS[1:]:
         values = [row[column] for row in table if row[column] is not None]
-        means[column] = sum(values) / len(values) if values else None
+        means[column] = sum(values, -0.0) / len(values) if values else None
     out_dir = Path(out_dir)
     cells = [row.values() for row in table + [{"id": "mean", **means}]]
     write_tsv(out_dir / "report.tsv", REPORT_COLUMNS, cells)

@@ -3,6 +3,13 @@
 The tracker searches each centered analysis frame for the lag that
 minimizes the cumulative mean normalized difference of the signal, the
 normalization that makes the decision independent of amplitude scaling.
+
+The difference function is computed as YIN splits it (de Cheveigne and
+Kawahara, 2002): two windowed energies minus twice a cross-correlation
+that comes from FFTs, for a batch of frames at a time. Its rounding
+differs from the sum of squared differences that defines it, so f0 agrees
+with that definition to a relative 1e-12, not bit for bit; the voicing
+decisions agree unless a value lies within rounding of its threshold.
 """
 
 import math
@@ -65,37 +72,80 @@ class PitchTrack:
         return len(self.f0)
 
 
-_CHUNK_FRAMES = 16  # frames whose difference functions share one pass over the samples
-_LAG_BLOCK = 32  # lags per pass; bounds the work buffer (lags x chunk span)
+_CHUNK_FRAMES = 64  # frames per batch of FFTs; work buffers stay a few (chunk x win_length)
 
 
-def _cmnd_frames(padded: np.ndarray, n_frames: int, hop: int, lag_max: int, window: int):
-    """Yield the cumulative mean normalized difference, lags 0..lag_max, per frame.
+def _cmnd(frames: np.ndarray, window: int) -> np.ndarray:
+    """The cumulative mean normalized difference of each frame, lags 0..lag_max.
 
-    Frame t starts at padded[t * hop]; its difference at lag k sums
-    (x[j] - x[j + k]) ** 2 over the window samples j of that frame.
-    Neighbouring frames overlap, so each squared difference is computed
-    once per chunk of frames, and each frame's window is then summed on
-    its own as one contiguous reduction, exactly as for a single frame.
+    A frame holds window + lag_max samples x; its difference at lag k sums
+    (x[j] - x[j + k]) ** 2 over the window samples j. That is
+    e(0) + e(k) - 2 r(k), where e(k) sums x ** 2 over [k, k + window) and
+    r(k) is the cross-correlation of the frame's first window samples with
+    the whole frame, taken from FFTs of the frame's length, which is long
+    enough that no lag wraps around.
+
+    The difference is unchanged by a constant offset, so each frame first
+    has one of its own samples, its middle one in sorted order, subtracted:
+    a constant frame then becomes exact zeros, a mostly silent one keeps
+    its zeros, and a DC offset does not swamp the rest in the subtraction.
+    Each e(k) is the sum of two cumulative sums of non-negative terms
+    within blocks of window samples, never a difference of prefix sums,
+    so quiet audio next to loud audio keeps its relative precision.
     """
-    buf = np.empty((_LAG_BLOCK, (_CHUNK_FRAMES - 1) * hop + window))
-    lags = np.arange(1, lag_max + 1, dtype=np.float64)
-    for t0 in range(0, n_frames, _CHUNK_FRAMES):
-        n = min(_CHUNK_FRAMES, n_frames - t0)
-        span = (n - 1) * hop + window
-        x = padded[t0 * hop : t0 * hop + span + lag_max]
-        shifted = sliding_window_view(x, span)  # shifted[k] = x[k : k + span]
-        d = np.empty((n, lag_max + 1))
-        for k0 in range(0, lag_max + 1, _LAG_BLOCK):
-            k1 = min(k0 + _LAG_BLOCK, lag_max + 1)
-            sq = buf[: k1 - k0, :span]
-            np.subtract(x[:span], shifted[k0:k1], out=sq)
-            np.square(sq, out=sq)
-            d[:, k0:k1] = sliding_window_view(sq, window, axis=1)[:, ::hop].sum(axis=2).T
-        csum = np.cumsum(d[:, 1:], axis=1)
-        cmnd = np.ones_like(d)
-        np.divide(d[:, 1:] * lags, csum, out=cmnd[:, 1:], where=csum > 0.0)
-        yield from cmnd
+    n, size = frames.shape
+    lag_max = size - window
+    frames = frames - np.partition(frames, size // 2, axis=1)[:, size // 2, None]
+    spec = np.fft.rfft(frames[:, :window], n=size, axis=1)
+    np.conjugate(spec, out=spec)
+    spec *= np.fft.rfft(frames, axis=1)
+    r = np.fft.irfft(spec, n=size, axis=1)[:, 1 : lag_max + 1]
+    n_blocks = -(-size // window)
+    sq = np.zeros((n, n_blocks * window))
+    np.square(frames, out=sq[:, :size])
+    blocks = sq.reshape(n, n_blocks, window)
+    # the suffix of lag k's block, then the prefix of the next block up to k + window - 1
+    energy = np.cumsum(blocks[:, :, ::-1], axis=2)[:, :, ::-1].reshape(n, -1)[:, : lag_max + 1]
+    head = np.cumsum(blocks, axis=2).reshape(n, -1)[:, window - 1 : size]
+    head[:, ::window] = 0.0  # a lag on a block boundary sums exactly its own block
+    energy += head
+    d = energy[:, :1] + energy[:, 1:] - 2.0 * r
+    np.maximum(d, 0.0, out=d)
+    csum = np.cumsum(d, axis=1)
+    cmnd = np.ones((n, lag_max + 1))
+    np.divide(d * np.arange(1, lag_max + 1), csum, out=cmnd[:, 1:], where=csum > 0.0)
+    return cmnd
+
+
+def _decide(cmnd: np.ndarray, sr: int, lag_min: int, lag_max: int) -> tuple:
+    """(f0, voiced) of each CMND row, all rows at once.
+
+    The dip is the first lag under VOICING_THRESHOLD walked down to its
+    bottom, the first lag at or after it that is lag_max or whose right
+    neighbour is not lower; without such a lag it is the argmin. Its
+    parabolic refinement is applied elementwise with the scalar rules.
+    """
+    rows = np.arange(len(cmnd))
+    region = cmnd[:, lag_min : lag_max + 1]
+    below = region < VOICING_THRESHOLD
+    has_dip = below.any(axis=1)
+    first = below.argmax(axis=1) + lag_min
+    bottom = np.ones(cmnd.shape, dtype=bool)
+    bottom[:, :-1] = ~(cmnd[:, 1:] < cmnd[:, :-1])
+    bottom &= np.arange(lag_max + 1) >= first[:, None]
+    k = np.where(has_dip, bottom.argmax(axis=1), region.argmin(axis=1) + lag_min)
+    y0 = cmnd[rows, k - 1]
+    y1 = cmnd[rows, k]
+    y2 = cmnd[rows, np.minimum(k + 1, lag_max)]
+    denom = y0 - 2.0 * y1 + y2
+    refine = (k < lag_max) & (np.abs(denom) > 1e-12)
+    shift = np.zeros(len(cmnd))
+    shift[refine] = np.minimum(
+        0.5, np.maximum(-0.5, 0.5 * (y0[refine] - y2[refine]) / denom[refine])
+    )
+    freq = sr / (k + shift)
+    voiced = (y1 < VOICING_THRESHOLD) & (F0_MIN <= freq) & (freq <= F0_MAX)
+    return np.where(voiced, freq, 0.0), voiced
 
 
 def extract_pitch(w: Waveform, cfg: StftConfig | None = None) -> PitchTrack:
@@ -109,32 +159,12 @@ def extract_pitch(w: Waveform, cfg: StftConfig | None = None) -> PitchTrack:
     lag_min, lag_max = lags(sr, cfg.win_length)
     window = cfg.win_length - lag_max
     padded = _center_pad(w.samples, cfg.win_length)
-    n_frames = 1 + (len(padded) - cfg.win_length) // cfg.hop_length
-    f0 = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
-    cmnds = _cmnd_frames(padded, n_frames, cfg.hop_length, lag_max, window)
-    for t, cmnd in enumerate(cmnds):
-        region = cmnd[lag_min : lag_max + 1]
-        below = np.flatnonzero(region < VOICING_THRESHOLD)
-        if len(below):
-            # first dip under the threshold, walked down to its bottom
-            k = int(below[0]) + lag_min
-            while k + 1 <= lag_max and cmnd[k + 1] < cmnd[k]:
-                k += 1
-        else:
-            k = int(np.argmin(region)) + lag_min
-        if cmnd[k] >= VOICING_THRESHOLD:
-            continue
-        shift = 0.0
-        if k < lag_max:
-            y0, y1, y2 = cmnd[k - 1], cmnd[k], cmnd[k + 1]
-            denom = y0 - 2.0 * y1 + y2
-            if abs(denom) > 1e-12:
-                shift = min(0.5, max(-0.5, 0.5 * (y0 - y2) / denom))
-        freq = sr / (k + shift)
-        if F0_MIN <= freq <= F0_MAX:
-            voiced[t] = True
-            f0[t] = freq
+    frames = sliding_window_view(padded, cfg.win_length)[:: cfg.hop_length]
+    f0 = np.zeros(len(frames))
+    voiced = np.zeros(len(frames), dtype=bool)
+    for t0 in range(0, len(frames), _CHUNK_FRAMES):
+        t1 = t0 + _CHUNK_FRAMES
+        f0[t0:t1], voiced[t0:t1] = _decide(_cmnd(frames[t0:t1], window), sr, lag_min, lag_max)
     return PitchTrack(f0, voiced, sr / cfg.hop_length)
 
 

@@ -217,11 +217,11 @@ def _cmnd_one_frame(frame, lag_max, window):
     return out
 
 
-def pitch_per_frame(samples, sr, cfg):
-    """(f0, voiced) from one difference function per materialized frame.
+def cmnd_per_frame(samples, sr, cfg):
+    """(cmnd, lag_min, lag_max): one row of lags 0..lag_max per materialized frame.
 
-    The same arithmetic as pitch.extract_pitch, frame by frame: each
-    frame's lag-k difference is one contiguous sum of squared differences.
+    Each frame's lag-k difference is one contiguous sum of squared
+    differences, the definition that pitch.extract_pitch computes by FFT.
     """
     lag_max = int(sr / F0_MIN)
     lag_min = max(2, math.ceil(sr / F0_MAX))
@@ -229,32 +229,49 @@ def pitch_per_frame(samples, sr, cfg):
     pad = cfg.win_length // 2
     padded = np.pad(np.asarray(samples, dtype=np.float64), pad, mode="reflect")
     n_frames = 1 + (len(padded) - cfg.win_length) // cfg.hop_length
-    f0 = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
+    cmnd = np.empty((n_frames, lag_max + 1))
     for t in range(n_frames):
         start = t * cfg.hop_length
-        cmnd = _cmnd_one_frame(padded[start : start + cfg.win_length].copy(), lag_max, window)
-        region = cmnd[lag_min : lag_max + 1]
+        cmnd[t] = _cmnd_one_frame(padded[start : start + cfg.win_length].copy(), lag_max, window)
+    return cmnd, lag_min, lag_max
+
+
+def pitch_decisions_loop(cmnd, sr, lag_min, lag_max):
+    """(f0, voiced, denom) from the per-frame scalar decision on CMND rows.
+
+    The first lag under the threshold, walked down while the next lag is
+    lower, else the argmin; then a parabolic shift clamped to half a lag.
+    denom is the parabola's curvature at the chosen lag, NaN where the
+    frame is unvoiced by the threshold or the lag is lag_max.
+    """
+    n_frames = len(cmnd)
+    f0 = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    denoms = np.full(n_frames, np.nan)
+    for t in range(n_frames):
+        row = cmnd[t]
+        region = row[lag_min : lag_max + 1]
         below = np.flatnonzero(region < VOICING_THRESHOLD)
         if len(below):
             k = int(below[0]) + lag_min
-            while k + 1 <= lag_max and cmnd[k + 1] < cmnd[k]:
+            while k + 1 <= lag_max and row[k + 1] < row[k]:
                 k += 1
         else:
             k = int(np.argmin(region)) + lag_min
-        if cmnd[k] >= VOICING_THRESHOLD:
+        if row[k] >= VOICING_THRESHOLD:
             continue
         shift = 0.0
         if k < lag_max:
-            y0, y1, y2 = cmnd[k - 1], cmnd[k], cmnd[k + 1]
+            y0, y1, y2 = row[k - 1], row[k], row[k + 1]
             denom = y0 - 2.0 * y1 + y2
+            denoms[t] = denom
             if abs(denom) > 1e-12:
                 shift = min(0.5, max(-0.5, 0.5 * (y0 - y2) / denom))
         freq = sr / (k + shift)
         if F0_MIN <= freq <= F0_MAX:
             voiced[t] = True
             f0[t] = freq
-    return f0, voiced
+    return f0, voiced, denoms
 
 
 def frame_signal_gather(samples, win_length, hop_length):

@@ -1,14 +1,17 @@
-"""The vectorized kernels against their scalar references, bit for bit.
+"""The vectorized kernels against their scalar references.
 
 dsp.dtw_align fills the cost grid one anti-diagonal at a time,
 metrics.edit_counts fills its edit-distance grid one vectorized row at a
-time, pitch.extract_pitch computes difference functions for chunks of
-frames, and dsp.istft and dsp.griffin_lim overlap-add in strided chunks
+time, and dsp.istft and dsp.griffin_lim overlap-add in strided chunks
 into preallocated buffers; all must reproduce the cell-by-cell,
-per-frame and whole-array arithmetic exactly, so every comparison here
-is ==, never a tolerance.
+per-frame and whole-array arithmetic exactly, so those comparisons are
+==, never a tolerance. pitch.extract_pitch makes its voicing decisions
+exactly as the per-frame loop does on the same CMND rows, but takes the
+difference function from FFTs, so its f0 is held to a relative tolerance
+against the pairwise-sum definition (TestChunkedPitch).
 """
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -19,12 +22,13 @@ from hypothesis import strategies as st
 from scipy.fft import dct
 
 from oracles import (
+    cmnd_per_frame,
     dtw_row_major,
     edit_distance_matrix_loop,
     frame_signal_gather,
     griffin_lim_loop,
     istft_frame_loop,
-    pitch_per_frame,
+    pitch_decisions_loop,
     stft_complex_gather,
 )
 from voxkit import dsp, metrics, pitch
@@ -140,16 +144,67 @@ def speechlike(n_samples, sr, seed):
     return x
 
 
-def assert_same_track(x, sr, cfg):
+F0_RTOL = 1e-12  # FFT rounding moved f0 by at most 5e-14 relative on every signal tried
+NEAR = 1e-9  # CMND moved by at most 2e-11 here; a decision this close may go either way
+
+
+def assert_same_track(x, sr, cfg, near_frames=()):
+    """extract_pitch against the per-frame oracle: voicing identical, f0 within F0_RTOL.
+
+    The only frames exempt are those whose oracle CMND minimum lies within
+    NEAR of VOICING_THRESHOLD, or whose |denom| lies within NEAR of the
+    1e-12 guard; near_frames must list exactly those frames.
+    """
     track = pitch.extract_pitch(dsp.Waveform(x, sr), cfg)
-    f0, voiced = pitch_per_frame(x, sr, cfg)
-    assert track.f0.tobytes() == f0.tobytes()
-    assert track.voiced.tobytes() == voiced.tobytes()
+    cmnd, lag_min, lag_max = cmnd_per_frame(x, sr, cfg)
+    f0, voiced, denom = pitch_decisions_loop(cmnd, sr, lag_min, lag_max)
+    minimum = cmnd[:, lag_min : lag_max + 1].min(axis=1)
+    near = (np.abs(minimum - pitch.VOICING_THRESHOLD) <= NEAR) | (
+        np.abs(np.abs(denom) - 1e-12) <= NEAR
+    )
+    assert np.flatnonzero(near).tolist() == list(near_frames)
+    assert track.voiced[~near].tobytes() == voiced[~near].tobytes()
+    np.testing.assert_allclose(track.f0[~near], f0[~near], rtol=F0_RTOL, atol=0.0)
     return track
 
 
+def bursts_in_dither(n_samples, sr, seed):
+    """Loud 3-15 ms tone bursts every 50 ms over +-1 LSB dither."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-1, 2, n_samples) / 32768
+    for start in range(0, n_samples - sr // 10, sr // 20):
+        n = int(rng.uniform(0.003, 0.015) * sr)
+        t = np.arange(n) / sr
+        x[start : start + n] += 0.8 * np.sin(2 * np.pi * rng.uniform(80, 400) * t) * np.hanning(n)
+    return x
+
+
+SR = 22050
+SPEECH = speechlike(SR, SR, 41)[SR // 3 :]
+SPEECH /= np.abs(SPEECH).max()
+TONE = np.sin(2 * np.pi * 180.0 * np.arange(SR // 2) / SR)
+GATE_SIGNALS = {
+    # quiet audio after full-scale audio, the case a running energy sum gets wrong
+    "dither-after-speech": (
+        np.concatenate([SPEECH, np.random.default_rng(1).integers(-1, 2, SR // 2) / 32768]),
+        SR,
+    ),
+    "3-lsb-tone-after-speech": (np.concatenate([SPEECH, np.round(3 * TONE) / 32768]), SR),
+    # frames straddle the edge: loud samples in the window, quiet ones at the long lags
+    "loud-to-quiet-edge": (np.concatenate([0.9 * TONE, 1e-4 * TONE]), SR),
+    "digital-silence-between-speech": (np.concatenate([SPEECH, np.zeros(SR // 2), SPEECH]), SR),
+    # d is exactly 0 at the period of 100 samples
+    "integer-period": (np.tile(np.random.default_rng(2).uniform(-0.5, 0.5, 100), 80), SR),
+    # every difference is exactly 0, so every CMND is 1; FFT rounding alone would not give 0
+    "constant-dc": (np.full(4000, 0.6180339887), SR),
+    "dc-under-quiet-speech": (0.3 + 0.01 * speechlike(SR, SR, 43), SR),
+    # at 44.1 kHz lags reach past the window, so a burst can sit between two quiet windows
+    "bursts-in-dither-44k": (bursts_in_dither(44100, 44100, 44), 44100),
+}
+
+
 class TestChunkedPitch:
-    @pytest.mark.parametrize("n_frames", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("n_frames", [1, 15, 16, 17, 33, 63, 64, 65, 128, 129])
     def test_frame_counts_around_the_chunk_size(self, n_frames):
         cfg = dsp.StftConfig()
         n_samples = (n_frames - 1) * cfg.hop_length + 100
@@ -174,6 +229,83 @@ class TestChunkedPitch:
     def test_all_silence_takes_the_zero_sum_branch(self):
         track = assert_same_track(np.zeros(5000), 22050, dsp.StftConfig())
         assert not track.voiced.any()
+
+    @pytest.mark.parametrize("name", GATE_SIGNALS)
+    def test_gate_signals(self, name):
+        x, sr = GATE_SIGNALS[name]
+        track = assert_same_track(x, sr, dsp.StftConfig())
+        assert track.voiced.any() == (name != "constant-dc")
+
+
+def test_extract_pitch_memory_stays_within_a_few_chunks():
+    # 60 s at 22.05 kHz is 5,168 frames; their whole CMND matrix alone would be 18 MB
+    cfg = dsp.StftConfig()
+    w = dsp.Waveform(speechlike(60 * SR, SR, 60), SR)
+    n_frames = 1 + len(w) // cfg.hop_length
+    padded = (len(w) + 2 * (cfg.win_length // 2)) * 8
+    outputs = n_frames * (8 + 1)
+    assert pitch._CHUNK_FRAMES <= 64
+    work = 16 * 64 * cfg.win_length * 8  # sixteen float64 buffers of 64 frames
+    tracemalloc.start()
+    try:
+        pitch.extract_pitch(w, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= padded + outputs + work
+
+
+def assert_same_decisions(cmnd, sr):
+    lag_min, lag_max = pitch.lags(sr, cmnd.shape[1])
+    assert lag_max == cmnd.shape[1] - 1
+    f0, voiced = pitch._decide(cmnd, sr, lag_min, lag_max)
+    f0_loop, voiced_loop, _ = pitch_decisions_loop(cmnd, sr, lag_min, lag_max)
+    assert np.array_equal(f0, f0_loop)
+    assert np.array_equal(voiced, voiced_loop)
+    return f0_loop, voiced_loop
+
+
+class TestDecisionStep:
+    def test_every_branch(self):
+        sr, lag_min, lag_max = 22050, 41, 441
+        cmnd = np.full((8, lag_max + 1), 0.9)
+        cmnd[0, 200] = 0.31  # no lag under the threshold: the argmin, unvoiced
+        cmnd[1, 300:] = np.linspace(0.29, 0.01, lag_max + 1 - 300)  # walks down to lag_max
+        cmnd[2, lag_max] = 0.1  # first under the threshold at lag_max: no shift
+        cmnd[3, lag_min - 1 : lag_min + 2] = 0.1  # flat bottom, denom == 0
+        cmnd[4, lag_min - 1 : lag_min + 2] = (0.0, 0.1, 0.25)  # shift clamped to -0.5
+        cmnd[5, 150:153] = (0.2, 0.1, 0.15)  # an ordinary parabolic shift
+        cmnd[6, 150:154] = (0.2, 0.1, 0.1, 0.05)  # the walk stops at a tie
+        cmnd[7, 150] = 0.3  # at the threshold is not under it
+        f0, voiced = assert_same_decisions(cmnd, sr)
+        assert voiced.tolist() == [False, True, True, True, True, True, True, False]
+        assert f0[1] == f0[2] == sr / lag_max
+        assert f0[3] == sr / lag_min
+        assert f0[4] == sr / (lag_min - 0.5)
+        assert f0[6] == sr / 151.5  # stopped at 151, where lag 152 ties it
+
+    def test_refined_f0_outside_the_range_is_unvoiced(self):
+        # at 1.1 kHz lags run 2..22, and a clamped shift at lag 2 gives 733 Hz
+        cmnd = np.full((2, 23), 0.9)
+        cmnd[0, 1:4] = (0.0, 0.1, 0.25)
+        cmnd[1, 1:4] = (0.2, 0.1, 0.15)
+        f0, voiced = assert_same_decisions(cmnd, 1100)
+        assert voiced.tolist() == [False, True]
+
+    @pytest.mark.parametrize("sr", [1100, 16000, 22050, 44100])
+    def test_rows_of_few_levels(self, sr):
+        # few distinct values, so ties, plateaus and values at the threshold are common
+        rng = np.random.default_rng(sr)
+        levels = np.array([0.0, 0.05, 0.1, 0.2, 0.3 - 1e-9, 0.3, 0.3 + 1e-9, 0.6, 1.0])
+        lag_max = int(sr / pitch.F0_MIN)
+        cmnd = rng.choice(levels, size=(400, lag_max + 1), p=[0.02] * 4 + [0.04] * 3 + [0.4, 0.4])
+        assert_same_decisions(cmnd, sr)
+
+    @pytest.mark.parametrize("sr", [16000, 22050, 44100])
+    def test_oracle_rows_of_speech(self, sr):
+        cmnd, _, _ = cmnd_per_frame(speechlike(int(0.4 * sr), sr, sr + 1), sr, dsp.StftConfig())
+        _, voiced = assert_same_decisions(cmnd, sr)
+        assert voiced.any() and not voiced.all()
 
 
 def cepstra(w, n_coeffs=13):

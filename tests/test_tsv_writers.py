@@ -331,7 +331,7 @@ def test_metrics_summary_of_absent_means(tmp_path, monkeypatch, capsys):
     assert files["report.tsv"] == (
         b"id\tmcd\tmsd\tgpe\tvde\tffe\tcer\tsubstitutions\tdeletions\tinsertions\n"
         b"u1\t\t-0.0\t\t1.0\t1.0\t\t\t\t\n"
-        b"mean\t\t0.0\t\t1.0\t1.0\t\t\t\t\n"  # the mean of -0.0 alone is 0.0
+        b"mean\t\t-0.0\t\t1.0\t1.0\t\t\t\t\n"  # the mean of -0.0 alone is -0.0
     )
     assert files["report.json"] == (
         b'{\n'
@@ -351,7 +351,7 @@ def test_metrics_summary_of_absent_means(tmp_path, monkeypatch, capsys):
         b'  ],\n'
         b'  "mean": {\n'
         b'    "mcd": null,\n'
-        b'    "msd": 0.0,\n'
+        b'    "msd": -0.0,\n'
         b'    "gpe": null,\n'
         b'    "vde": 1.0,\n'
         b'    "ffe": 1.0,\n'
@@ -364,7 +364,7 @@ def test_metrics_summary_of_absent_means(tmp_path, monkeypatch, capsys):
     )
     assert files["errors.tsv"] == b"id\tstage\terror\nu1\tcer\thyp_text is missing\n"
     assert stdout == (
-        "MSD: 0.0000\n"
+        "MSD: -0.0000\n"
         "GPE: n/a\n"
         "VDE: 1.0000\n"
         "FFE: 1.0000\n"
