@@ -141,14 +141,6 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _center_pad(samples: np.ndarray, win_length: int) -> np.ndarray:
-    """Reflect-pad a signal by win_length // 2 on each side."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if len(samples) == 0:
-        raise EmptySignalError("cannot frame an empty signal")
-    return np.pad(samples, win_length // 2, mode="reflect")
-
-
 def frame_signal(samples: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
     """Slice a signal into centered frames after reflect padding.
 
@@ -157,8 +149,35 @@ def frame_signal(samples: np.ndarray, win_length: int, hop_length: int) -> np.nd
     for even window lengths. Returns a read-only strided view of the
     padded signal, not a copy.
     """
-    padded = _center_pad(samples, win_length)
+    samples = np.asarray(samples, dtype=np.float64)
+    if len(samples) == 0:
+        raise EmptySignalError("cannot frame an empty signal")
+    padded = np.pad(samples, win_length // 2, mode="reflect")
     return sliding_window_view(padded, win_length)[::hop_length]
+
+
+def _frame_chunks(samples: np.ndarray, win_length: int, hop_length: int, chunk: int):
+    """Yield the frames of frame_signal, chunk frames at a time, without padding a copy.
+
+    A chunk whose frames lie inside the signal is a view of it. Only a
+    chunk whose frames reach past either end is gathered, and only its own
+    span, from the reflect-padded edge samples.
+    """
+    n = len(samples)
+    if n == 0:
+        raise EmptySignalError("cannot frame an empty signal")
+    pad = win_length // 2
+    n_frames = 1 + (n + 2 * pad - win_length) // hop_length
+    period = max(2 * (n - 1), 1)  # np.pad's reflection is periodic in the sample index
+    for t0 in range(0, n_frames, chunk):
+        lo = t0 * hop_length - pad
+        hi = (min(t0 + chunk, n_frames) - 1) * hop_length - pad + win_length
+        if 0 <= lo and hi <= n:
+            span = samples[lo:hi]
+        else:
+            idx = np.arange(lo, hi) % period
+            span = samples[np.minimum(idx, period - idx)]
+        yield sliding_window_view(span, win_length)[::hop_length]
 
 
 def _stft_complex(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -319,55 +338,50 @@ def dtw_align(a, b) -> DtwAlignment:
         raise DimensionMismatchError(
             f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}"
         )
-    d = cdist(a, b)
-    n1, n2 = d.shape
-    move = np.zeros((n1, n2), dtype=np.int8)  # 0 diagonal, 1 from (i-1,j), 2 from (i,j-1)
-    move[0, 1:] = 2
-    move[1:, 0] = 1
-    # Cells with i + j == s depend only on diagonals s-1 and s-2, so each
-    # anti-diagonal is one vector step, written over diagonal s-2 once its
-    # candidates are read. Diagonals are indexed by i; cell (i, s-i) sits
-    # at flat offset s + i * (n2 - 1) of a row-major n1 x n2 matrix. The
-    # edges are running sums, as in a row-by-row fill.
-    first_row = np.cumsum(d[0])
-    first_col = np.cumsum(d[:, 0])
-    d_flat = d.reshape(-1)
-    move_flat = move.reshape(-1)
+    cost = cdist(a, b)
+    n1, n2 = cost.shape
+    # The distance matrix becomes the cost grid in place. The edges are
+    # running sums, as in a row-by-row fill. Cells with i + j == s depend
+    # only on diagonals s-1 and s-2, so each anti-diagonal is one vector
+    # step. Cell (i, s-i) sits at flat offset s + i * (n2 - 1), and its
+    # neighbours (i-1, j-1), (i-1, j) and (i, j-1) sit n2 + 1, n2 and 1
+    # before it.
+    np.cumsum(cost[0], out=cost[0])
+    np.cumsum(cost[:, 0], out=cost[:, 0])
+    flat = cost.reshape(-1)
     step = n2 - 1
-    older, prev = np.empty(n1), np.empty(n1)
-    for s in range(n1 + n2 - 1):
+    for s in range(2, n1 + n2 - 1):
         lo, hi = max(1, s - step), min(s, n1) - 1
-        if lo <= hi:
-            diag, up, left = older[lo - 1 : hi], prev[lo - 1 : hi], prev[lo : hi + 1]
-            # The strict comparisons of a scalar fill: ties keep the
-            # diagonal, then (i-1, j). np.argmin keeps that order too, but
-            # takes NaN as the minimum where the scalar fill never moves to it.
-            from_up = up < diag
-            best = np.where(from_up, up, diag)
-            from_left = left < best
-            best = np.where(from_left, left, best)
-            cells = slice(s + lo * step, s + hi * step + 1, step)
-            np.add(best, d_flat[cells], out=older[lo : hi + 1])
-            move_flat[cells] = np.where(from_left, 2, from_up)
-        if s < n2:
-            older[0] = first_row[s]
-        if s < n1:
-            older[s] = first_col[s]
-        older, prev = prev, older
-    total_cost = prev[n1 - 1]
+        if lo > hi:
+            continue
+        first, stop = s + lo * step, s + hi * step + 1
+        diag = flat[first - n2 - 1 : stop - n2 - 1 : step]
+        up = flat[first - n2 : stop - n2 : step]
+        left = flat[first - 1 : stop - 1 : step]
+        cells = flat[first:stop:step]
+        # The strict comparisons of a scalar fill: ties keep the diagonal,
+        # then (i-1, j), and a NaN neighbour never wins. fmin skips a NaN
+        # candidate; minimum keeps a NaN best, which the scalar fill keeps.
+        best = np.minimum(diag, np.fmin(up, diag))
+        best = np.minimum(best, np.fmin(left, best))
+        np.add(best, cells, out=cells)
+    # Each backtrace step is worked out again from the three neighbours,
+    # with the fill's comparisons and tie order.
     i, j = n1 - 1, n2 - 1
     path = [(i, j)]
     while i or j:
-        m = move[i, j]
-        if m == 0:
-            i, j = i - 1, j - 1
-        elif m == 1:
-            i -= 1
+        if i and j:
+            to = (i - 1, j - 1)
+            if cost[i - 1, j] < cost[to]:
+                to = (i - 1, j)
+            if cost[i, j - 1] < cost[to]:
+                to = (i, j - 1)
+            i, j = to
         else:
-            j -= 1
+            i, j = max(i - 1, 0), max(j - 1, 0)
         path.append((i, j))
     path.reverse()
-    return DtwAlignment(tuple(path), float(total_cost))
+    return DtwAlignment(tuple(path), float(cost[n1 - 1, n2 - 1]))
 
 
 def griffin_lim(

@@ -17,9 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import StftConfig, Waveform, _center_pad
+from .dsp import StftConfig, Waveform, _frame_chunks
 from .errors import (
     EmptyTrackError,
     FrameRateMismatchError,
@@ -75,6 +74,27 @@ class PitchTrack:
 _CHUNK_FRAMES = 64  # frames per batch of FFTs; work buffers stay a few (chunk x win_length)
 
 
+def _energies(frames: np.ndarray, window: int) -> np.ndarray:
+    """e(k), the sum of frames[:, k : k + window] ** 2, for lags k = 0..size - window.
+
+    The lags fall into blocks of window lags from 0. In a block that starts
+    at b0, e(k) is the suffix sum of the squares over [k, b0 + window),
+    one reversed cumulative sum per block, plus for k > b0 the prefix sum
+    over [b0 + window, k + window), one forward cumulative sum per block.
+    Each sums only the squares that the block's lags read.
+    """
+    n, size = frames.shape
+    lag_max = size - window
+    sq = np.square(frames)
+    energy = np.empty((n, lag_max + 1))
+    for b0 in range(0, lag_max + 1, window):
+        b1 = min(b0 + window, lag_max + 1)
+        suffix = np.cumsum(sq[:, b0 : b0 + window][:, ::-1], axis=1)[:, ::-1]
+        energy[:, b0:b1] = suffix[:, : b1 - b0]
+        energy[:, b0 + 1 : b1] += np.cumsum(sq[:, b0 + window : b1 - 1 + window], axis=1)
+    return energy
+
+
 def _cmnd(frames: np.ndarray, window: int) -> np.ndarray:
     """The cumulative mean normalized difference of each frame, lags 0..lag_max.
 
@@ -90,8 +110,8 @@ def _cmnd(frames: np.ndarray, window: int) -> np.ndarray:
     a constant frame then becomes exact zeros, a mostly silent one keeps
     its zeros, and a DC offset does not swamp the rest in the subtraction.
     Each e(k) is the sum of two cumulative sums of non-negative terms
-    within blocks of window samples, never a difference of prefix sums,
-    so quiet audio next to loud audio keeps its relative precision.
+    (_energies), never a difference of prefix sums, so quiet audio next to
+    loud audio keeps its relative precision.
     """
     n, size = frames.shape
     lag_max = size - window
@@ -100,15 +120,7 @@ def _cmnd(frames: np.ndarray, window: int) -> np.ndarray:
     np.conjugate(spec, out=spec)
     spec *= np.fft.rfft(frames, axis=1)
     r = np.fft.irfft(spec, n=size, axis=1)[:, 1 : lag_max + 1]
-    n_blocks = -(-size // window)
-    sq = np.zeros((n, n_blocks * window))
-    np.square(frames, out=sq[:, :size])
-    blocks = sq.reshape(n, n_blocks, window)
-    # the suffix of lag k's block, then the prefix of the next block up to k + window - 1
-    energy = np.cumsum(blocks[:, :, ::-1], axis=2)[:, :, ::-1].reshape(n, -1)[:, : lag_max + 1]
-    head = np.cumsum(blocks, axis=2).reshape(n, -1)[:, window - 1 : size]
-    head[:, ::window] = 0.0  # a lag on a block boundary sums exactly its own block
-    energy += head
+    energy = _energies(frames, window)
     d = energy[:, :1] + energy[:, 1:] - 2.0 * r
     np.maximum(d, 0.0, out=d)
     csum = np.cumsum(d, axis=1)
@@ -158,14 +170,9 @@ def extract_pitch(w: Waveform, cfg: StftConfig | None = None) -> PitchTrack:
     sr = w.sample_rate
     lag_min, lag_max = lags(sr, cfg.win_length)
     window = cfg.win_length - lag_max
-    padded = _center_pad(w.samples, cfg.win_length)
-    frames = sliding_window_view(padded, cfg.win_length)[:: cfg.hop_length]
-    f0 = np.zeros(len(frames))
-    voiced = np.zeros(len(frames), dtype=bool)
-    for t0 in range(0, len(frames), _CHUNK_FRAMES):
-        t1 = t0 + _CHUNK_FRAMES
-        f0[t0:t1], voiced[t0:t1] = _decide(_cmnd(frames[t0:t1], window), sr, lag_min, lag_max)
-    return PitchTrack(f0, voiced, sr / cfg.hop_length)
+    chunks = _frame_chunks(w.samples, cfg.win_length, cfg.hop_length, _CHUNK_FRAMES)
+    f0, voiced = zip(*(_decide(_cmnd(frames, window), sr, lag_min, lag_max) for frames in chunks))
+    return PitchTrack(np.concatenate(f0), np.concatenate(voiced), sr / cfg.hop_length)
 
 
 def _truncate(track: PitchTrack, n: int) -> PitchTrack:

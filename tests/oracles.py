@@ -236,6 +236,27 @@ def cmnd_per_frame(samples, sr, cfg):
     return cmnd, lag_min, lag_max
 
 
+def yin_energies_blocks(frames, window):
+    """e(k), the sum of frames[:, k : k + window] ** 2 for lags k = 0..size - window.
+
+    Each frame's squares are zero-padded to whole blocks of window samples,
+    and every block takes a reversed and a forward cumulative sum; e(k) is
+    the suffix of k's block plus the prefix of the next block up to
+    k + window - 1, and 0.0 for a k on a block boundary.
+    """
+    n, size = frames.shape
+    lag_max = size - window
+    n_blocks = -(-size // window)
+    sq = np.zeros((n, n_blocks * window))
+    np.square(frames, out=sq[:, :size])
+    blocks = sq.reshape(n, n_blocks, window)
+    energy = np.cumsum(blocks[:, :, ::-1], axis=2)[:, :, ::-1].reshape(n, -1)[:, : lag_max + 1]
+    head = np.cumsum(blocks, axis=2).reshape(n, -1)[:, window - 1 : size]
+    head[:, ::window] = 0.0
+    energy += head
+    return energy
+
+
 def pitch_decisions_loop(cmnd, sr, lag_min, lag_max):
     """(f0, voiced, denom) from the per-frame scalar decision on CMND rows.
 

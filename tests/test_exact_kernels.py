@@ -1,14 +1,16 @@
 """The vectorized kernels against their scalar references.
 
-dsp.dtw_align fills the cost grid one anti-diagonal at a time,
+dsp.dtw_align fills the cost grid in place one anti-diagonal at a time,
 metrics.edit_counts fills its edit-distance grid one vectorized row at a
 time, and dsp.istft and dsp.griffin_lim overlap-add in strided chunks
 into preallocated buffers; all must reproduce the cell-by-cell,
 per-frame and whole-array arithmetic exactly, so those comparisons are
-==, never a tolerance. pitch.extract_pitch makes its voicing decisions
-exactly as the per-frame loop does on the same CMND rows, but takes the
-difference function from FFTs, so its f0 is held to a relative tolerance
-against the pairwise-sum definition (TestChunkedPitch).
+==, never a tolerance. pitch.extract_pitch frames the signal in chunks
+that equal the whole padded framing, sums YIN's energies exactly as the
+block cumulative sums did, and makes its voicing decisions exactly as the
+per-frame loop does on the same CMND rows, but takes the difference
+function from FFTs, so its f0 is held to a relative tolerance against the
+pairwise-sum definition (TestChunkedPitch).
 """
 
 import tracemalloc
@@ -30,9 +32,10 @@ from oracles import (
     istft_frame_loop,
     pitch_decisions_loop,
     stft_complex_gather,
+    yin_energies_blocks,
 )
 from voxkit import dsp, metrics, pitch
-from voxkit.errors import EmptySequenceError
+from voxkit.errors import EmptySequenceError, EmptySignalError
 
 
 def assert_same_alignment(a, b):
@@ -131,6 +134,41 @@ class TestEditDistanceRows:
     @settings(max_examples=150, deadline=None)
     def test_drawn_pairs_over_a_small_alphabet(self, ref, hyp):
         assert_same_edit_grid(ref, hyp)
+
+
+@pytest.mark.parametrize(
+    "side,value",
+    [("a", np.nan), ("a", np.inf), ("b", np.nan), ("b", -np.inf), ("both", np.inf)],
+)
+@pytest.mark.parametrize("n1,n2", [(1, 6), (6, 1), (8, 5)])
+def test_non_finite_first_frame_fills_the_edges(side, value, n1, n2):
+    # the first frame of a is the grid's first row and that of b its first
+    # column, the edges that running sums fill in place
+    rng = np.random.default_rng(n1 * 10 + n2)
+    a, b = rng.standard_normal((n1, 2)), rng.standard_normal((n2, 2))
+    if side in ("a", "both"):
+        a[0] = value
+    if side in ("b", "both"):
+        b[0, 1] = value
+    out = dsp.dtw_align(a, b)
+    path, cost = dtw_row_major(a, b)
+    assert out.path == path
+    assert out.total_cost == cost or (np.isnan(out.total_cost) and np.isnan(cost))
+
+
+def test_dtw_memory_is_the_distance_matrix_alone():
+    # the distance matrix becomes the cost grid; an n1 x n2 move matrix
+    # would add 420 kB here, more than the 166 kB allowed for the path
+    n1, n2 = 600, 700
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((n1, 2)), rng.standard_normal((n2, 2))
+    tracemalloc.start()
+    try:
+        dsp.dtw_align(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n1 * n2 + 128 * (n1 + n2)
 
 
 def speechlike(n_samples, sr, seed):
@@ -242,7 +280,6 @@ def test_extract_pitch_memory_stays_within_a_few_chunks():
     cfg = dsp.StftConfig()
     w = dsp.Waveform(speechlike(60 * SR, SR, 60), SR)
     n_frames = 1 + len(w) // cfg.hop_length
-    padded = (len(w) + 2 * (cfg.win_length // 2)) * 8
     outputs = n_frames * (8 + 1)
     assert pitch._CHUNK_FRAMES <= 64
     work = 16 * 64 * cfg.win_length * 8  # sixteen float64 buffers of 64 frames
@@ -252,7 +289,59 @@ def test_extract_pitch_memory_stays_within_a_few_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= padded + outputs + work
+    assert peak <= outputs + work
+
+
+@pytest.mark.parametrize("win_length,hop_length", [(1024, 256), (1023, 300), (7, 3)])
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_frame_chunks_equal_the_whole_padded_framing(win_length, hop_length, chunk):
+    half = win_length // 2
+    lengths = [1, 2, half - 1, half, half + 1, win_length, win_length + 1]
+    lengths += [hop_length * k + e for k in (chunk, 2 * chunk, 70) for e in (-1, 0, 1)]
+    for n in lengths:
+        x = np.random.default_rng(n).standard_normal(n)
+        chunks = list(dsp._frame_chunks(x, win_length, hop_length, chunk))
+        assert all(len(c) == chunk for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= chunk
+        frames = np.concatenate(chunks)
+        expected = dsp.frame_signal(x, win_length, hop_length)
+        assert frames.shape == expected.shape
+        assert frames.tobytes() == np.ascontiguousarray(expected).tobytes()
+        # a chunk is a view of x exactly when its frames stay inside x
+        for c, t0 in zip(chunks, range(0, len(frames), chunk)):
+            lo, hi = t0 * hop_length - half, (t0 + len(c) - 1) * hop_length - half + win_length
+            assert np.shares_memory(c, x) == (0 <= lo and hi <= n)
+
+
+def test_frame_chunks_reject_an_empty_signal():
+    with pytest.raises(EmptySignalError):
+        next(dsp._frame_chunks(np.zeros(0), 1024, 256, 64))
+
+
+def quiet_next_to_loud(n_frames, size, seed):
+    """Gaussian frames whose second half is 1e-6 as loud, every third frame all quiet."""
+    rng = np.random.default_rng(seed)
+    frames = rng.standard_normal((n_frames, size))
+    frames[:, size // 2 :] *= 1e-6
+    frames[::3] *= 1e-6
+    return frames
+
+
+@pytest.mark.parametrize(
+    "sr,size,window",
+    [
+        (22050, 1024, 583),
+        (44100, 1024, 142),  # lags 0..882 span several blocks
+        (22050, 2048, 1607),
+        (22050, 1000, 559),
+        (16000, 641, 321),  # lags 0..320 are exactly one block
+    ],
+)
+def test_energies_equal_the_block_cumsums(sr, size, window):
+    assert size - pitch.lags(sr, size)[1] == window
+    frames = quiet_next_to_loud(70, size, size)
+    for t0, t1 in [(0, 1), (5, 6), (0, 64), (64, 70)]:
+        got = pitch._energies(frames[t0:t1], window)
+        assert got.tobytes() == yin_energies_blocks(frames[t0:t1], window).tobytes()
 
 
 def assert_same_decisions(cmnd, sr):
