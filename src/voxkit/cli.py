@@ -6,7 +6,6 @@ Per-utterance failures are tabulated in errors.tsv and the run continues.
 """
 
 import argparse
-import json
 import os
 import sys
 import tokenize
@@ -23,7 +22,7 @@ from scipy.io.wavfile import WavFileWarning
 
 from . import corpus, dsp, enhance, metrics, pitch, wavio
 from .errors import ClippingWarning, InvalidConfigError, TrackLengthWarning, VoxkitError
-from .serialize import json_value, write_tsv
+from .serialize import json_value, write_json, write_tsv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -52,8 +51,8 @@ def _map_ordered(func, jobs, workers: int) -> list:
         return list(pool.map(func, jobs, chunksize=1))
 
 
-def _run_utterances(func, items: dict, args, cfg, stage: str):
-    """Map func(id, item, args, cfg, stage) over items, in their order, in --workers processes.
+def _run_utterances(func, items: dict, args, cfg, stage: str, out_dir: Path):
+    """Make out_dir, then map func(id, item, args, cfg, stage) over items in --workers processes.
 
     func returns (value, errors), errors being (stage, message) rows.
     stage is a one-item list naming the stage func is in, starting at the
@@ -61,8 +60,9 @@ def _run_utterances(func, items: dict, args, cfg, stage: str):
     None and one error row for that stage. Once every item is done, the
     UTTERANCE_WARNINGS each one raised go to stderr, in item order, one
     `warning: <id>: <Category>: <message>` line each. Returns
-    ({id: value}, rows of (id, stage, message)).
+    ({id: value}, rows of (id, stage, message)), both in item order.
     """
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = _map_ordered(partial(_attempt, func, stage, args, cfg), items.items(), args.workers)
     values, error_rows = {}, []
     for utterance_id, (value, errors, caught) in zip(items, results):
@@ -134,6 +134,13 @@ def _write_errors(path, rows) -> None:
     write_tsv(path, ("id", "stage", "error"), cells)
 
 
+def _finish(out_dir: Path, error_rows, wrote: str) -> int:
+    """End a per-utterance command: <out_dir>/errors.tsv, then the `wrote ...` line."""
+    _write_errors(out_dir / "errors.tsv", error_rows)
+    print(_sanitize(f"wrote {wrote} ({len(error_rows)} errors)"))
+    return EXIT_OK
+
+
 def _relative_audio_cell(record, manifest_path, out_dir) -> str:
     """Rewrite a record's audio path relative to the output directory."""
     resolved = corpus.resolve_audio_path(record, manifest_path)
@@ -150,6 +157,11 @@ def _print_stage_table(rows) -> None:
 
 def _load(path, sample_rate: int) -> dsp.Waveform:
     return dsp.resample(wavio.read_wav(path), sample_rate)
+
+
+def _load_enhanced(audio: Path, args) -> dsp.Waveform:
+    """The <stem>.enhanced.wav of audio under --enhanced-dir."""
+    return _load(Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX), args.sample_rate)
 
 
 def _comma_list(flag: str, text: str, choices: tuple) -> tuple:
@@ -226,11 +238,8 @@ def _preprocess_one(utterance_id, record, args, cfg, stage):
             continue
         stage[0] = name
         if name == "DN":
-            if args.enhanced_dir is None:
-                enhanced = w  # identity enhancer
-            else:
-                enhanced_path = Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX)
-                enhanced = _load(enhanced_path, args.sample_rate)
+            # Without --enhanced-dir, DN uses the identity enhancer.
+            enhanced = w if args.enhanced_dir is None else _load_enhanced(audio, args)
             snr_db = enhance.estimate_snr(w, enhanced)
             w = enhance.dry_wet_mix(w, enhanced, cfg["DN"])
         elif name.startswith("VAD-"):
@@ -257,10 +266,9 @@ def cmd_preprocess(args, cfg) -> int:
     """Run stages over --manifest into --out-dir; `vad` runs its one VAD stage here."""
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = {r.utterance_id: r for r in manifest}
     stages = cfg["stages"]
-    results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, stage="load")
+    results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, "load", out_dir)
     error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
     updated, durations = {}, {}
     for utterance_id, result in results.items():
@@ -281,9 +289,10 @@ def cmd_preprocess(args, cfg) -> int:
     filter_result = None
     for k, stage in enumerate(stages):
         if stage == "FLT":
-            filter_result = corpus.apply_filter(
-                corpus.Manifest(tuple(updated[i] for i in current_ids), source_tag(k)), cfg["FLT"]
-            )
+            # FLT sees the input audio cells, so dropped.tsv points at the input audio.
+            cells = (_relative_audio_cell(records[i], args.manifest, out_dir) for i in current_ids)
+            inputs = tuple(replace(updated[i], audio_path=c) for i, c in zip(current_ids, cells))
+            filter_result = corpus.apply_filter(corpus.Manifest(inputs, source_tag(k)), cfg["FLT"])
             current_ids = [r.utterance_id for r in filter_result.kept]
         else:
             column += 1
@@ -298,29 +307,11 @@ def cmd_preprocess(args, cfg) -> int:
     out_manifest = corpus.Manifest(tuple(updated[i] for i in current_ids), source_tag(len(stages)))
     corpus.save_manifest(out_manifest, out_dir / "manifest.tsv")
     if filter_result is not None:
-        # Dropped rows keep their input audio cells; the processed files are removed.
-        dropped_records = tuple(
-            replace(
-                record,
-                audio_path=_relative_audio_cell(
-                    records[record.utterance_id], args.manifest, out_dir
-                ),
-            )
-            for record in filter_result.dropped
-        )
-        dropped = replace(
-            filter_result,
-            dropped=corpus.Manifest(dropped_records, filter_result.dropped.source_tag),
-        )
-        corpus.save_dropped_report(dropped, out_dir / "dropped.tsv")
-    _write_errors(out_dir / "errors.tsv", error_rows)
+        corpus.save_dropped_report(filter_result, out_dir / "dropped.tsv")
 
     _print_stage_table(table)
-    print(
-        f"wrote {len(current_ids)} utterances to {out_dir / 'manifest.tsv'}"
-        f" ({len(error_rows)} errors)"
-    )
-    return EXIT_OK
+    wrote = f"{len(current_ids)} utterances to {out_dir / 'manifest.tsv'}"
+    return _finish(out_dir, error_rows, wrote)
 
 
 # ------------------------------------------------------------------- metrics
@@ -384,12 +375,9 @@ def cmd_metrics(args, cfg) -> int:
 
     hyp_by_id = {r.utterance_id: r for r in hyp_manifest}
     pairs = {r.utterance_id: (r, hyp_by_id[r.utterance_id]) for r in ref_manifest}
-    rows, error_rows = _run_utterances(_metrics_one, pairs, args, cfg, stage="audio")
-
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    rows, error_rows = _run_utterances(_metrics_one, pairs, args, cfg, "audio", out_dir)
     means = metrics.write_report({i: row or {} for i, row in rows.items()}, out_dir)
-    _write_errors(out_dir / "errors.tsv", error_rows)
 
     for name, columns in metrics.METRIC_COLUMNS.items():
         if name not in which:
@@ -402,25 +390,21 @@ def cmd_metrics(args, cfg) -> int:
             print("CER (S/D/I): n/a")
         else:
             print("CER (S/D/I): {:.1f} ({:.1f}/{:.1f}/{:.1f})".format(*(100 * v for v in values)))
-    print(f"wrote {len(rows)} rows to {out_dir / 'report.tsv'} ({len(error_rows)} errors)")
-    return EXIT_OK
+    return _finish(out_dir, error_rows, f"{len(rows)} rows to {out_dir / 'report.tsv'}")
 
 
 # ----------------------------------------------------------------------- snr
 
 
 def _snr_one(utterance_id, audio, args, cfg, stage):
-    noisy = _load(audio, args.sample_rate)
-    enhanced = _load(Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX), args.sample_rate)
-    return enhance.estimate_snr(noisy, enhanced), ()
+    return enhance.estimate_snr(_load(audio, args.sample_rate), _load_enhanced(audio, args)), ()
 
 
 def cmd_snr(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
-    snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, stage="snr")
+    snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, "snr", out_path.parent)
     records = tuple(
         replace(
             record,
@@ -431,9 +415,7 @@ def cmd_snr(args, cfg) -> int:
         if snrs[record.utterance_id] is not None
     )
     corpus.save_manifest(corpus.Manifest(records, manifest.source_tag), out_path)
-    _write_errors(out_path.parent / "errors.tsv", error_rows)
-    print(f"wrote {len(records)} utterances to {out_path} ({len(error_rows)} errors)")
-    return EXIT_OK
+    return _finish(out_path.parent, error_rows, f"{len(records)} utterances to {out_path}")
 
 
 # -------------------------------------------------------------------- vocode
@@ -465,13 +447,16 @@ def _vocode_one(name, source, args, cfg, stage):
     STFT makes the round trip.
     """
     out_path = _out_wav(args.out_dir, name)
+    stft_cfg = cfg["stft"]
     if args.spec_dir is None:
-        target = dsp.stft(_load(source, args.sample_rate), cfg)
+        target = dsp.stft(_load(source, args.sample_rate), stft_cfg)
     else:
         frames = _load_spectrogram(source)
-        target = dsp.FeatureSeq(frames, args.sample_rate / cfg.hop_length, "magnitude_spectrogram")
-    rebuilt = dsp.griffin_lim(target, cfg, n_iters=args.iters, seed=derive_seed(args.seed, name))
-    gap = dsp.spectral_convergence(target, rebuilt, cfg)
+        rate = args.sample_rate / stft_cfg.hop_length
+        target = dsp.FeatureSeq(frames, rate, "magnitude_spectrogram")
+    seed = derive_seed(args.seed, name)
+    rebuilt = dsp.griffin_lim(target, stft_cfg, n_iters=args.iters, seed=seed)
+    gap = dsp.spectral_convergence(target, rebuilt, stft_cfg)
     wavio.write_wav(out_path, rebuilt)
     return gap, ()
 
@@ -486,16 +471,13 @@ def cmd_vocode(args, cfg) -> int:
             return _usage(f"no .npy spectrograms found in {args.spec_dir}")
         sources = {path.stem: path for path in spec_paths}
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg["stft"], stage="vocode")
+    gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg, "vocode", out_dir)
 
     done = {name: gap for name, gap in gaps.items() if gap is not None}
     write_tsv(out_dir / "roundtrip.tsv", ("id", "spectral_convergence"), done.items())
-    _write_errors(out_dir / "errors.tsv", error_rows)
     if done:
         print(f"mean spectral convergence: {sum(done.values()) / len(done):.4f}")
-    print(f"wrote {len(done)} files to {out_dir} ({len(error_rows)} errors)")
-    return EXIT_OK
+    return _finish(out_dir, error_rows, f"{len(done)} files to {out_dir}")
 
 
 # ----------------------------------------------------------- filter / report
@@ -557,7 +539,7 @@ def cmd_report(args, cfg) -> int:
             "snr_db": _histogram_dict(stats.snr),
             "cer": _histogram_dict(stats.cer),
         }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_json(args.json, payload)
     return EXIT_OK
 
 
@@ -571,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # Each flag is declared once, in the parent parser of the commands that read it.
-    pool, seed, stft, vad, flt = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    parents = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    inputs, pool, seed, stft, vad, flt = parents
+    inputs.add_argument("--manifest", required=True, help="input manifest TSV")
     pool.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     pool.add_argument(
         "--sample-rate", type=int, default=22050, help="working sample rate (default 22050)"
@@ -603,10 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "preprocess",
-        parents=[pool, seed, vad, flt],
+        parents=[inputs, pool, seed, vad, flt],
         help="run enhancement/VAD/filter/normalize stages over a corpus",
     )
-    p.add_argument("--manifest", required=True, help="input manifest TSV")
     p.add_argument("--out-dir", required=True, help="directory for processed audio and manifests")
     p.add_argument(
         "--stages",
@@ -634,16 +617,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mels", type=int, default=80, help="mel bands (default 80)")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("vad", parents=[pool, seed, vad], help="trim and compress silence")
-    p.add_argument("--manifest", required=True, help="input manifest TSV")
+    p = sub.add_parser("vad", parents=[inputs, pool, seed, vad], help="trim and compress silence")
     p.add_argument("--out-dir", required=True, help="directory for trimmed audio")
     p.add_argument(
         "--aggressiveness", type=int, choices=[0, 1, 2, 3], default=1, help="default 1"
     )
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("snr", parents=[pool], help="estimate SNR against enhanced audio")
-    p.add_argument("--manifest", required=True, help="input manifest TSV")
+    p = sub.add_parser("snr", parents=[inputs, pool], help="estimate SNR against enhanced audio")
     p.add_argument(
         "--enhanced-dir", required=True, help="directory of <name>.enhanced.wav files"
     )
@@ -659,13 +640,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=32, help="phase iterations (default 32)")
     p.set_defaults(func=cmd_vocode)
 
-    p = sub.add_parser("filter", parents=[flt], help="split a manifest by quality thresholds")
-    p.add_argument("--manifest", required=True, help="input manifest TSV")
+    p = sub.add_parser(
+        "filter", parents=[inputs, flt], help="split a manifest by quality thresholds"
+    )
     p.add_argument("--out-dir", required=True, help="directory for kept.tsv/dropped.tsv")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("report", help="summarize a manifest")
-    p.add_argument("--manifest", required=True, help="input manifest TSV")
+    p = sub.add_parser("report", parents=[inputs], help="summarize a manifest")
     p.add_argument("--json", help="also write the summary as JSON here")
     p.set_defaults(func=cmd_report)
 

@@ -20,7 +20,6 @@ Text metric
           reference length. Values above 1 are possible.
 """
 
-import json
 import math
 import unicodedata
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .errors import (
     RateMismatchError,
 )
 from .pitch import PitchTrack
-from .serialize import json_value, write_tsv
+from .serialize import json_value, write_json, write_tsv
 
 GROSS_ERROR_RTOL = 0.2  # relative deviation from the reference pitch counted as gross
 
@@ -239,5 +238,5 @@ def write_report(rows: dict, out_dir) -> dict:
         "utterances": [{c: json_value(v) for c, v in row.items()} for row in table],
         "mean": {c: json_value(v) for c, v in means.items()},
     }
-    (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(out_dir / "report.json", payload)
     return means

@@ -1,9 +1,11 @@
-"""The TSV format of every table the toolkit writes, and its JSON values.
+"""The TSV format of every table the toolkit writes, and its JSON files and values.
 
 Floats are written in shortest round-trip form, infinities as inf/-inf,
-and absent values as empty fields (null in JSON).
+and absent values as empty fields (null in JSON). JSON files are indented
+by two spaces and end with a newline.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -25,6 +27,11 @@ def write_tsv(path, header, rows, comment=None) -> None:
     lines.append("\t".join(header))
     lines += ["\t".join(format_field(cell) for cell in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_json(path, payload) -> None:
+    """Write payload as UTF-8 JSON text, indented by two spaces, with a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def parse_optional_float(text: str):

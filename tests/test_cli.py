@@ -1089,3 +1089,30 @@ def test_log_mel_failure_gives_mcd_and_msd_rows(tmp_path, monkeypatch, capsys):
     assert rows == [[u, m, "no log-mel"] for u in ("utt000", "utt001") for m in ("mcd", "msd")]
     report = [line.split("\t") for line in out["report.tsv"].decode().splitlines()[1:-1]]
     assert [row[1:4] for row in report] == [["", "", "0.0"]] * 2  # mcd, msd absent; gpe kept
+
+
+@pytest.mark.parametrize("command, wrote", [
+    ("vad", "out\\xff/manifest.tsv (0 errors)"),
+    ("metrics", "out\\xff/report.tsv (0 errors)"),
+    ("snr", "out\\xff/scored.tsv (0 errors)"),
+    ("vocode", "out\\xff (0 errors)"),
+], ids=["vad", "metrics", "snr", "vocode"])
+def test_out_dir_that_is_not_utf8_is_written_xnn_on_stdout(command, wrote, tmp_path):
+    # With strict UTF-8 stdout, a lone surrogate in the last line would raise.
+    build_corpus(tmp_path, 2, seed=29)
+    out_dir = os.fsdecode(b"out\xff")
+    argv = {
+        "vad": ["vad", "--manifest", "manifest.tsv", "--out-dir", out_dir],
+        "metrics": ["metrics", "--ref-manifest", "manifest.tsv", "--hyp-manifest",
+                    "manifest.tsv", "--which", "cer", "--out-dir", out_dir],
+        "snr": ["snr", "--manifest", "manifest.tsv", "--enhanced-dir", "enh",
+                "--out", f"{out_dir}/scored.tsv"],
+        "vocode": ["vocode", "--manifest", "manifest.tsv", "--out-dir", out_dir, "--iters", "1"],
+    }[command]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-m", "voxkit.cli", *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (cli.EXIT_OK, "")
+    assert result.stdout.splitlines()[-1].endswith(f" to {wrote}")

@@ -6,16 +6,22 @@ holding inf, -inf, absent cells, -0.0, int cells and its comment line,
 if it has one, and its file must match byte for byte.
 
 `voxkit metrics` runs with its metric kernels fixed, so its report.tsv,
-report.json, errors.tsv and stdout are pinned without DSP rounding.
+report.json, errors.tsv and stdout are pinned without DSP rounding. The
+dropped.tsv and manifest.tsv of `preprocess --stages DN,VAD-2,FLT,VN`, and
+the stdout of `preprocess`, `vad`, `snr` and `vocode`, are pinned on a
+synthetic corpus.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from voxkit import cli, corpus, dsp, metrics, pitch, wavio
 from voxkit.errors import VoxkitError
 from voxkit.metrics import CerReport, F0MetricReport
+from conftest import build_corpus
 
 INF = float("inf")
 
@@ -371,3 +377,74 @@ def test_metrics_summary_of_absent_means(tmp_path, monkeypatch, capsys):
         "CER (S/D/I): n/a\n"
         "wrote 1 rows to <out>/report.tsv (1 errors)\n"
     )
+
+
+def test_preprocess_dropped_report_and_summary(tmp_path, capsys):
+    # FLT drops three utterances and keeps one. Each dropped row holds its input
+    # audio cell, the duration after VAD-2, DN's snr_db, the CER and the reason.
+    root = tmp_path / "corpus"
+    manifest = build_corpus(root, 4, seed=7)
+    out_dir = tmp_path / "out"
+    code = cli.main([
+        "preprocess", "--manifest", str(manifest), "--out-dir", str(out_dir),
+        "--stages", "DN,VAD-2,FLT,VN", "--enhanced-dir", str(root / "enh"),
+    ])
+    assert code == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (out_dir / "dropped.tsv").read_bytes() == (
+        b"# source: DN+VAD-2+FLT-dropped\n"
+        b"id\taudio\tduration_s\ttext\thyp_text\tsnr_db\tcer\tspeaker\treason\n"
+        b"utt000\t../corpus/raw/utt000.wav\t1.0981859410430839\tquick birds near"
+        b"\tqick bprds newr\t26.70408209965066\t0.1875\tspk0\thigh-cer\n"
+        b"utt002\t../corpus/raw/utt002.wav\t1.1979591836734693\tnear old falls"
+        b"\tnea oldp faolle\t33.037717033502744\t0.2857142857142857\tspk2\thigh-cer\n"
+        b"utt003\t../corpus/raw/utt003.wav\t1.0682539682539682\tthe bridge dog old and near and"
+        b"\tkthe bridge dog old andneamr adnd\t19.619292178038997\t0.12903225806451613"
+        b"\tspk3\thigh-cer\n"
+    )
+    assert (out_dir / "manifest.tsv").read_bytes() == (
+        b"# source: DN+VAD-2+FLT+VN\n"
+        b"id\taudio\tduration_s\ttext\thyp_text\tsnr_db\tcer\tspeaker\n"
+        b"utt001\tutt001.wav\t0.61859410430839\tseven jumps a dog jumps\tseven jumps a dog jumps"
+        b"\t30.6922399726766\t0.0\tspk1\n"
+    )
+    assert captured.out.replace(str(out_dir), "<out>") == (
+        "stage                 hours  utterances\n"
+        "Raw                    0.00           4\n"
+        "DN                     0.00           4\n"
+        "DN+VAD-2               0.00           4\n"
+        "DN+VAD-2+FLT           0.00           1\n"
+        "DN+VAD-2+FLT+VN        0.00           1\n"
+        "wrote 1 utterances to <out>/manifest.tsv (0 errors)\n"
+    )
+
+
+@pytest.mark.parametrize("command, stdout", [
+    ("vad", (
+        "stage       hours  utterances\n"
+        "Raw          0.00           2\n"
+        "VAD-2        0.00           2\n"
+        "wrote 2 utterances to <out>/manifest.tsv (1 errors)\n"
+    )),
+    ("snr", "wrote 2 utterances to <out>/scored.tsv (1 errors)\n"),
+    ("vocode", "mean spectral convergence: 0.2697\nwrote 2 files to <out> (1 errors)\n"),
+], ids=["vad", "snr", "vocode"])
+def test_command_summary(command, stdout, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    manifest = build_corpus(root, 3, seed=31)
+    records = list(corpus.load_manifest(manifest).records)
+    records[1] = replace(records[1], audio_path="raw/missing.wav")
+    corpus.save_manifest(corpus.Manifest(tuple(records)), manifest)
+    out_dir = tmp_path / "out"
+    argv = [command, "--manifest", str(manifest)]
+    if command == "vad":
+        argv += ["--out-dir", str(out_dir), "--aggressiveness", "2"]
+    elif command == "snr":
+        argv += ["--enhanced-dir", str(root / "enh"), "--out", str(out_dir / "scored.tsv")]
+    else:
+        argv += ["--out-dir", str(out_dir), "--iters", "4"]
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.replace(str(out_dir), "<out>") == stdout
