@@ -28,6 +28,9 @@ LOG_FLOOR = 1e-10  # added to mel power before the log
 MEL_F_MIN = 0.0  # Hz; the mel filters span MEL_F_MIN to the Nyquist frequency
 N_CEPSTRA = 13  # mel cepstra c1..c13 that mfcc and mcd keep; c0 is dropped
 GRIFFIN_LIM_MOMENTUM = 0.9  # weight of the previous rebuilt spectrum in each phase step
+# frames per chunk of stft, istft, griffin_lim and pitch.extract_pitch, whose work buffers
+# then hold a chunk rather than the whole utterance
+_CHUNK_FRAMES = 64
 
 _FEATURE_KINDS = ("magnitude_spectrogram", "log_mel", "mfcc")
 
@@ -141,54 +144,65 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def frame_signal(samples: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
-    """Slice a signal into centered frames after reflect padding.
-
-    Padding is win_length // 2 on each side, so frame t is centered on
-    sample t * hop_length and the frame count is 1 + len(samples) // hop
-    for even window lengths. Returns a read-only strided view of the
-    padded signal, not a copy.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if len(samples) == 0:
-        raise EmptySignalError("cannot frame an empty signal")
-    padded = np.pad(samples, win_length // 2, mode="reflect")
-    return sliding_window_view(padded, win_length)[::hop_length]
+def _n_frames(n_samples: int, win_length: int, hop_length: int) -> int:
+    """Number of frames centered on samples 0, hop_length, ... (1 + n_samples // hop_length
+    for an even win_length)."""
+    pad = win_length // 2
+    return 1 + (n_samples + 2 * pad - win_length) // hop_length
 
 
 def _frame_chunks(samples: np.ndarray, win_length: int, hop_length: int, chunk: int):
-    """Yield the frames of frame_signal, chunk frames at a time, without padding a copy.
+    """Yield the centered frames of samples, chunk frames at a time, without padding a copy.
 
-    A chunk whose frames lie inside the signal is a view of it. Only a
+    The signal is reflect-padded by win_length // 2 on each side. A chunk
+    whose frames lie inside the signal is a read-only view of it. Only a
     chunk whose frames reach past either end is gathered, and only its own
-    span, from the reflect-padded edge samples.
+    span: its samples inside the signal are copied as one slice, and only
+    the positions past either end are reflected.
     """
     n = len(samples)
     if n == 0:
         raise EmptySignalError("cannot frame an empty signal")
     pad = win_length // 2
-    n_frames = 1 + (n + 2 * pad - win_length) // hop_length
+    n_frames = _n_frames(n, win_length, hop_length)
     period = max(2 * (n - 1), 1)  # np.pad's reflection is periodic in the sample index
+
+    def reflected(start, stop):
+        idx = np.arange(start, stop) % period
+        return samples[np.minimum(idx, period - idx)]
+
     for t0 in range(0, n_frames, chunk):
         lo = t0 * hop_length - pad
         hi = (min(t0 + chunk, n_frames) - 1) * hop_length - pad + win_length
-        if 0 <= lo and hi <= n:
-            span = samples[lo:hi]
-        else:
-            idx = np.arange(lo, hi) % period
-            span = samples[np.minimum(idx, period - idx)]
+        span = samples[max(lo, 0) : min(hi, n)]
+        if lo < 0 or hi > n:
+            span = np.concatenate((reflected(lo, min(hi, 0)), span, reflected(max(lo, n), hi)))
         yield sliding_window_view(span, win_length)[::hop_length]
 
 
-def _stft_complex(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    frames = frame_signal(samples, cfg.win_length, cfg.hop_length)
-    return np.fft.rfft(frames * hann_window(cfg.win_length), n=cfg.fft_size, axis=1)
+def _windowed_chunks(samples, cfg: StftConfig, window, buf):
+    """Yield (t0, frames): frames t0.. of samples times the window, written into buf.
+
+    The analysis half of the STFT kernels: the caller takes each chunk's
+    rfft before asking for the next, which overwrites buf.
+    """
+    t0 = 0
+    for chunk in _frame_chunks(samples, cfg.win_length, cfg.hop_length, _CHUNK_FRAMES):
+        yield t0, np.multiply(chunk, window, out=buf[: len(chunk)])
+        t0 += len(chunk)
 
 
 def stft(w: Waveform, cfg: StftConfig | None = None) -> FeatureSeq:
     """Magnitude spectrogram of centered, Hann-windowed frames."""
     cfg = cfg or StftConfig()
-    spec = np.abs(_stft_complex(w.samples, cfg))
+    n_frames = _n_frames(len(w), cfg.win_length, cfg.hop_length)
+    rows = min(n_frames, _CHUNK_FRAMES)
+    frames, spectra = np.empty((rows, cfg.win_length)), np.empty((rows, cfg.n_bins), complex)
+    spec = np.empty((n_frames, cfg.n_bins))
+    window = hann_window(cfg.win_length)
+    for t0, chunk in _windowed_chunks(w.samples, cfg, window, frames):
+        spectrum = np.fft.rfft(chunk, n=cfg.fft_size, axis=1, out=spectra[: len(chunk)])
+        np.abs(spectrum, out=spec[t0 : t0 + len(chunk)])
     return FeatureSeq(spec, w.sample_rate / cfg.hop_length, "magnitude_spectrogram")
 
 
@@ -205,26 +219,44 @@ def istft(spec: np.ndarray, cfg: StftConfig | None = None) -> np.ndarray:
             f"expected (n_frames, {cfg.n_bins}) spectrogram, got {spec.shape}"
         )
     n_samples, divisor, silent = _ola_plan(cfg, spec.shape[0])
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.win_length]
-    frames = frames * hann_window(cfg.win_length)
-    out = _overlap_add(frames, cfg.hop_length, np.zeros(n_samples))
+    window = hann_window(cfg.win_length)
+    buf = np.empty((min(len(spec), _CHUNK_FRAMES), cfg.win_length))
+    out = np.zeros(n_samples)
+    for t0 in range(0, len(spec), _CHUNK_FRAMES):
+        # irfft computes in the precision of spec, as on the whole array
+        frames = np.fft.irfft(spec[t0 : t0 + _CHUNK_FRAMES], n=cfg.fft_size, axis=1)
+        _overlap_add_windowed(frames, t0, cfg, window, buf, out)
     return _ola_normalize(out, divisor, silent, cfg.win_length)
 
 
-def _overlap_add(frames: np.ndarray, hop_length: int, out: np.ndarray) -> np.ndarray:
-    """Add frames[t] into the zeroed out from sample t * hop_length on.
+def _overlap_add_windowed(frames, t0: int, cfg: StftConfig, window, buf, out) -> None:
+    """Window frames t0.. of a signal into buf and add them into out.
 
-    out holds hop_length * (n_frames + ceil(win_length / hop_length) - 1)
-    samples, viewed as blocks of hop_length. Chunk k of frame t lands on
-    block t + k, so adding the chunks from the last down to the first adds
-    each sample's terms in increasing t, the order of a frame-by-frame loop.
+    The synthesis half of the STFT kernels: frames is a chunk's irfft, of
+    which the first win_length samples are kept. Called for increasing t0,
+    it adds each sample's frames in increasing t, as one overlap-add of the
+    whole array does.
+    """
+    windowed = np.multiply(frames[:, : cfg.win_length], window, out=buf[: len(frames)])
+    _overlap_add(windowed, cfg.hop_length, out[t0 * cfg.hop_length :])
+
+
+def _overlap_add(frames: np.ndarray, hop_length: int, out: np.ndarray) -> np.ndarray:
+    """Add frames[t] into out from sample t * hop_length on.
+
+    out holds a multiple of hop_length samples, at least
+    hop_length * (n_frames + ceil(win_length / hop_length) - 1), viewed as
+    blocks of hop_length. Piece k of frame t, its samples from k * hop_length
+    on, lands on block t + k, so adding the pieces from the last down to the
+    first adds each sample's terms in increasing t, the order of a
+    frame-by-frame loop.
     """
     n_frames, win_length = frames.shape
     blocks = out.reshape(-1, hop_length)
     for start in reversed(range(0, win_length, hop_length)):
-        chunk = frames[:, start : start + hop_length]
+        piece = frames[:, start : start + hop_length]
         k = start // hop_length
-        blocks[k : k + n_frames, : chunk.shape[1]] += chunk
+        blocks[k : k + n_frames, : piece.shape[1]] += piece
     return out
 
 
@@ -271,12 +303,6 @@ def mel_to_hz(m):
 def _mel_edges(sample_rate: int, cfg: MelConfig) -> np.ndarray:
     mel_pts = np.linspace(hz_to_mel(MEL_F_MIN), hz_to_mel(sample_rate / 2.0), cfg.n_mels + 2)
     return mel_to_hz(mel_pts)
-
-
-def mel_center_frequencies(sample_rate: int, cfg: MelConfig | None = None) -> np.ndarray:
-    """Center frequency in Hz of each triangular mel filter."""
-    cfg = cfg or MelConfig()
-    return _mel_edges(sample_rate, cfg)[1:-1]
 
 
 def mel_filterbank(sample_rate: int, cfg: MelConfig | None = None) -> np.ndarray:
@@ -418,15 +444,21 @@ def griffin_lim(
     angles = np.exp(1j * rng.uniform(-np.pi, np.pi, mag.shape))
     window = hann_window(cfg.win_length)
     n_samples, divisor, silent = _ola_plan(cfg, len(mag))
-    # Every array is allocated here, once. Each step below is the ufunc of
-    # the plain expression, with the same operands in the same order,
-    # writing through out=, so its bits are those of a fresh array. angles
-    # is overwritten by mag * angles; the momentum step is formed in
-    # prev_rebuilt, and the two complex buffers then trade places.
-    ifft_frames = np.empty((len(mag), cfg.fft_size))
-    frames = np.empty((len(mag), cfg.win_length))
-    rebuilt, prev_rebuilt = np.empty_like(angles), np.zeros_like(angles)
-    scratch = np.empty(mag.shape)
+    # Every work array is allocated here, once: angles, rebuilt, gap and the
+    # two signal buffers whole, the rest one chunk of frames. Each step
+    # below is the ufunc of the plain expression, with the same operands in
+    # the same order, writing through out=, so its bits are those of a fresh
+    # array. angles is overwritten by mag * angles. Until a chunk's rfft
+    # overwrites it, rebuilt holds the previous iteration's spectrum, so
+    # the momentum step is formed in angles: shrink * previous first, then
+    # rebuilt minus that. gap = |rebuilt| - mag stays whole because the
+    # error is its norm, whose rounding depends on reducing the whole array
+    # at once.
+    rows = min(len(mag), _CHUNK_FRAMES)
+    ifft_frames, frames = np.empty((rows, cfg.fft_size)), np.empty((rows, cfg.win_length))
+    denom = np.empty((rows, cfg.n_bins))
+    rebuilt = np.zeros_like(angles)
+    gap = np.empty(mag.shape)
     # best stays a view of the signal buffer it was found in; the next
     # iterations write into the other one.
     signal, spare = np.empty(n_samples), np.empty(n_samples)
@@ -435,28 +467,29 @@ def griffin_lim(
     best = None
     for k in range(n_iters + 1):
         np.multiply(mag, angles, out=angles)
-        np.fft.irfft(angles, n=cfg.fft_size, axis=1, out=ifft_frames)
-        np.multiply(ifft_frames[:, : cfg.win_length], window, out=frames)
         signal.fill(0.0)
-        _overlap_add(frames, cfg.hop_length, signal)
+        for t0 in range(0, len(mag), _CHUNK_FRAMES):
+            chunk = angles[t0 : t0 + _CHUNK_FRAMES]
+            ifft = np.fft.irfft(chunk, n=cfg.fft_size, axis=1, out=ifft_frames[: len(chunk)])
+            _overlap_add_windowed(ifft, t0, cfg, window, frames, signal)
         y = _ola_normalize(signal, divisor, silent, cfg.win_length)
-        np.multiply(frame_signal(y, cfg.win_length, cfg.hop_length), window, out=frames)
-        np.fft.rfft(frames, n=cfg.fft_size, axis=1, out=rebuilt)
-        np.abs(rebuilt, out=scratch)
-        scratch -= mag
-        err = np.linalg.norm(scratch) / mag_norm
+        for t0, chunk in _windowed_chunks(y, cfg, window, frames):
+            t = slice(t0, t0 + len(chunk))
+            np.multiply(shrink, rebuilt[t], out=angles[t])
+            np.fft.rfft(chunk, n=cfg.fft_size, axis=1, out=rebuilt[t])
+            np.abs(rebuilt[t], out=gap[t])
+            gap[t] -= mag[t]
+            if k < n_iters:
+                d = denom[: len(chunk)]
+                np.subtract(rebuilt[t], angles[t], out=angles[t])
+                np.abs(angles[t], out=d)
+                d += 1e-16
+                np.divide(angles[t], d, out=angles[t])
+        err = np.linalg.norm(gap) / mag_norm
         if err < best_err:
             best_err = err
             best = y
             signal, spare = spare, signal
-        if k == n_iters:
-            break
-        np.multiply(shrink, prev_rebuilt, out=prev_rebuilt)
-        np.subtract(rebuilt, prev_rebuilt, out=prev_rebuilt)
-        rebuilt, prev_rebuilt = prev_rebuilt, rebuilt
-        np.abs(rebuilt, out=scratch)
-        scratch += 1e-16
-        np.divide(rebuilt, scratch, out=angles)
     return Waveform(best, sample_rate)
 
 

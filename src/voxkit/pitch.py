@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import StftConfig, Waveform, _frame_chunks
+from .dsp import _CHUNK_FRAMES, StftConfig, Waveform, _frame_chunks
 from .errors import (
     EmptyTrackError,
     FrameRateMismatchError,
@@ -69,9 +69,6 @@ class PitchTrack:
 
     def __len__(self):
         return len(self.f0)
-
-
-_CHUNK_FRAMES = 64  # frames per batch of FFTs; work buffers stay a few (chunk x win_length)
 
 
 def _energies(frames: np.ndarray, window: int) -> np.ndarray:

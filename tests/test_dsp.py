@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stft_complex_gather
 from voxkit import dsp
 from voxkit.errors import (
     DimensionMismatchError,
@@ -86,7 +87,7 @@ class TestStft:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(8192) * 0.1
         cfg = dsp.StftConfig()
-        y = dsp.istft(dsp._stft_complex(x, cfg), cfg)
+        y = dsp.istft(stft_complex_gather(x, cfg), cfg)
         n = len(y)
         np.testing.assert_allclose(y, x[:n], atol=1e-10)
 
@@ -103,7 +104,7 @@ class TestMel:
         assert np.all(fb.sum(axis=1) > 0.0)
 
     def test_center_frequencies_monotone(self):
-        centers = dsp.mel_center_frequencies(SR)
+        centers = dsp._mel_edges(SR, dsp.MelConfig())[1:-1]
         assert len(centers) == 80
         assert np.all(np.diff(centers) > 0)
         assert centers[0] > 0.0
@@ -114,7 +115,7 @@ class TestMel:
         np.testing.assert_allclose(dsp.mel_to_hz(dsp.hz_to_mel(f)), f, atol=1e-6)
 
     def test_1000hz_peaks_at_nearest_center_band(self):
-        centers = dsp.mel_center_frequencies(SR)
+        centers = dsp._mel_edges(SR, dsp.MelConfig())[1:-1]
         nearest = int(np.argmin(np.abs(centers - 1000.0)))
         lm = dsp.log_mel(tone(1000.0))
         assert np.all(np.argmax(lm.frames, axis=1) == nearest)

@@ -2,15 +2,16 @@
 
 dsp.dtw_align fills the cost grid in place one anti-diagonal at a time,
 metrics.edit_counts fills its edit-distance grid one vectorized row at a
-time, and dsp.istft and dsp.griffin_lim overlap-add in strided chunks
-into preallocated buffers; all must reproduce the cell-by-cell,
-per-frame and whole-array arithmetic exactly, so those comparisons are
-==, never a tolerance. pitch.extract_pitch frames the signal in chunks
-that equal the whole padded framing, sums YIN's energies exactly as the
-block cumulative sums did, and makes its voicing decisions exactly as the
-per-frame loop does on the same CMND rows, but takes the difference
-function from FFTs, so its f0 is held to a relative tolerance against the
-pairwise-sum definition (TestChunkedPitch).
+time, and dsp.stft, dsp.istft and dsp.griffin_lim work dsp._CHUNK_FRAMES
+frames at a time and overlap-add in strided chunks into preallocated
+buffers; all must reproduce the cell-by-cell, per-frame and whole-array
+arithmetic exactly, so those comparisons are ==, never a tolerance.
+pitch.extract_pitch frames the signal in chunks that equal the whole
+padded framing, sums YIN's energies exactly as the block cumulative sums
+did, and makes its voicing decisions exactly as the per-frame loop does
+on the same CMND rows, but takes the difference function from FFTs, so
+its f0 is held to a relative tolerance against the pairwise-sum
+definition (TestChunkedPitch).
 """
 
 import tracemalloc
@@ -303,9 +304,9 @@ def test_frame_chunks_equal_the_whole_padded_framing(win_length, hop_length, chu
         chunks = list(dsp._frame_chunks(x, win_length, hop_length, chunk))
         assert all(len(c) == chunk for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= chunk
         frames = np.concatenate(chunks)
-        expected = dsp.frame_signal(x, win_length, hop_length)
+        expected = frame_signal_gather(x, win_length, hop_length)
         assert frames.shape == expected.shape
-        assert frames.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert frames.tobytes() == expected.tobytes()
         # a chunk is a view of x exactly when its frames stay inside x
         for c, t0 in zip(chunks, range(0, len(frames), chunk)):
             lo, hi = t0 * hop_length - half, (t0 + len(c) - 1) * hop_length - half + win_length
@@ -426,7 +427,7 @@ STFT_CONFIGS = {
 def magnitude(cfg, n_frames, seed):
     """|STFT| of a speech-like signal that frames into exactly n_frames."""
     x = speechlike(cfg.hop_length * (n_frames - 1), 22050, seed)
-    spec = np.abs(dsp._stft_complex(x, cfg))
+    spec = np.abs(stft_complex_gather(x, cfg))
     assert spec.shape == (n_frames, cfg.n_bins)
     return spec
 
@@ -436,8 +437,11 @@ def griffin_lim(mag, cfg, n_iters, seed):
     return dsp.griffin_lim(spec, cfg, n_iters=n_iters, seed=seed).samples
 
 
+B = dsp._CHUNK_FRAMES
+
+
 @pytest.mark.parametrize("cfg", STFT_CONFIGS.values(), ids=STFT_CONFIGS.keys())
-@pytest.mark.parametrize("n_frames", [2, 3, 401])
+@pytest.mark.parametrize("n_frames", [2, 3, B - 1, B, B + 1, 2 * B + 1, 401])
 class TestStftRoundTrip:
     def test_istft(self, cfg, n_frames):
         rng = np.random.default_rng(n_frames)
@@ -448,7 +452,8 @@ class TestStftRoundTrip:
 
     def test_stft(self, cfg, n_frames):
         x = speechlike(cfg.hop_length * (n_frames - 1) + 5, 22050, n_frames)
-        assert dsp._stft_complex(x, cfg).tobytes() == stft_complex_gather(x, cfg).tobytes()
+        spec = dsp.stft(dsp.Waveform(x, 22050), cfg).frames
+        assert spec.tobytes() == np.abs(stft_complex_gather(x, cfg)).tobytes()
 
     # GRIFFIN_LIM_MOMENTUM is patched so that the kernel is checked without extrapolation too
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -465,6 +470,16 @@ class TestStftRoundTrip:
         assert griffin_lim(mag, cfg, 4, 0).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.float32, np.float64])
+def test_istft_transforms_in_the_precision_of_its_input(dtype):
+    # a float32 spectrogram is inverted in single precision, as by one irfft of the whole array
+    cfg = STFT_CONFIGS["win1000-hop300"]
+    rng = np.random.default_rng(4)
+    spec = rng.standard_normal((2 * B + 1, 2 * cfg.n_bins)).view(np.complex128)
+    spec = spec.astype(dtype) if np.dtype(dtype).kind == "c" else spec.real.astype(dtype)
+    assert dsp.istft(spec, cfg).tobytes() == istft_frame_loop(spec, cfg).tobytes()
+
+
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 def test_griffin_lim_returns_an_earlier_best_iterate_intact(momentum, monkeypatch):
     # the best iterate's signal buffer must not be overwritten by the later ones
@@ -474,6 +489,37 @@ def test_griffin_lim_returns_an_earlier_best_iterate_intact(momentum, monkeypatc
     expected, best_k = griffin_lim_loop(mag, cfg, 4, 1, momentum)
     assert best_k < 4
     assert griffin_lim(mag, cfg, 4, 1).tobytes() == expected.tobytes()
+
+
+def peak_bytes(fn, *args):
+    """The tracemalloc peak of fn(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stft_memory_is_the_magnitude_and_a_few_chunks():
+    # 60 s at 22.05 kHz is 5,168 frames; whole windowed-frame and complex
+    # matrices would take 18.5 kB per frame, where the magnitude is 4.1 kB
+    cfg = dsp.StftConfig()
+    w = dsp.Waveform(speechlike(60 * SR, SR, 60), SR)
+    n_frames = 1 + len(w) // cfg.hop_length
+    # the magnitude and FeatureSeq's one-byte isfinite mask, per bin
+    outputs = n_frames * cfg.n_bins * (8 + 1)
+    work = 4 * B * cfg.fft_size * 8  # four float64 buffers of one chunk
+    assert peak_bytes(dsp.stft, w, cfg) <= outputs + work
+
+
+def test_griffin_lim_memory_stays_under_30_kb_per_frame():
+    # angles and rebuilt (complex) and |rebuilt| - mag take 40 B per bin,
+    # 20.5 kB per frame; the two signal buffers, the divisor and the silent
+    # mask about 6.4 kB more. Whole (frames x bins) work arrays took 53.6 kB.
+    cfg = dsp.StftConfig()
+    spec = dsp.stft(dsp.Waveform(speechlike(60 * SR, SR, 60), SR), cfg)
+    assert peak_bytes(dsp.griffin_lim, spec, cfg, 1) <= 30_000 * spec.n_frames
 
 
 def recorded(fn, *args):
@@ -506,11 +552,12 @@ def test_istft_non_finite_and_negative_zero_spectra(cfg):
 )
 def test_frame_signal_matches_the_index_gather(n_samples, win_length, hop_length):
     x = np.random.default_rng(n_samples).standard_normal(n_samples)
-    frames = dsp.frame_signal(x, win_length, hop_length)
+    chunks = list(dsp._frame_chunks(x, win_length, hop_length, B))
+    frames = np.concatenate(chunks)
     expected = frame_signal_gather(x, win_length, hop_length)
     assert frames.shape == expected.shape
-    assert np.ascontiguousarray(frames).tobytes() == expected.tobytes()
-    assert not frames.flags.writeable
+    assert frames.tobytes() == expected.tobytes()
+    assert not any(c.flags.writeable for c in chunks)
 
 
 @pytest.mark.parametrize("win_length", [1024, 1023])
