@@ -114,7 +114,8 @@ class FeatureSeq:
             raise EmptySequenceError(
                 f"feature matrix must be 2-D and non-empty, got shape {frames.shape}"
             )
-        if not np.all(np.isfinite(frames)):
+        # NaN propagates through min and max, and neither allocates a mask
+        if not (np.isfinite(frames.min()) and np.isfinite(frames.max())):
             raise InvalidConfigError("feature matrix contains NaN or infinite entries")
         if self.frame_rate <= 0:
             raise InvalidRateError(f"frame rate must be positive, got {self.frame_rate}")
@@ -218,27 +219,30 @@ def istft(spec: np.ndarray, cfg: StftConfig | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected (n_frames, {cfg.n_bins}) spectrogram, got {spec.shape}"
         )
-    n_samples, divisor, silent = _ola_plan(cfg, spec.shape[0])
+    return _synthesize(spec, cfg, _ola_plan(cfg, len(spec)))
+
+
+def _synthesize(spec: np.ndarray, cfg: StftConfig, plan) -> np.ndarray:
+    """Overlap-add of spec's windowed irfft frames in a new buffer, normalized
+    by plan = _ola_plan(cfg, len(spec)) and without the center padding.
+
+    Adding chunks in increasing t0 sums each sample's frames in increasing
+    t, as one overlap-add of the whole array does.
+    """
+    n_samples, divisor, silent = plan
     window = hann_window(cfg.win_length)
     buf = np.empty((min(len(spec), _CHUNK_FRAMES), cfg.win_length))
     out = np.zeros(n_samples)
     for t0 in range(0, len(spec), _CHUNK_FRAMES):
         # irfft computes in the precision of spec, as on the whole array
         frames = np.fft.irfft(spec[t0 : t0 + _CHUNK_FRAMES], n=cfg.fft_size, axis=1)
-        _overlap_add_windowed(frames, t0, cfg, window, buf, out)
-    return _ola_normalize(out, divisor, silent, cfg.win_length)
-
-
-def _overlap_add_windowed(frames, t0: int, cfg: StftConfig, window, buf, out) -> None:
-    """Window frames t0.. of a signal into buf and add them into out.
-
-    The synthesis half of the STFT kernels: frames is a chunk's irfft, of
-    which the first win_length samples are kept. Called for increasing t0,
-    it adds each sample's frames in increasing t, as one overlap-add of the
-    whole array does.
-    """
-    windowed = np.multiply(frames[:, : cfg.win_length], window, out=buf[: len(frames)])
-    _overlap_add(windowed, cfg.hop_length, out[t0 * cfg.hop_length :])
+        windowed = np.multiply(frames[:, : cfg.win_length], window, out=buf[: len(frames)])
+        _overlap_add(windowed, cfg.hop_length, out[t0 * cfg.hop_length :])
+    out = out[: len(divisor)]
+    np.divide(out, divisor, out=out)
+    np.copyto(out, 0.0, where=silent)
+    pad = cfg.win_length // 2
+    return out[pad : len(out) - pad]
 
 
 def _overlap_add(frames: np.ndarray, hop_length: int, out: np.ndarray) -> np.ndarray:
@@ -276,18 +280,6 @@ def _ola_plan(cfg: StftConfig, n_frames: int) -> tuple[int, np.ndarray, np.ndarr
     norm = norm[: hop * (n_frames - 1) + win]
     tiny = np.finfo(np.float64).tiny
     return n_samples, np.maximum(norm, tiny), ~(norm > tiny)
-
-
-def _ola_normalize(
-    out: np.ndarray, divisor: np.ndarray, silent: np.ndarray, win_length: int
-) -> np.ndarray:
-    """Divide an overlap-add sum by the window norm in place, zero where the
-    norm vanishes, and return the view without the center padding."""
-    out = out[: len(divisor)]
-    np.divide(out, divisor, out=out)
-    np.copyto(out, 0.0, where=silent)
-    pad = win_length // 2
-    return out[pad : len(out) - pad]
 
 
 def hz_to_mel(f):
@@ -437,42 +429,34 @@ def griffin_lim(
     if np.any(mag < 0):
         raise InvalidConfigError("magnitude spectrogram has negative entries")
     sample_rate = int(round(spec.frame_rate * cfg.hop_length))
-    mag_norm = np.linalg.norm(mag)
+    with np.errstate(over="ignore"):
+        mag_norm = np.linalg.norm(mag)
+    if not np.isfinite(mag_norm):
+        raise InvalidConfigError("magnitude spectrogram's norm overflows float64")
     if mag_norm == 0.0:
         return Waveform(istft(mag.astype(np.complex128), cfg), sample_rate)
     rng = np.random.default_rng(seed)
     angles = np.exp(1j * rng.uniform(-np.pi, np.pi, mag.shape))
     window = hann_window(cfg.win_length)
-    n_samples, divisor, silent = _ola_plan(cfg, len(mag))
-    # Every work array is allocated here, once: angles, rebuilt, gap and the
-    # two signal buffers whole, the rest one chunk of frames. Each step
-    # below is the ufunc of the plain expression, with the same operands in
-    # the same order, writing through out=, so its bits are those of a fresh
-    # array. angles is overwritten by mag * angles. Until a chunk's rfft
-    # overwrites it, rebuilt holds the previous iteration's spectrum, so
-    # the momentum step is formed in angles: shrink * previous first, then
-    # rebuilt minus that. gap = |rebuilt| - mag stays whole because the
-    # error is its norm, whose rounding depends on reducing the whole array
-    # at once.
+    plan = _ola_plan(cfg, len(mag))
+    # angles, rebuilt and gap are whole; frames and denom hold one chunk of
+    # frames. Each step below is the ufunc of the plain expression, with the
+    # same operands in the same order, writing through out=, so its bits are
+    # those of a fresh array. Until a chunk's rfft overwrites it, rebuilt
+    # holds the previous spectrum, so the momentum step is formed in angles:
+    # shrink * previous first, then rebuilt minus that. gap stays whole
+    # because the error is its norm, whose rounding depends on reducing the
+    # whole array at once.
     rows = min(len(mag), _CHUNK_FRAMES)
-    ifft_frames, frames = np.empty((rows, cfg.fft_size)), np.empty((rows, cfg.win_length))
-    denom = np.empty((rows, cfg.n_bins))
+    frames, denom = np.empty((rows, cfg.win_length)), np.empty((rows, cfg.n_bins))
     rebuilt = np.zeros_like(angles)
     gap = np.empty(mag.shape)
-    # best stays a view of the signal buffer it was found in; the next
-    # iterations write into the other one.
-    signal, spare = np.empty(n_samples), np.empty(n_samples)
     shrink = GRIFFIN_LIM_MOMENTUM / (1.0 + GRIFFIN_LIM_MOMENTUM)
     best_err = math.inf
     best = None
     for k in range(n_iters + 1):
         np.multiply(mag, angles, out=angles)
-        signal.fill(0.0)
-        for t0 in range(0, len(mag), _CHUNK_FRAMES):
-            chunk = angles[t0 : t0 + _CHUNK_FRAMES]
-            ifft = np.fft.irfft(chunk, n=cfg.fft_size, axis=1, out=ifft_frames[: len(chunk)])
-            _overlap_add_windowed(ifft, t0, cfg, window, frames, signal)
-        y = _ola_normalize(signal, divisor, silent, cfg.win_length)
+        y = _synthesize(angles, cfg, plan)
         for t0, chunk in _windowed_chunks(y, cfg, window, frames):
             t = slice(t0, t0 + len(chunk))
             np.multiply(shrink, rebuilt[t], out=angles[t])
@@ -489,7 +473,7 @@ def griffin_lim(
         if err < best_err:
             best_err = err
             best = y
-            signal, spare = spare, signal
+        del y  # an iterate that is not best is freed before the next is synthesized
     return Waveform(best, sample_rate)
 
 

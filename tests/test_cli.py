@@ -1022,6 +1022,27 @@ def test_spectrogram_name_that_is_not_utf8_is_an_error_row(workers, tmp_path, ca
     assert sorted(p.name for p in out_dir.glob("*.wav")) == ["good.wav"]
 
 
+def test_spectrogram_whose_norm_overflows_is_an_error_row(tmp_path):
+    # Run as a command, so that a numpy RuntimeWarning would reach stderr.
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    np.save(spec_dir / "a_huge.npy", np.full((4, 513), 1e153))
+    np.save(spec_dir / "b_tone.npy", dsp.stft(dsp.Waveform(sine(440.0, 0.5), SR)).frames)
+    argv = ["vocode", "--spec-dir", "specs", "--out-dir", "out", "--iters", "2"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-m", "voxkit.cli", *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == cli.EXIT_OK
+    assert "RuntimeWarning" not in result.stderr
+    assert (tmp_path / "out" / "errors.tsv").read_text() == (
+        "id\tstage\terror\n"
+        "a_huge\tvocode\tmagnitude spectrogram's norm overflows float64\n"
+    )
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.wav")) == ["b_tone.wav"]
+
+
 def test_tab_or_newline_in_spectrogram_name_is_an_error_row(tmp_path, capsys):
     spec_dir = tmp_path / "specs"
     spec_dir.mkdir()

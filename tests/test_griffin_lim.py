@@ -69,3 +69,14 @@ def test_rejects_bad_inputs(tone_spec):
     with pytest.raises(InvalidConfigError):
         neg = dsp.FeatureSeq(-np.ones((4, 513)), SR / 256, "magnitude_spectrogram")
         dsp.griffin_lim(neg)
+
+
+def test_norm_that_overflows_float64_is_rejected():
+    # the squared norm of 4 x 513 entries of 1e153 is past the float64 range,
+    # and of 1e152 it is not
+    def spec(value):
+        return dsp.FeatureSeq(np.full((4, 513), value), SR / 256, "magnitude_spectrogram")
+
+    assert len(dsp.griffin_lim(spec(1e152), n_iters=2)) == 256 * 3
+    with pytest.raises(InvalidConfigError, match="norm overflows float64"):
+        dsp.griffin_lim(spec(1e153), n_iters=2)
