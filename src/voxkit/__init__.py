@@ -1,120 +1,76 @@
-"""Speech corpus preprocessing and synthesis evaluation toolkit."""
+"""Speech corpus preprocessing and synthesis evaluation toolkit.
 
-from . import corpus, dsp, enhance, metrics, pitch, serialize, wavio
-from .corpus import (
-    FilterConfig,
-    FilterResult,
-    Manifest,
-    UtteranceRecord,
-    apply_filter,
-    load_manifest,
-    save_manifest,
-    summarize,
-)
-from .dsp import (
-    FeatureSeq,
-    MelConfig,
-    StftConfig,
-    Waveform,
-    dtw_align,
-    griffin_lim,
-    istft,
-    log_mel,
-    mel_filterbank,
-    mfcc,
-    resample,
-    spectral_convergence,
-    stft,
-)
-from .enhance import (
-    DryWetConfig,
-    SilencePolicy,
-    VadConfig,
-    dry_wet_mix,
-    estimate_snr,
-    normalize_volume,
-    trim_and_compress,
-    vad_label,
-)
-from .errors import (
-    AllSilenceError,
-    AllZeroError,
-    ClippingWarning,
-    EmptyReferenceError,
-    InvalidConfigError,
-    ParseError,
-    TrackLengthWarning,
-    VoxkitError,
-)
-from .metrics import (
-    CerReport,
-    F0MetricReport,
-    cer,
-    f0_metrics,
-    mcd,
-    msd,
-    normalize_text,
-)
-from .pitch import PitchTrack, align_tracks, extract_pitch
-from .wavio import read_wav, write_wav
+Each exported name is loaded from its submodule on first use (PEP 562), so
+importing one submodule, such as voxkit.corpus, loads only what it imports.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllSilenceError",
-    "AllZeroError",
-    "CerReport",
-    "ClippingWarning",
-    "DryWetConfig",
-    "EmptyReferenceError",
-    "F0MetricReport",
-    "FeatureSeq",
-    "FilterConfig",
-    "FilterResult",
-    "InvalidConfigError",
-    "Manifest",
-    "MelConfig",
-    "ParseError",
-    "PitchTrack",
-    "SilencePolicy",
-    "StftConfig",
-    "TrackLengthWarning",
-    "UtteranceRecord",
-    "VadConfig",
-    "VoxkitError",
-    "Waveform",
-    "align_tracks",
-    "apply_filter",
-    "cer",
-    "corpus",
-    "dry_wet_mix",
-    "dsp",
-    "dtw_align",
-    "enhance",
-    "estimate_snr",
-    "extract_pitch",
-    "f0_metrics",
-    "griffin_lim",
-    "istft",
-    "load_manifest",
-    "log_mel",
-    "mcd",
-    "mel_filterbank",
-    "metrics",
-    "mfcc",
-    "msd",
-    "normalize_text",
-    "normalize_volume",
-    "pitch",
-    "read_wav",
-    "resample",
-    "save_manifest",
-    "serialize",
-    "spectral_convergence",
-    "stft",
-    "summarize",
-    "trim_and_compress",
-    "vad_label",
-    "wavio",
-    "write_wav",
-]
+# Each submodule and the names voxkit exports from it.
+_EXPORTS = {
+    "corpus": (
+        "FilterConfig",
+        "FilterResult",
+        "Manifest",
+        "UtteranceRecord",
+        "apply_filter",
+        "load_manifest",
+        "save_manifest",
+        "summarize",
+    ),
+    "dsp": (
+        "FeatureSeq",
+        "MelConfig",
+        "StftConfig",
+        "Waveform",
+        "dtw_align",
+        "griffin_lim",
+        "istft",
+        "log_mel",
+        "mel_filterbank",
+        "mfcc",
+        "resample",
+        "spectral_convergence",
+        "stft",
+    ),
+    "enhance": (
+        "DryWetConfig",
+        "SilencePolicy",
+        "VadConfig",
+        "dry_wet_mix",
+        "estimate_snr",
+        "normalize_volume",
+        "trim_and_compress",
+        "vad_label",
+    ),
+    "errors": (
+        "AllSilenceError",
+        "AllZeroError",
+        "ClippingWarning",
+        "EmptyReferenceError",
+        "InvalidConfigError",
+        "ParseError",
+        "TrackLengthWarning",
+        "VoxkitError",
+    ),
+    "metrics": (
+        "CerReport", "F0MetricReport", "cer", "f0_metrics", "mcd", "msd", "normalize_text",
+    ),
+    "pitch": ("PitchTrack", "align_tracks", "extract_pitch"),
+    "serialize": (),
+    "wavio": ("read_wav", "write_wav"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# voxkit.errors resolves too, but `from voxkit import *` binds only its names, as before.
+__all__ = sorted(_SOURCE.keys() | _EXPORTS.keys() - {"errors"})
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _SOURCE:
+        return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,6 +31,7 @@ EXIT_USAGE = 2
 AUDIO_STAGES = ("DN", "VAD-0", "VAD-1", "VAD-2", "VAD-3", "VN")
 ALL_STAGES = AUDIO_STAGES + ("FLT",)
 ENHANCED_SUFFIX = ".enhanced.wav"
+NAME_MAX = 255  # bytes in one file name, on the file systems voxkit writes to
 
 METRIC_CHOICES = tuple(metrics.METRIC_COLUMNS)
 # Warnings about one utterance; the runner prints them with its id. A WAV cut inside
@@ -56,9 +57,9 @@ def _run_utterances(func, items: dict, args, cfg, stage: str, out_dir: Path):
 
     func returns (value, errors), errors being (stage, message) rows.
     stage is a one-item list naming the stage func is in, starting at the
-    given label; a VoxkitError or OSError that func raises gives the value
-    None and one error row for that stage. Once every item is done, the
-    UTTERANCE_WARNINGS each one raised go to stderr, in item order, one
+    given label; a VoxkitError, OSError or MemoryError that func raises gives
+    the value None and one error row for that stage. Once every item is done,
+    the UTTERANCE_WARNINGS each one raised go to stderr, in item order, one
     `warning: <id>: <Category>: <message>` line each. Returns
     ({id: value}, rows of (id, stage, message)), both in item order.
     """
@@ -93,7 +94,9 @@ def _attempt(func, label, args, cfg, named_item):
         warnings.showwarning = keep_ours
         try:
             value, errors = func(utterance_id, item, args, cfg, stage)
-        except (VoxkitError, OSError) as exc:
+        # A header that claims a huge size (a .npy shape, a WAV rate to resample
+        # from) asks for more memory than the machine has; only that input fails.
+        except (VoxkitError, OSError, MemoryError) as exc:
             value, errors = None, ((stage[0], str(exc)),)
     return value, errors, tuple(caught)
 
@@ -102,13 +105,20 @@ def _out_wav(out_dir, utterance_id: str) -> Path:
     """<out_dir>/<id>.wav, for an id that is one plain path component of UTF-8 text.
 
     Any other id would name a file outside out_dir or break a TSV cell, so it is an error.
-    A lone surrogate is how Python decodes a file-name byte that is not UTF-8.
+    A lone surrogate is how Python decodes a file-name byte that is not UTF-8. An id too
+    long for a file name is an error here too, so the write and the discard agree on it.
     """
     if utterance_id in (".", "..") or any(
         c in "/\\\0\t\n\r" or "\ud800" <= c <= "\udfff" for c in utterance_id
     ):
         raise InvalidConfigError(f"utterance id {utterance_id!r} is not a plain file name")
-    return Path(out_dir) / f"{utterance_id}.wav"
+    name = f"{utterance_id}.wav"
+    size = len(name.encode("utf-8"))
+    if size > NAME_MAX:
+        raise InvalidConfigError(
+            f"utterance id is too long for a file name: {size} bytes with .wav, over {NAME_MAX}"
+        )
+    return Path(out_dir) / name
 
 
 def _discard_wav(out_dir, utterance_id: str) -> None:

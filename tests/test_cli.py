@@ -625,6 +625,30 @@ def test_unsafe_ids_touch_nothing_outside_out_dir(command, tmp_path, capsys):
     assert all("not a plain file name" in row[2] for row in rows)
 
 
+@pytest.mark.parametrize("command", ["vad", "preprocess"])
+def test_id_too_long_for_a_file_name_is_an_error_row(command, tmp_path, capsys):
+    # With .wav, 255 bytes fit in a file name and 256 do not.
+    long_id, too_long, longest = "x" * 300, "z" * 252, "y" * 251
+    manifest = _corpus_with_ids(tmp_path / "corpus", ("ok", long_id, too_long, longest))
+    outputs = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"out{workers}"
+        argv = [command, "--manifest", str(manifest), "--out-dir", str(out_dir)]
+        argv += ["--workers", workers] + (["--stages", "VN"] if command == "preprocess" else [])
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == sorted(["errors.tsv", "manifest.tsv", "ok.wav", f"{longest}.wav"])
+    message = "utterance id is too long for a file name: {} bytes with .wav, over 255"
+    assert outputs[0]["errors.tsv"].decode() == (
+        "id\tstage\terror\n"
+        f"{long_id}\tload\t{message.format(304)}\n"
+        f"{too_long}\tload\t{message.format(256)}\n"
+    )
+    assert corpus.load_manifest(tmp_path / "out1" / "manifest.tsv").ids() == ["ok", longest]
+
+
 def test_preprocess_error_rows_put_flt_after_audio_stages(tmp_path, capsys):
     root = tmp_path / "corpus"
     build_corpus(root, 5, seed=19, with_enhanced=False)
@@ -1041,6 +1065,33 @@ def test_spectrogram_whose_norm_overflows_is_an_error_row(tmp_path):
         "a_huge\tvocode\tmagnitude spectrogram's norm overflows float64\n"
     )
     assert sorted(p.name for p in (tmp_path / "out").glob("*.wav")) == ["b_tone.wav"]
+
+
+def test_spectrogram_whose_header_claims_petabytes_is_an_error_row(tmp_path, capsys):
+    # np.load asks for the 1.46 PiB the header claims. That is beyond any address space,
+    # so the allocation fails at once and nothing is really allocated.
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    with open(spec_dir / "a_huge.npy", "wb") as fh:
+        header = {"descr": "<f8", "fortran_order": False, "shape": (400_000_000_000, 513)}
+        np.lib.format.write_array_header_1_0(fh, header)
+        fh.write(bytes(16384 - fh.tell()))
+    np.save(spec_dir / "b_tone.npy", dsp.stft(dsp.Waveform(sine(440.0, 0.5), SR)).frames)
+    outputs = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"out{workers}"
+        code = cli.main([
+            "vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir), "--iters", "2",
+            "--workers", workers,
+        ])
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["b_tone.wav", "errors.tsv", "roundtrip.tsv"]
+    rows = outputs[0]["errors.tsv"].decode().splitlines()[1:]
+    assert [row.split("\t")[:2] for row in rows] == [["a_huge", "vocode"]]
+    assert "Unable to allocate" in rows[0]
 
 
 def test_tab_or_newline_in_spectrogram_name_is_an_error_row(tmp_path, capsys):
