@@ -6,18 +6,22 @@ A manifest is a UTF-8, LF-terminated TSV with the header
 
 Optional fields (text, hyp_text, snr_db, cer, speaker) are empty when
 absent; infinite SNR values are written as inf / -inf. A leading
-"# source: <tag>" comment carries the provenance tag.
+"# source: <tag>" comment carries the provenance tag. No cell or tag holds
+a tab, a line break or a lone surrogate, no id starts with "#" and no tag
+starts or ends with whitespace, so every manifest loads back as it was saved.
 """
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import InvalidConfigError, ParseError
 from .serialize import parse_optional_float, write_tsv
 
 MANIFEST_COLUMNS = ("id", "audio", "duration_s", "text", "hyp_text", "snr_db", "cer", "speaker")
+# the parser of each column's cell, in the order of UtteranceRecord's fields
+_CELL_PARSERS = (str, str, float, str, str, parse_optional_float, parse_optional_float, str)
 
 SNR_HISTOGRAM_EDGES = tuple(float(v) for v in range(-10, 45, 5))
 CER_HISTOGRAM_EDGES = (0.0, 0.02, 0.05, 0.10, 0.20, 0.50, 1.0)
@@ -28,6 +32,10 @@ MISSING_FIELD_REASON = "missing-field"
 def _check_cell(name: str, value: str) -> str:
     if "\t" in value or "\n" in value or "\r" in value:
         raise InvalidConfigError(f"{name} must not contain tabs or newlines")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidConfigError(f"{name} must not contain a lone surrogate") from None
     return value
 
 
@@ -47,6 +55,10 @@ class UtteranceRecord:
     def __post_init__(self):
         if not self.utterance_id:
             raise InvalidConfigError("utterance id must be non-empty")
+        if self.utterance_id.startswith("#"):
+            raise InvalidConfigError(
+                f"utterance id must not start with '#', got {self.utterance_id!r}"
+            )
         for name in ("utterance_id", "audio_path", "text", "hyp_text", "speaker"):
             _check_cell(name, getattr(self, name))
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
@@ -67,6 +79,9 @@ class Manifest:
     source_tag: str = "Raw"
 
     def __post_init__(self):
+        tag = _check_cell("source_tag", self.source_tag)
+        if tag != tag.strip():  # load_manifest strips the tag
+            raise InvalidConfigError("source_tag must not start or end with whitespace")
         records = tuple(sorted(self.records, key=lambda r: r.utterance_id))
         seen = set()
         for r in records:
@@ -103,60 +118,33 @@ def load_manifest(path) -> Manifest:
     seen = {}
     header_seen = False
     for lineno, line in enumerate(lines, 1):
-        if line == "":
-            continue
-        if line.startswith("#"):
-            if line.startswith("# source:"):
-                source_tag = line[len("# source:") :].strip()
+        if line == "" or (line.startswith("#") and not line.startswith("# source:")):
             continue
         cells = line.split("\t")
-        if not header_seen:
-            if cells != list(MANIFEST_COLUMNS):
-                raise ParseError(
-                    f"expected header {list(MANIFEST_COLUMNS)}, got {cells}", lineno, path
-                )
-            header_seen = True
-            continue
-        if len(cells) != len(MANIFEST_COLUMNS):
-            raise ParseError(
-                f"expected {len(MANIFEST_COLUMNS)} fields, got {len(cells)}", lineno, path
-            )
-        rid, audio, duration, text, hyp_text, snr, cer, speaker = cells
-        if rid in seen:
-            raise ParseError(
-                f"duplicate utterance id {rid!r}, first seen on line {seen[rid]}", lineno, path
-            )
-        seen[rid] = lineno
-        try:
-            record = UtteranceRecord(
-                utterance_id=rid,
-                audio_path=audio,
-                duration_s=float(duration),
-                text=text,
-                hyp_text=hyp_text,
-                snr_db=parse_optional_float(snr),
-                cer=parse_optional_float(cer),
-                speaker=speaker,
-            )
+        rid = cells[0]
+        try:  # a defect of any kind on this line is a ParseError naming the line
+            if line.startswith("# source:"):
+                source_tag = _check_cell("source_tag", line[len("# source:") :].strip())
+            elif not header_seen:
+                if cells != list(MANIFEST_COLUMNS):
+                    raise ValueError(f"expected header {list(MANIFEST_COLUMNS)}, got {cells}")
+                header_seen = True
+            elif len(cells) != len(MANIFEST_COLUMNS):
+                raise ValueError(f"expected {len(MANIFEST_COLUMNS)} fields, got {len(cells)}")
+            elif rid in seen:
+                raise ValueError(f"duplicate utterance id {rid!r}, first seen on line {seen[rid]}")
+            else:
+                seen[rid] = lineno
+                records.append(UtteranceRecord(*(f(c) for f, c in zip(_CELL_PARSERS, cells))))
         except (ValueError, InvalidConfigError) as exc:
             raise ParseError(str(exc), lineno, path) from None
-        records.append(record)
     if not header_seen:
         raise ParseError("missing header line", path=path)
     return Manifest(tuple(records), source_tag)
 
 
 def _record_cells(record: UtteranceRecord) -> list:
-    return [
-        record.utterance_id,
-        record.audio_path,
-        record.duration_s,
-        record.text,
-        record.hyp_text,
-        record.snr_db,
-        record.cer,
-        record.speaker,
-    ]
+    return [getattr(record, f.name) for f in fields(record)]
 
 
 def save_manifest(manifest: Manifest, path) -> None:
@@ -261,30 +249,21 @@ class Histogram:
 
 
 def _histogram(values, edges) -> Histogram:
-    counts = [0] * (len(edges) - 1)
-    below = above = pos_inf = neg_inf = absent = 0
+    values = list(values)
+    # bucket 0 is below edges[0], bucket i is [edges[i-1], edges[i]) and the
+    # last is at or above edges[-1]: bisect_right counts the edges <= v
+    buckets = [0] * (len(edges) + 1)
     for v in values:
-        if v is None:
-            absent += 1
-        elif math.isinf(v):
-            if v > 0:
-                pos_inf += 1
-            else:
-                neg_inf += 1
-        elif v < edges[0]:
-            below += 1
-        elif v >= edges[-1]:
-            above += 1
-        else:
-            counts[bisect_right(edges, v) - 1] += 1
+        if v is not None and math.isfinite(v):
+            buckets[bisect_right(edges, v)] += 1
     return Histogram(
         edges=tuple(edges),
-        counts=tuple(counts),
-        n_below=below,
-        n_above=above,
-        n_pos_inf=pos_inf,
-        n_neg_inf=neg_inf,
-        n_absent=absent,
+        counts=tuple(buckets[1:-1]),
+        n_below=buckets[0],
+        n_above=buckets[-1],
+        n_pos_inf=values.count(math.inf),
+        n_neg_inf=values.count(-math.inf),
+        n_absent=values.count(None),
     )
 
 

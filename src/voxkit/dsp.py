@@ -181,15 +181,18 @@ def _frame_chunks(samples: np.ndarray, win_length: int, hop_length: int, chunk: 
         yield sliding_window_view(span, win_length)[::hop_length]
 
 
-def _windowed_chunks(samples, cfg: StftConfig, window, buf):
-    """Yield (t0, frames): frames t0.. of samples times the window, written into buf.
+def _windowed_chunks(samples, cfg: StftConfig):
+    """Yield (t, frames): the frames t (a slice) of samples times the Hann window.
 
-    The analysis half of the STFT kernels: the caller takes each chunk's
-    rfft before asking for the next, which overwrites buf.
+    The analysis half of the STFT kernels. Every chunk is written into one
+    buffer, so the caller takes each chunk's rfft before asking for the next.
     """
+    window = hann_window(cfg.win_length)
+    n_frames = _n_frames(len(samples), cfg.win_length, cfg.hop_length)
+    buf = np.empty((min(n_frames, _CHUNK_FRAMES), cfg.win_length))
     t0 = 0
     for chunk in _frame_chunks(samples, cfg.win_length, cfg.hop_length, _CHUNK_FRAMES):
-        yield t0, np.multiply(chunk, window, out=buf[: len(chunk)])
+        yield slice(t0, t0 + len(chunk)), np.multiply(chunk, window, out=buf[: len(chunk)])
         t0 += len(chunk)
 
 
@@ -197,13 +200,11 @@ def stft(w: Waveform, cfg: StftConfig | None = None) -> FeatureSeq:
     """Magnitude spectrogram of centered, Hann-windowed frames."""
     cfg = cfg or StftConfig()
     n_frames = _n_frames(len(w), cfg.win_length, cfg.hop_length)
-    rows = min(n_frames, _CHUNK_FRAMES)
-    frames, spectra = np.empty((rows, cfg.win_length)), np.empty((rows, cfg.n_bins), complex)
+    spectra = np.empty((min(n_frames, _CHUNK_FRAMES), cfg.n_bins), complex)
     spec = np.empty((n_frames, cfg.n_bins))
-    window = hann_window(cfg.win_length)
-    for t0, chunk in _windowed_chunks(w.samples, cfg, window, frames):
+    for t, chunk in _windowed_chunks(w.samples, cfg):
         spectrum = np.fft.rfft(chunk, n=cfg.fft_size, axis=1, out=spectra[: len(chunk)])
-        np.abs(spectrum, out=spec[t0 : t0 + len(chunk)])
+        np.abs(spectrum, out=spec[t])
     return FeatureSeq(spec, w.sample_rate / cfg.hop_length, "magnitude_spectrogram")
 
 
@@ -211,7 +212,8 @@ def istft(spec: np.ndarray, cfg: StftConfig | None = None) -> np.ndarray:
     """Overlap-add inverse of the framing used by stft.
 
     Accepts a complex (n_frames, n_bins) array and returns
-    hop_length * (n_frames - 1) samples, undoing the center padding.
+    hop_length * (n_frames - 1) + win_length % 2 samples, undoing the center
+    padding: one more than the hops for an odd win_length.
     """
     cfg = cfg or StftConfig()
     spec = np.asarray(spec)
@@ -437,18 +439,16 @@ def griffin_lim(
         return Waveform(istft(mag.astype(np.complex128), cfg), sample_rate)
     rng = np.random.default_rng(seed)
     angles = np.exp(1j * rng.uniform(-np.pi, np.pi, mag.shape))
-    window = hann_window(cfg.win_length)
     plan = _ola_plan(cfg, len(mag))
-    # angles, rebuilt and gap are whole; frames and denom hold one chunk of
-    # frames. Each step below is the ufunc of the plain expression, with the
-    # same operands in the same order, writing through out=, so its bits are
+    # angles, rebuilt and gap are whole; denom holds one chunk of frames.
+    # Each step below is the ufunc of the plain expression, with the same
+    # operands in the same order, writing through out=, so its bits are
     # those of a fresh array. Until a chunk's rfft overwrites it, rebuilt
     # holds the previous spectrum, so the momentum step is formed in angles:
     # shrink * previous first, then rebuilt minus that. gap stays whole
     # because the error is its norm, whose rounding depends on reducing the
     # whole array at once.
-    rows = min(len(mag), _CHUNK_FRAMES)
-    frames, denom = np.empty((rows, cfg.win_length)), np.empty((rows, cfg.n_bins))
+    denom = np.empty((min(len(mag), _CHUNK_FRAMES), cfg.n_bins))
     rebuilt = np.zeros_like(angles)
     gap = np.empty(mag.shape)
     shrink = GRIFFIN_LIM_MOMENTUM / (1.0 + GRIFFIN_LIM_MOMENTUM)
@@ -457,8 +457,7 @@ def griffin_lim(
     for k in range(n_iters + 1):
         np.multiply(mag, angles, out=angles)
         y = _synthesize(angles, cfg, plan)
-        for t0, chunk in _windowed_chunks(y, cfg, window, frames):
-            t = slice(t0, t0 + len(chunk))
+        for t, chunk in _windowed_chunks(y, cfg):
             np.multiply(shrink, rebuilt[t], out=angles[t])
             np.fft.rfft(chunk, n=cfg.fft_size, axis=1, out=rebuilt[t])
             np.abs(rebuilt[t], out=gap[t])

@@ -117,15 +117,10 @@ def _frame_powers(samples: np.ndarray, flen: int) -> np.ndarray:
     return power
 
 
-def _runs(mask: np.ndarray, value: bool) -> list:
-    """Half-open [start, end) spans where mask == value."""
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8))) + 1
-    bounds = np.concatenate(([0], edges, [len(mask)]))
-    return [
-        (int(bounds[k]), int(bounds[k + 1]))
-        for k in range(len(bounds) - 1)
-        if mask[bounds[k]] == value
-    ]
+def _runs(mask: np.ndarray) -> list:
+    """Half-open [start, end) spans where mask is True."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def check_vad_rate(sr: int) -> None:
@@ -149,7 +144,7 @@ def vad_label(w: Waveform, cfg: VadConfig | None = None) -> FrameLabels:
     if level:
         padded = np.pad(speech, level, constant_values=True)
         speech = sliding_window_view(padded, 2 * level + 1).all(axis=1)
-        for start, end in _runs(speech, True):
+        for start, end in _runs(speech):
             if end - start < level + 1:
                 speech[start:end] = False
     return FrameLabels(speech)
@@ -199,7 +194,7 @@ def trim_and_compress(
     if not labels.speech.any():
         raise AllSilenceError("every frame is labeled silence")
     cap = int(round(MAX_INTERNAL_SILENCE_MS / 1000.0 * w.sample_rate))
-    spans = _runs(labels.speech, True)
+    spans = _runs(labels.speech)
     pieces = []
     prev_end = None
     for start, end in spans:

@@ -5,6 +5,7 @@ recursive prefix definitions, per-frame loops over plain Python ints.
 """
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -363,3 +364,25 @@ def griffin_lim_loop(mag, cfg, n_iters, seed, momentum):
         prev_rebuilt = rebuilt
         angles = step / (np.abs(step) + 1e-16)
     return best, best_k
+
+
+def histogram_if_chain(values, edges):
+    """(counts, n_below, n_above, n_pos_inf, n_neg_inf, n_absent) of values,
+    each classified by its own if-chain, with counts over [edges[i], edges[i+1])."""
+    counts = [0] * (len(edges) - 1)
+    below = above = pos_inf = neg_inf = absent = 0
+    for v in values:
+        if v is None:
+            absent += 1
+        elif math.isinf(v):
+            if v > 0:
+                pos_inf += 1
+            else:
+                neg_inf += 1
+        elif v < edges[0]:
+            below += 1
+        elif v >= edges[-1]:
+            above += 1
+        else:
+            counts[bisect_right(edges, v) - 1] += 1
+    return tuple(counts), below, above, pos_inf, neg_inf, absent

@@ -1,6 +1,10 @@
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import histogram_if_chain
 
 from voxkit import corpus
 from voxkit.corpus import FilterConfig, Manifest, UtteranceRecord
@@ -33,6 +37,14 @@ class TestRecord:
         with pytest.raises(InvalidConfigError):
             rec("a", text="has\ttab")
 
+    @pytest.mark.parametrize(
+        "cells",
+        [{"rid": "\udcff"}, {"rid": "a", "text": "x\ud800"}, {"rid": "a", "speaker": "\udfff"}],
+    )
+    def test_lone_surrogate_rejected(self, cells):
+        with pytest.raises(InvalidConfigError, match="lone surrogate"):
+            rec(**cells)
+
     def test_infinite_snr_allowed(self):
         assert rec("a", snr=math.inf).snr_db == math.inf
         assert rec("a", snr=-math.inf).snr_db == -math.inf
@@ -40,6 +52,14 @@ class TestRecord:
     def test_nan_snr_rejected(self):
         with pytest.raises(InvalidConfigError):
             rec("a", snr=math.nan)
+
+    @pytest.mark.parametrize("rid", ["#take2", "# source: evil", "#"])
+    def test_id_that_reads_as_a_comment_rejected(self, rid):
+        with pytest.raises(InvalidConfigError, match="must not start with '#'"):
+            rec(rid)
+
+    def test_hash_later_in_id_allowed(self):
+        assert rec("take#2").utterance_id == "take#2"
 
 
 class TestManifest:
@@ -50,6 +70,16 @@ class TestManifest:
     def test_duplicate_id_rejected(self):
         with pytest.raises(InvalidConfigError, match="dup"):
             Manifest((rec("dup"), rec("dup")))
+
+    @pytest.mark.parametrize("tag", ["a\tb", "a\nb", "a\rb", "DN\n", "DN\ud800"])
+    def test_source_tag_with_tab_line_break_or_surrogate_rejected(self, tag):
+        with pytest.raises(InvalidConfigError, match="source_tag must not contain"):
+            Manifest((), tag)
+
+    @pytest.mark.parametrize("tag", [" DN", "DN ", "DN\x0b", "\u3000"])
+    def test_source_tag_with_surrounding_whitespace_rejected(self, tag):
+        with pytest.raises(InvalidConfigError, match="whitespace"):
+            Manifest((), tag)
 
 
 class TestManifestIo:
@@ -130,6 +160,13 @@ class TestManifestIo:
         first = path.read_text().splitlines()[0]
         assert first == "# source: DN+VAD-1+FLT"
         assert corpus.load_manifest(path).source_tag == "DN+VAD-1+FLT"
+
+    def test_source_tag_with_a_tab_names_its_line(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("\t".join(corpus.MANIFEST_COLUMNS) + "\n# source: DN\tx\n")
+        with pytest.raises(ParseError, match="line 2: source_tag") as info:
+            corpus.load_manifest(path)
+        assert info.value.line == 2
 
     def test_infinite_snr_serialized_as_inf(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -296,3 +333,80 @@ class TestSummarize:
         assert h.counts == (1, 1, 1, 0, 0, 1)
         assert h.n_above == 2
         assert h.n_absent == 1
+
+
+# Cells from an alphabet of "#", non-ASCII letters, lone surrogates and the
+# characters that str.splitlines, but not a TSV reader, takes for line
+# breaks; tabs, LF and CR are rejected by their own tests above.
+CELL = st.text(
+    st.sampled_from("a#\u00e9\u5b57\U0001f600\ud800 \x0b\x0c\x1c\x85\u2028")
+    | st.characters(blacklist_characters="\t\n\r"),
+    max_size=6,
+)
+EDGE_FLOATS = st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308]
+)
+SNR = st.none() | st.sampled_from([math.inf, -math.inf]) | EDGE_FLOATS | st.floats(allow_nan=False)
+CER = st.none() | EDGE_FLOATS | st.floats(min_value=0.0, allow_infinity=False)
+DURATION = st.sampled_from([5e-324, 1e308]) | st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+def _has_lone_surrogate(*texts):
+    return any("\ud800" <= c <= "\udfff" for text in texts for c in text)
+
+
+def _cell_reprs(record):
+    """Each field's repr, so -0.0 and 0.0 differ."""
+    return [repr(getattr(record, f.name)) for f in fields(record)]
+
+
+@pytest.fixture(scope="module")
+def drawn_manifest_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn_manifest") / "manifest.tsv"
+
+
+@given(
+    rows=st.lists(
+        st.tuples(CELL, CELL, DURATION, CELL, CELL, SNR, CER, CELL),
+        max_size=6,
+        unique_by=lambda row: row[0],
+    ),
+    tag=CELL,
+)
+@settings(max_examples=50, deadline=None)
+def test_every_manifest_save_writes_loads_back(drawn_manifest_path, rows, tag):
+    records = []
+    for row in rows:
+        texts = [cell for cell in row if isinstance(cell, str)]
+        if row[0] == "" or row[0].startswith("#") or _has_lone_surrogate(*texts):
+            with pytest.raises(InvalidConfigError):
+                UtteranceRecord(*row)
+        else:
+            records.append(UtteranceRecord(*row))
+    if tag != tag.strip() or _has_lone_surrogate(tag):
+        with pytest.raises(InvalidConfigError):
+            Manifest(tuple(records), tag)
+        return
+    manifest = Manifest(tuple(records), tag)
+    corpus.save_manifest(manifest, drawn_manifest_path)
+    loaded = corpus.load_manifest(drawn_manifest_path)
+    assert loaded.source_tag == tag
+    assert [_cell_reprs(r) for r in loaded] == [_cell_reprs(r) for r in manifest]
+
+
+@pytest.mark.parametrize("edges", [corpus.SNR_HISTOGRAM_EDGES, corpus.CER_HISTOGRAM_EDGES])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_histogram_matches_the_if_chain(edges, data):
+    near_edges = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    value = (
+        st.none()
+        | st.sampled_from(list(edges) + near_edges + [math.inf, -math.inf, -0.0])
+        | st.floats(allow_nan=False)
+    )
+    values = data.draw(st.lists(value, max_size=30))
+    h = corpus._histogram(iter(values), edges)
+    assert h.edges == edges
+    assert (h.counts, h.n_below, h.n_above, h.n_pos_inf, h.n_neg_inf, h.n_absent) == (
+        histogram_if_chain(values, edges)
+    )
