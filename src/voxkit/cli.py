@@ -28,8 +28,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-AUDIO_STAGES = ("DN", "VAD-0", "VAD-1", "VAD-2", "VAD-3", "VN")
-ALL_STAGES = AUDIO_STAGES + ("FLT",)
+ALL_STAGES = ("DN", "VAD-0", "VAD-1", "VAD-2", "VAD-3", "VN", "FLT")
 ENHANCED_SUFFIX = ".enhanced.wav"
 NAME_MAX = 255  # bytes in one file name, on the file systems voxkit writes to
 
@@ -44,14 +43,6 @@ def derive_seed(base_seed: int, utterance_id: str) -> int:
     return zlib.crc32(f"{base_seed}:{utterance_id}".encode("utf-8"))
 
 
-def _map_ordered(func, jobs, workers: int) -> list:
-    """Apply func over jobs, preserving job order in the results."""
-    if workers <= 1:
-        return [func(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, jobs, chunksize=1))
-
-
 def _run_utterances(func, items: dict, args, cfg, stage: str, out_dir: Path):
     """Make out_dir, then map func(id, item, args, cfg, stage) over items in --workers processes.
 
@@ -64,7 +55,12 @@ def _run_utterances(func, items: dict, args, cfg, stage: str, out_dir: Path):
     ({id: value}, rows of (id, stage, message)), both in item order.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _map_ordered(partial(_attempt, func, stage, args, cfg), items.items(), args.workers)
+    attempt = partial(_attempt, func, stage, args, cfg)
+    if args.workers <= 1:
+        results = [attempt(item) for item in items.items()]
+    else:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            results = list(pool.map(attempt, items.items(), chunksize=1))
     values, error_rows = {}, []
     for utterance_id, (value, errors, caught) in zip(items, results):
         values[utterance_id] = value
@@ -151,10 +147,10 @@ def _finish(out_dir: Path, error_rows, wrote: str) -> int:
     return EXIT_OK
 
 
-def _relative_audio_cell(record, manifest_path, out_dir) -> str:
-    """Rewrite a record's audio path relative to the output directory."""
-    resolved = corpus.resolve_audio_path(record, manifest_path)
-    return os.path.relpath(resolved, out_dir)
+def _input_audio(record, manifest_path, out_dir, **changes):
+    """record with changes, its audio cell pointing from out_dir at its input audio."""
+    audio = os.path.relpath(corpus.resolve_audio_path(record, manifest_path), out_dir)
+    return replace(record, audio_path=audio, **changes)
 
 
 def _print_stage_table(rows) -> None:
@@ -235,8 +231,8 @@ def _configure(args) -> dict:
 def _preprocess_one(utterance_id, record, args, cfg, stage):
     """Run one record through the audio stages into <out-dir>/<id>.wav.
 
-    Returns (updated record, durations): the input duration, then the
-    duration after each audio stage. FLT's CER is filled in here too.
+    Returns (record with DN's snr_db and FLT's CER, durations): the input
+    duration, then one duration per stage; FLT's repeats the one before it.
     """
     out_path = _out_wav(args.out_dir, utterance_id)
     audio = corpus.resolve_audio_path(record, args.manifest)
@@ -244,9 +240,8 @@ def _preprocess_one(utterance_id, record, args, cfg, stage):
     durations = [w.duration_s]
     snr_db = record.snr_db
     for name in cfg["stages"]:
-        if name == "FLT":
-            continue
-        stage[0] = name
+        if name != "FLT":  # a failed WAV write is charged to the last audio stage
+            stage[0] = name
         if name == "DN":
             # Without --enhanced-dir, DN uses the identity enhancer.
             enhanced = w if args.enhanced_dir is None else _load_enhanced(audio, args)
@@ -256,7 +251,7 @@ def _preprocess_one(utterance_id, record, args, cfg, stage):
             labels = enhance.vad_label(w, cfg[name])
             seed = derive_seed(args.seed, utterance_id)
             w = enhance.trim_and_compress(w, labels, cfg["silence"], seed=seed)
-        else:  # VN
+        elif name == "VN":
             w = enhance.normalize_volume(w)
         durations.append(w.duration_s)
     wavio.write_wav(out_path, w)
@@ -266,10 +261,7 @@ def _preprocess_one(utterance_id, record, args, cfg, stage):
             cer = metrics.cer(record.text, record.hyp_text).cer
         except VoxkitError as exc:
             errors = (("FLT", str(exc)),)
-    updated = replace(
-        record, audio_path=out_path.name, duration_s=w.duration_s, snr_db=snr_db, cer=cer
-    )
-    return (updated, tuple(durations)), errors
+    return (replace(record, snr_db=snr_db, cer=cer), durations), errors
 
 
 def cmd_preprocess(args, cfg) -> int:
@@ -280,47 +272,38 @@ def cmd_preprocess(args, cfg) -> int:
     stages = cfg["stages"]
     results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, "load", out_dir)
     error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
-    updated, durations = {}, {}
-    for utterance_id, result in results.items():
-        if result is not None:
-            updated[utterance_id], durations[utterance_id] = result
 
-    # Walk the chain to build the retained-hours table and apply FLT.
-    def hours(ids, column):
-        return sum(durations[i][column] for i in ids) / 3600.0
-
-    def source_tag(n_stages):  # the manifest's tag after the first n_stages stages
-        source = [] if manifest.source_tag == "Raw" else [manifest.source_tag]
-        return "+".join(source + list(stages[:n_stages])) or "Raw"
-
-    current_ids = sorted(updated)
-    table = [("Raw", hours(current_ids, 0), len(current_ids))]
-    column = 0
-    filter_result = None
-    for k, stage in enumerate(stages):
+    # Walk the chain: position k is after the first k stages, and tags[k] is its manifest tag.
+    source = [] if manifest.source_tag == "Raw" else [manifest.source_tag]
+    tags = ["+".join(source + list(stages[:k])) or "Raw" for k in range(len(stages) + 1)]
+    alive = [i for i, result in results.items() if result is not None]  # in manifest order
+    table, filter_result = [], None
+    for k, stage in enumerate(("Raw",) + stages):
         if stage == "FLT":
             # FLT sees the input audio cells, so dropped.tsv points at the input audio.
-            cells = (_relative_audio_cell(records[i], args.manifest, out_dir) for i in current_ids)
-            inputs = tuple(replace(updated[i], audio_path=c) for i, c in zip(current_ids, cells))
-            filter_result = corpus.apply_filter(corpus.Manifest(inputs, source_tag(k)), cfg["FLT"])
-            current_ids = [r.utterance_id for r in filter_result.kept]
-        else:
-            column += 1
-        table.append(("+".join(stages[: k + 1]), hours(current_ids, column), len(current_ids)))
+            inputs = tuple(
+                _input_audio(record, args.manifest, out_dir, duration_s=durations[k])
+                for record, durations in map(results.get, alive)
+            )
+            filter_result = corpus.apply_filter(corpus.Manifest(inputs, tags[k - 1]), cfg["FLT"])
+            alive = filter_result.kept.ids()
+        hours = sum(durations[k] for _, durations in map(results.get, alive)) / 3600.0
+        table.append(("+".join(stages[:k]) or "Raw", hours, len(alive)))
 
     # Failed and dropped utterances leave no processed audio behind.
-    kept = set(current_ids)
-    for utterance_id in records:
-        if utterance_id not in kept:
-            _discard_wav(out_dir, utterance_id)
+    for utterance_id in records.keys() - set(alive):
+        _discard_wav(out_dir, utterance_id)
 
-    out_manifest = corpus.Manifest(tuple(updated[i] for i in current_ids), source_tag(len(stages)))
-    corpus.save_manifest(out_manifest, out_dir / "manifest.tsv")
+    outputs = tuple(
+        replace(record, audio_path=f"{record.utterance_id}.wav", duration_s=durations[-1])
+        for record, durations in map(results.get, alive)
+    )
+    corpus.save_manifest(corpus.Manifest(outputs, tags[-1]), out_dir / "manifest.tsv")
     if filter_result is not None:
         corpus.save_dropped_report(filter_result, out_dir / "dropped.tsv")
 
     _print_stage_table(table)
-    wrote = f"{len(current_ids)} utterances to {out_dir / 'manifest.tsv'}"
+    wrote = f"{len(alive)} utterances to {out_dir / 'manifest.tsv'}"
     return _finish(out_dir, error_rows, wrote)
 
 
@@ -416,11 +399,7 @@ def cmd_snr(args, cfg) -> int:
     audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
     snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, "snr", out_path.parent)
     records = tuple(
-        replace(
-            record,
-            audio_path=_relative_audio_cell(record, args.manifest, out_path.parent),
-            snr_db=snrs[record.utterance_id],
-        )
+        _input_audio(record, args.manifest, out_path.parent, snr_db=snrs[record.utterance_id])
         for record in manifest
         if snrs[record.utterance_id] is not None
     )
@@ -497,9 +476,7 @@ def cmd_filter(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = tuple(
-        replace(r, audio_path=_relative_audio_cell(r, args.manifest, out_dir)) for r in manifest
-    )
+    records = tuple(_input_audio(r, args.manifest, out_dir) for r in manifest)
     result = corpus.apply_filter(corpus.Manifest(records, manifest.source_tag), cfg["FLT"])
     corpus.save_manifest(result.kept, out_dir / "kept.tsv")
     corpus.save_dropped_report(result, out_dir / "dropped.tsv")

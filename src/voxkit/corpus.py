@@ -12,6 +12,7 @@ starts or ends with whitespace, so every manifest loads back as it was saved.
 """
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -30,6 +31,8 @@ MISSING_FIELD_REASON = "missing-field"
 
 
 def _check_cell(name: str, value: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidConfigError(f"{name} must be a str, got {type(value).__name__}")
     if "\t" in value or "\n" in value or "\r" in value:
         raise InvalidConfigError(f"{name} must not contain tabs or newlines")
     try:
@@ -53,14 +56,19 @@ class UtteranceRecord:
     speaker: str = ""
 
     def __post_init__(self):
+        for name in ("utterance_id", "audio_path", "text", "hyp_text", "speaker"):
+            _check_cell(name, getattr(self, name))
+        for name in ("duration_s", "snr_db", "cer"):
+            value = getattr(self, name)
+            absent = value is None and name != "duration_s"  # snr_db and cer may be absent
+            if not absent and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
         if not self.utterance_id:
             raise InvalidConfigError("utterance id must be non-empty")
         if self.utterance_id.startswith("#"):
             raise InvalidConfigError(
                 f"utterance id must not start with '#', got {self.utterance_id!r}"
             )
-        for name in ("utterance_id", "audio_path", "text", "hyp_text", "speaker"):
-            _check_cell(name, getattr(self, name))
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise InvalidConfigError(
                 f"duration_s must be finite and positive, got {self.duration_s}"

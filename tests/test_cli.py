@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import importlib
 import io
 import json
@@ -223,6 +224,56 @@ class TestPreprocess:
         assert code == cli.EXIT_OK
         capsys.readouterr()
         assert (out_dir / "dropped.tsv").read_text().splitlines()[0] == f"# source: {tag}"
+
+    def test_dropped_report_takes_the_duration_at_flts_place(self, tmp_path, capsys):
+        # FLT runs before VAD-2, so a dropped row's duration is its input audio's,
+        # not the trimmed length of a WAV that is then deleted.
+        root = tmp_path / "corpus"
+        manifest = build_corpus(root, 4, seed=7)
+        out_dir = tmp_path / "out"
+        code = cli.main([
+            "preprocess", "--manifest", str(manifest), "--out-dir", str(out_dir),
+            "--stages", "FLT,VAD-2",
+        ])
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+        lines = (out_dir / "dropped.tsv").read_text().splitlines()[2:]
+        rows = [line.split("\t") for line in lines]
+        assert [row[0] for row in rows] == ["utt000", "utt001", "utt002", "utt003"]
+        for row in rows:
+            assert float(row[2]) == wavio.read_wav(out_dir / row[1]).duration_s
+
+    @pytest.mark.parametrize("stages, columns", [
+        ("DN,VAD-2,FLT,VN", ["raw all", "raw all", "trimmed all", "trimmed kept", "final kept"]),
+        ("FLT,VAD-2,VN", ["raw all", "raw kept", "trimmed kept", "final kept"]),
+    ])
+    def test_stage_table_sums_the_durations_alive_at_each_stage(
+        self, stages, columns, tmp_path, monkeypatch, capsys
+    ):
+        # columns: for each row, whose durations it sums and over which ids
+        root = tmp_path / "corpus"
+        manifest = build_corpus(root, 6, seed=7)
+        tables = []
+        monkeypatch.setattr(cli, "_print_stage_table", tables.append)
+        common = ["--manifest", str(manifest), "--enhanced-dir", str(root / "enh"), "--flt", "cer"]
+        # The chain without FLT keeps every trimmed WAV; VN leaves their lengths as they are.
+        for out, chain in (("out", stages), ("all", stages.replace("FLT,", ""))):
+            argv = ["preprocess", "--out-dir", str(tmp_path / out), "--stages", chain]
+            assert cli.main(argv + common) == cli.EXIT_OK
+        capsys.readouterr()
+
+        ids = {"all": corpus.load_manifest(manifest).ids()}
+        ids["kept"] = corpus.load_manifest(tmp_path / "out" / "manifest.tsv").ids()
+        assert 0 < len(ids["kept"]) < len(ids["all"])
+        dirs = {"raw": root / "raw", "trimmed": tmp_path / "all", "final": tmp_path / "out"}
+        names = stages.split(",")
+        labels = ["Raw"] + ["+".join(names[:k]) for k in range(1, len(names) + 1)]
+        expected = []
+        for label, column in zip(labels, columns):
+            audio, alive = column.split()
+            seconds = [wavio.read_wav(dirs[audio] / f"{i}.wav").duration_s for i in ids[alive]]
+            expected.append((label, sum(seconds) / 3600.0, len(ids[alive])))
+        assert tables[0] == expected  # the run with FLT comes first
 
     def test_identity_enhancer_when_no_enhanced_dir(self, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -924,6 +975,74 @@ def test_drawn_configuration_fails_whole_or_not_at_all(
     else:
         assert code == cli.EXIT_OK
         assert (out_dir / "errors.tsv").read_text() == "id\tstage\terror\n"
+
+
+def _manifest_row(ids, audio, durations, snrs, cers, text):
+    """One manifest line: the eight cells joined by tabs."""
+    return st.tuples(ids, audio, durations, text, text, snrs, cers, text).map("\t".join)
+
+
+_GOOD_DURATIONS = ["1.0", "2", "0.5", "1e-3", "3600"]
+_GOOD_SNRS = ["", "20", "15", "3", "inf", "-inf", "-0.0"]
+_GOOD_CERS = ["", "0.0", "0.05", "0.1", "0.5", "2"]
+_CELL_TEXT = st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",))
+_TAG = st.text(st.characters(exclude_characters="\n\r", exclude_categories=("Cs",)), max_size=6)
+# Rows that load: unique ids, no tab or line break inside a cell, well-formed numbers.
+_LOADABLE_ROWS = st.lists(
+    _manifest_row(
+        st.sampled_from(["a", "b", "c.d", "\u00e9", "take#2", "x y", "a\x85b", "\u2028"]),
+        st.sampled_from(["a.wav", "raw/b.wav", "/abs/c.wav", "../up.wav", "a\\b.wav", "."]),
+        st.sampled_from(_GOOD_DURATIONS),
+        st.sampled_from(_GOOD_SNRS),
+        st.sampled_from(_GOOD_CERS),
+        st.text(_CELL_TEXT, max_size=4),
+    ),
+    max_size=4,
+    unique_by=lambda row: row.split("\t")[0],
+)
+# Rows that may not: any text as id and audio cells, bad numbers, tabs and line breaks.
+_ANY_ROW = _manifest_row(
+    st.text(max_size=3),
+    st.text(max_size=3),
+    st.sampled_from(_GOOD_DURATIONS + ["", "0", "-1", "nan", "inf", "x", "1e400", "True"]),
+    st.sampled_from(_GOOD_SNRS + ["nan", "x"]),
+    st.sampled_from(_GOOD_CERS + ["nan", "-1", "inf", "x"]),
+    st.text(max_size=4),
+)
+
+
+@given(
+    source=st.one_of(st.just(""), _TAG.map(lambda tag: f"# source: {tag}\n")),
+    header=st.sampled_from(["\t".join(corpus.MANIFEST_COLUMNS)] * 9 + ["id\taudio", "", "# id"]),
+    rows=st.tuples(_LOADABLE_ROWS, st.lists(_ANY_ROW, max_size=1)).map(lambda t: t[0] + t[1]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+@settings(max_examples=25, deadline=None)
+def test_filter_on_drawn_manifest_text_splits_every_id_or_fails_whole(
+    tmp_path_factory, source, header, rows, newline
+):
+    work = tmp_path_factory.mktemp("drawn_filter")
+    manifest = work / "in" / "manifest.tsv"
+    manifest.parent.mkdir()
+    manifest.write_bytes((source + newline.join([header, *rows]) + newline).encode("utf-8"))
+    out_dir = work / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):  # any exception main lets out fails the test here
+        code = cli.main(["filter", "--manifest", str(manifest), "--out-dir", str(out_dir)])
+
+    outside = [p for p in work.rglob("*") if p != out_dir and out_dir not in p.parents]
+    assert sorted(outside) == [manifest.parent, manifest]
+    if code == cli.EXIT_RUNTIME:
+        assert not out_dir.exists()
+        assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+        return
+    assert code == cli.EXIT_OK and stderr.getvalue() == ""
+    kept = corpus.load_manifest(out_dir / "kept.tsv").ids()
+    dropped = [
+        line.split("\t")[0]
+        for line in (out_dir / "dropped.tsv").read_text(encoding="utf-8").split("\n")[2:-1]
+    ]
+    assert sorted(kept + dropped) == corpus.load_manifest(manifest).ids()
 
 
 # Every (command, flag) pair that the shared flags once gave a command that never read it.

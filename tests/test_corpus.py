@@ -1,5 +1,7 @@
 import math
 from dataclasses import fields
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,38 @@ class TestRecord:
     def test_hash_later_in_id_allowed(self):
         assert rec("take#2").utterance_id == "take#2"
 
+    @pytest.mark.parametrize("field, value", [
+        ("utterance_id", 7),
+        ("audio_path", Path("x.wav")),
+        ("text", None),
+        ("hyp_text", b"bytes"),
+        ("speaker", 0),
+    ])
+    def test_cell_that_is_not_a_str_rejected(self, field, value):
+        cells = {"utterance_id": "a", "audio_path": "a.wav", "duration_s": 1.0, field: value}
+        with pytest.raises(InvalidConfigError, match=f"{field} must be a str, got "):
+            UtteranceRecord(**cells)
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", "1.0"),
+        ("duration_s", True),
+        ("duration_s", None),
+        ("duration_s", 1j),
+        ("duration_s", Decimal("1.5")),
+        ("snr_db", "20"),
+        ("snr_db", False),
+        ("cer", True),
+        ("cer", "0.1"),
+    ])
+    def test_bool_or_non_real_number_rejected(self, field, value):
+        cells = {"utterance_id": "a", "audio_path": "a.wav", "duration_s": 1.0, field: value}
+        with pytest.raises(InvalidConfigError, match=f"{field} must be a real number, got "):
+            UtteranceRecord(**cells)
+
+    def test_int_numbers_allowed(self):
+        record = rec("a", snr=20, cer=0, duration=2)
+        assert (record.duration_s, record.snr_db, record.cer) == (2, 20, 0)
+
 
 class TestManifest:
     def test_records_sorted_by_id(self):
@@ -75,6 +109,10 @@ class TestManifest:
     def test_source_tag_with_tab_line_break_or_surrogate_rejected(self, tag):
         with pytest.raises(InvalidConfigError, match="source_tag must not contain"):
             Manifest((), tag)
+
+    def test_source_tag_that_is_not_a_str_rejected(self):
+        with pytest.raises(InvalidConfigError, match="source_tag must be a str, got NoneType"):
+            Manifest((), None)
 
     @pytest.mark.parametrize("tag", [" DN", "DN ", "DN\x0b", "\u3000"])
     def test_source_tag_with_surrounding_whitespace_rejected(self, tag):
