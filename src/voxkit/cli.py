@@ -73,27 +73,23 @@ def _run_utterances(func, items: dict, args, cfg, stage: str, out_dir: Path):
 def _attempt(func, label, args, cfg, named_item):
     """(value, errors, caught): func's result and the UTTERANCE_WARNINGS it raised.
 
-    Other warnings are shown as usual, and the warning filters apply to all of them.
+    Other warnings are shown once func returns, and the warning filters apply to all of them.
     """
     utterance_id, item = named_item
     stage = [label]
-    caught = []
-    with warnings.catch_warnings():
-        show = warnings.showwarning
-
-        def keep_ours(message, category, *rest, **kwargs):
-            if issubclass(category, UTTERANCE_WARNINGS):
-                caught.append(f"{category.__name__}: {message}")
-            else:
-                show(message, category, *rest, **kwargs)
-
-        warnings.showwarning = keep_ours
+    with warnings.catch_warnings(record=True) as log:
         try:
             value, errors = func(utterance_id, item, args, cfg, stage)
         # A header that claims a huge size (a .npy shape, a WAV rate to resample
         # from) asks for more memory than the machine has; only that input fails.
         except (VoxkitError, OSError, MemoryError) as exc:
             value, errors = None, ((stage[0], str(exc)),)
+    caught = []
+    for w in log:
+        if issubclass(w.category, UTTERANCE_WARNINGS):
+            caught.append(f"{w.category.__name__}: {w.message}")
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     return value, errors, tuple(caught)
 
 

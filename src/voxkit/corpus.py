@@ -60,9 +60,18 @@ class UtteranceRecord:
             _check_cell(name, getattr(self, name))
         for name in ("duration_s", "snr_db", "cer"):
             value = getattr(self, name)
-            absent = value is None and name != "duration_s"  # snr_db and cer may be absent
-            if not absent and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-                raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+            if value is None and name != "duration_s":  # snr_db and cer may be absent
+                continue
+            if isinstance(value, bool) or not isinstance(value, (float, numbers.Integral)):
+                raise InvalidConfigError(
+                    f"{name} must be a real number, got {value!r}, not a float or an int"
+                )
+            try:  # an int is saved as its digits, which load back as a float
+                exact = isinstance(value, float) or float(value) == int(value)
+            except OverflowError:
+                exact = False
+            if not exact:
+                raise InvalidConfigError(f"{name} must be an int that a float holds exactly")
         if not self.utterance_id:
             raise InvalidConfigError("utterance id must be non-empty")
         if self.utterance_id.startswith("#"):
@@ -202,9 +211,8 @@ class FilterResult:
     reasons: dict = field(default_factory=dict)  # utterance id -> reason tag
 
 
-def apply_filter(manifest: Manifest, cfg: FilterConfig | None = None) -> FilterResult:
+def apply_filter(manifest: Manifest, cfg: FilterConfig = FilterConfig()) -> FilterResult:
     """Split a manifest by the quality thresholds."""
-    cfg = cfg or FilterConfig()
     kept = []
     dropped = []
     reasons = {}

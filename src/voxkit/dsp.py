@@ -5,7 +5,7 @@ Waveform samples are float64 with a nominal [-1, 1] range.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,9 +21,6 @@ from .errors import (
     InvalidRateError,
 )
 
-DEFAULT_FFT_SIZE = 1024
-DEFAULT_WIN_LENGTH = 1024
-DEFAULT_HOP_LENGTH = 256
 LOG_FLOOR = 1e-10  # added to mel power before the log
 MEL_F_MIN = 0.0  # Hz; the mel filters span MEL_F_MIN to the Nyquist frequency
 N_CEPSTRA = 13  # mel cepstra c1..c13 that mfcc and mcd keep; c0 is dropped
@@ -64,9 +61,9 @@ class Waveform:
 class StftConfig:
     """Framing parameters for the short-time Fourier transform; the window is periodic Hann."""
 
-    fft_size: int = DEFAULT_FFT_SIZE
-    win_length: int = DEFAULT_WIN_LENGTH
-    hop_length: int = DEFAULT_HOP_LENGTH
+    fft_size: int = 1024
+    win_length: int = 1024
+    hop_length: int = 256
 
     def __post_init__(self):
         if min(self.fft_size, self.win_length, self.hop_length) <= 0:
@@ -93,7 +90,7 @@ class MelConfig:
     """
 
     n_mels: int = 80
-    stft: StftConfig = field(default_factory=StftConfig)
+    stft: StftConfig = StftConfig()
 
     def __post_init__(self):
         if self.n_mels < 1:
@@ -196,9 +193,8 @@ def _windowed_chunks(samples, cfg: StftConfig):
         t0 += len(chunk)
 
 
-def stft(w: Waveform, cfg: StftConfig | None = None) -> FeatureSeq:
+def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> FeatureSeq:
     """Magnitude spectrogram of centered, Hann-windowed frames."""
-    cfg = cfg or StftConfig()
     n_frames = _n_frames(len(w), cfg.win_length, cfg.hop_length)
     spectra = np.empty((min(n_frames, _CHUNK_FRAMES), cfg.n_bins), complex)
     spec = np.empty((n_frames, cfg.n_bins))
@@ -208,14 +204,13 @@ def stft(w: Waveform, cfg: StftConfig | None = None) -> FeatureSeq:
     return FeatureSeq(spec, w.sample_rate / cfg.hop_length, "magnitude_spectrogram")
 
 
-def istft(spec: np.ndarray, cfg: StftConfig | None = None) -> np.ndarray:
+def istft(spec: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Overlap-add inverse of the framing used by stft.
 
     Accepts a complex (n_frames, n_bins) array and returns
     hop_length * (n_frames - 1) + win_length % 2 samples, undoing the center
     padding: one more than the hops for an odd win_length.
     """
-    cfg = cfg or StftConfig()
     spec = np.asarray(spec)
     if spec.ndim != 2 or spec.shape[1] != cfg.n_bins:
         raise DimensionMismatchError(
@@ -299,9 +294,8 @@ def _mel_edges(sample_rate: int, cfg: MelConfig) -> np.ndarray:
     return mel_to_hz(mel_pts)
 
 
-def mel_filterbank(sample_rate: int, cfg: MelConfig | None = None) -> np.ndarray:
+def mel_filterbank(sample_rate: int, cfg: MelConfig = MelConfig()) -> np.ndarray:
     """Triangular mel filters sampled at FFT bin frequencies, (n_mels, n_bins)."""
-    cfg = cfg or MelConfig()
     edges = _mel_edges(sample_rate, cfg)
     left, center, right = edges[:-2], edges[1:-1], edges[2:]
     bin_hz = np.arange(cfg.stft.n_bins) * sample_rate / cfg.stft.fft_size
@@ -311,16 +305,15 @@ def mel_filterbank(sample_rate: int, cfg: MelConfig | None = None) -> np.ndarray
     return np.maximum(0.0, np.minimum(up, down))
 
 
-def log_mel(w: Waveform, cfg: MelConfig | None = None) -> FeatureSeq:
+def log_mel(w: Waveform, cfg: MelConfig = MelConfig()) -> FeatureSeq:
     """Natural-log mel power spectrogram."""
-    cfg = cfg or MelConfig()
     spec = stft(w, cfg.stft)
     power = spec.frames**2
     fb = mel_filterbank(w.sample_rate, cfg)
     return FeatureSeq(np.log(power @ fb.T + LOG_FLOOR), spec.frame_rate, "log_mel")
 
 
-def mfcc(w: Waveform, cfg: MelConfig | None = None) -> FeatureSeq:
+def mfcc(w: Waveform, cfg: MelConfig = MelConfig()) -> FeatureSeq:
     """Cepstral coefficients c1..c_N_CEPSTRA of the log-mel frames, c0 excluded."""
     return mel_cepstrum(log_mel(w, cfg))
 
@@ -405,10 +398,7 @@ def dtw_align(a, b) -> DtwAlignment:
 
 
 def griffin_lim(
-    spec: FeatureSeq,
-    cfg: StftConfig | None = None,
-    n_iters: int = 32,
-    seed: int = 0,
+    spec: FeatureSeq, cfg: StftConfig = StftConfig(), n_iters: int = 32, seed: int = 0
 ) -> Waveform:
     """Reconstruct audio from a magnitude spectrogram by phase iteration.
 
@@ -418,7 +408,6 @@ def griffin_lim(
     smallest relative magnitude gap, so more iterations never reconstruct
     worse for a fixed seed.
     """
-    cfg = cfg or StftConfig()
     if spec.kind != "magnitude_spectrogram":
         raise InvalidConfigError(f"expected a magnitude spectrogram, got {spec.kind!r}")
     if spec.dim != cfg.n_bins:
@@ -476,9 +465,8 @@ def griffin_lim(
     return Waveform(best, sample_rate)
 
 
-def spectral_convergence(target: FeatureSeq, w: Waveform, cfg: StftConfig | None = None) -> float:
+def spectral_convergence(target: FeatureSeq, w: Waveform, cfg: StftConfig = StftConfig()) -> float:
     """Relative Frobenius gap between a target magnitude and a waveform's."""
-    cfg = cfg or StftConfig()
     mag = stft(w, cfg).frames
     if mag.shape != target.frames.shape:
         raise DimensionMismatchError(

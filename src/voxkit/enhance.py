@@ -46,13 +46,14 @@ def _check_pair(noisy: Waveform, enhanced: Waveform) -> None:
         raise LengthMismatchError(f"lengths differ: {len(noisy)} vs {len(enhanced)}")
 
 
-def dry_wet_mix(noisy: Waveform, enhanced: Waveform, cfg: DryWetConfig | None = None) -> Waveform:
+def dry_wet_mix(
+    noisy: Waveform, enhanced: Waveform, cfg: DryWetConfig = DryWetConfig()
+) -> Waveform:
     """Blend dry * noisy + (1 - dry) * enhanced and clip to [-1, 1].
 
     A small dry share masks artifacts the enhancer introduces. Warns with
     the clipped-sample count when clipping occurs.
     """
-    cfg = cfg or DryWetConfig()
     _check_pair(noisy, enhanced)
     mixed = cfg.dry * noisy.samples + (1.0 - cfg.dry) * enhanced.samples
     clipped = np.clip(mixed, -1.0, 1.0)
@@ -129,9 +130,8 @@ def check_vad_rate(sr: int) -> None:
         raise InvalidConfigError(f"sample rate {sr} not in {VAD_SAMPLE_RATES}; resample first")
 
 
-def vad_label(w: Waveform, cfg: VadConfig | None = None) -> FrameLabels:
+def vad_label(w: Waveform, cfg: VadConfig = VadConfig()) -> FrameLabels:
     """Label frames as speech by mean-power threshold in dBFS, then smooth."""
-    cfg = cfg or VadConfig()
     check_vad_rate(w.sample_rate)
     if len(w) == 0:
         raise EmptySignalError("cannot label an empty signal")
@@ -174,17 +174,13 @@ def _fill_samples(n: int, policy: SilencePolicy, seed: int) -> np.ndarray:
 
 
 def trim_and_compress(
-    w: Waveform,
-    labels: FrameLabels,
-    policy: SilencePolicy | None = None,
-    seed: int = 0,
+    w: Waveform, labels: FrameLabels, policy: SilencePolicy = SilencePolicy(), seed: int = 0
 ) -> Waveform:
     """Drop edge silence and cap internal silence runs at MAX_INTERNAL_SILENCE_MS.
 
     Internal silence strictly longer than the cap is replaced by exactly
     the cap's worth of fill; runs at or under the cap are kept verbatim.
     """
-    policy = policy or SilencePolicy()
     flen = frame_length_samples(w.sample_rate)
     n = len(w.samples)
     if len(labels) != (n + flen - 1) // flen:

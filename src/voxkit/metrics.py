@@ -90,7 +90,7 @@ def dtw_rmse(a: np.ndarray, b: np.ndarray) -> tuple:
     return math.sqrt(sq / (len(alignment.path) * dim)), len(alignment.path)
 
 
-def log_mel_pair(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None) -> tuple:
+def log_mel_pair(ref: Waveform, hyp: Waveform, cfg: MelConfig = MelConfig()) -> tuple:
     """Log-mel features of a pair at one sample rate, the input of mcd and msd.
 
     A caller that wants both distortions analyzes each waveform once.
@@ -107,13 +107,13 @@ def mcd_from_log_mel(ref: FeatureSeq, hyp: FeatureSeq) -> tuple:
     return dtw_rmse(mel_cepstrum(ref).frames, mel_cepstrum(hyp).frames)
 
 
-def mcd(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None) -> float:
+def mcd(ref: Waveform, hyp: Waveform, cfg: MelConfig = MelConfig()) -> float:
     """Mel-cepstral distortion after temporal alignment."""
     value, _ = mcd_from_log_mel(*log_mel_pair(ref, hyp, cfg))
     return value
 
 
-def msd(ref: Waveform, hyp: Waveform, cfg: MelConfig | None = None) -> float:
+def msd(ref: Waveform, hyp: Waveform, cfg: MelConfig = MelConfig()) -> float:
     """Log-mel spectral distortion after temporal alignment."""
     ref_logm, hyp_logm = log_mel_pair(ref, hyp, cfg)
     value, _ = dtw_rmse(ref_logm.frames, hyp_logm.frames)

@@ -157,13 +157,12 @@ def _decide(cmnd: np.ndarray, sr: int, lag_min: int, lag_max: int) -> tuple:
     return np.where(voiced, freq, 0.0), voiced
 
 
-def extract_pitch(w: Waveform, cfg: StftConfig | None = None) -> PitchTrack:
+def extract_pitch(w: Waveform, cfg: StftConfig = StftConfig()) -> PitchTrack:
     """Estimate per-frame f0 on the frames of stft(w, cfg): win_length and hop_length.
 
     A frame is voiced when the normalized-difference minimum falls below
     VOICING_THRESHOLD and the refined f0 lies inside [F0_MIN, F0_MAX].
     """
-    cfg = cfg or StftConfig()
     sr = w.sample_rate
     lag_min, lag_max = lags(sr, cfg.win_length)
     window = cfg.win_length - lag_max

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -750,6 +751,72 @@ def test_worker_count_does_not_change_outputs(command, tmp_path, capsys):
     assert outputs[0]["errors.tsv"].decode().splitlines()[1].startswith("utt001\t")
 
 
+def _corpus_with_unusable_audio(root):
+    """0.25 s WAVs: a NaN sample, an infinite one, no samples, and a tone, with the tone's
+    enhanced twin for each, plus .npy spectrograms holding a NaN, an inf, no frames and a tone."""
+    tone = dsp.Waveform(sine(440.0, 0.25), SR)
+    (root / "enh").mkdir(parents=True)
+    (root / "specs").mkdir()
+    records = []
+    for name, value in (("a_nan", np.nan), ("b_inf", np.inf), ("c_empty", None), ("d_tone", 0)):
+        samples, frames = tone.samples.astype(np.float32), dsp.stft(tone).frames
+        if value is None:
+            samples, frames = samples[:0], frames[:0]
+        else:
+            samples[100] = frames[3, 7] = value
+        scipy.io.wavfile.write(root / f"{name}.wav", SR, samples)
+        wavio.write_wav(root / "enh" / f"{name}.enhanced.wav", tone)
+        np.save(root / "specs" / f"{name}.npy", frames)
+        records.append(corpus.UtteranceRecord(name, f"{name}.wav", 0.25, "a b", "a b"))
+    corpus.save_manifest(corpus.Manifest(tuple(records)), root / "manifest.tsv")
+    return root / "manifest.tsv"
+
+
+@pytest.mark.parametrize("command, stage, output", [
+    ("preprocess", "load", "manifest.tsv"),
+    ("metrics", "audio", "report.tsv"),
+    ("snr", "snr", "scored.tsv"),
+    ("vocode", "vocode", "roundtrip.tsv"),
+    ("vocode --spec-dir", "vocode", "roundtrip.tsv"),
+])
+def test_non_finite_or_empty_audio_is_one_error_row_each(command, stage, output, tmp_path, capsys):
+    manifest = str(_corpus_with_unusable_audio(tmp_path / "corpus"))
+    outputs = []
+    for workers in ("1", "2"):
+        out_dir = str(tmp_path / f"out{workers}")
+        argv = {
+            "preprocess": ["preprocess", "--manifest", manifest, "--out-dir", out_dir],
+            "metrics": ["metrics", "--ref-manifest", manifest, "--hyp-manifest", manifest,
+                        "--out-dir", out_dir],
+            "snr": ["snr", "--manifest", manifest, "--enhanced-dir", str(tmp_path / "corpus/enh"),
+                    "--out", f"{out_dir}/scored.tsv"],
+            "vocode": ["vocode", "--manifest", manifest, "--out-dir", out_dir, "--iters", "2"],
+            "vocode --spec-dir": ["vocode", "--spec-dir", str(tmp_path / "corpus/specs"),
+                                  "--out-dir", out_dir, "--iters", "2"],
+        }[command]
+        assert cli.main(argv + ["--workers", workers]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        outputs.append({p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())})
+    assert outputs[0] == outputs[1]
+    if command == "vocode --spec-dir":
+        errors = (
+            "a_nan\tvocode\tfeature matrix contains NaN or infinite entries\n"
+            "b_inf\tvocode\tfeature matrix contains NaN or infinite entries\n"
+            "c_empty\tvocode\tfeature matrix must be 2-D and non-empty, got shape (0, 513)\n"
+        )
+    else:
+        errors = (
+            f"a_nan\t{stage}\twaveform contains NaN or infinite samples\n"
+            f"b_inf\t{stage}\twaveform contains NaN or infinite samples\n"
+            f"c_empty\t{stage}\tcannot resample an empty signal\n"
+        )
+    assert outputs[0]["errors.tsv"].decode() == "id\tstage\terror\n" + errors
+    # Only the tone has values: a failed utterance has no row, or a row of empty cells.
+    rows = [line.split("\t") for line in outputs[0][output].decode().splitlines()]
+    names = ("a_nan", "b_inf", "c_empty", "d_tone")
+    assert [row[0] for row in rows if row[0] in names and any(row[1:])] == ["d_tone"]
+
+
 def _voxkit_processes(argvs, cwd):
     """Run `python -m voxkit.cli` once per argv, all at once; returns (exit code, stderr) each."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -822,6 +889,20 @@ def test_other_warnings_keep_their_filters(tmp_path, monkeypatch):
     build_corpus(tmp_path, 1, seed=29)
     with pytest.raises(RuntimeWarning, match="not a voxkit warning"):  # -W error::RuntimeWarning
         cli.main(_minimal_argv("snr", tmp_path))
+
+
+def test_other_warnings_reach_the_caller_and_get_no_id_line(tmp_path, monkeypatch, capsys):
+    def warns(noisy, enhanced):
+        warnings.warn(UserWarning("not a voxkit warning"))
+        return 20.0
+
+    monkeypatch.setattr(enhance, "estimate_snr", warns)
+    build_corpus(tmp_path, 2, seed=29)
+    with pytest.warns(UserWarning, match="not a voxkit warning") as record:
+        assert cli.main(_minimal_argv("snr", tmp_path)) == cli.EXIT_OK
+    assert [str(w.message) for w in record] == ["not a voxkit warning"] * 2
+    assert "warning: " not in capsys.readouterr().err
+    assert (tmp_path / "out" / "errors.tsv").read_text() == "id\tstage\terror\n"
 
 
 def _minimal_argv(command, root):
@@ -1107,15 +1188,34 @@ CONFIG_FLAGS = {
 
 
 def test_every_config_field_is_set_by_a_cli_flag():
-    configs = {}
+    configs, classes = {}, {}
     for info in pkgutil.iter_modules(voxkit.__path__):
         for name, cls in vars(importlib.import_module(f"voxkit.{info.name}")).items():
             if name.endswith(("Config", "Policy")) and is_dataclass(cls):
                 configs[name] = {f.name for f in fields(cls)}
+                classes[name] = cls
     assert configs == {name: set(table) for name, table in CONFIG_FLAGS.items()}
     parsers = _subparsers().values()
     declared = {s for sub in parsers for action in sub._actions for s in action.option_strings}
     assert {flag for table in CONFIG_FLAGS.values() for flag in table.values()} <= declared
+
+    # Each flag defaults to its field's default, so the CLI and the library agree.
+    # --aggressiveness defaults to 1, the VAD-1 of the default stage chain.
+    defaults = {}
+    for sub in parsers:
+        for action in sub._actions:
+            for flag in action.option_strings:
+                assert defaults.setdefault(flag, action.default) == action.default, flag
+    for name, table in CONFIG_FLAGS.items():
+        config = classes[name]()
+        for field_name, flag in table.items():
+            value = getattr(config, field_name)
+            if is_dataclass(value):  # MelConfig.stft: the StftConfig row checks its flags
+                assert value == dsp.StftConfig()
+            elif flag == "--aggressiveness":
+                assert (value, defaults[flag]) == (0, 1)
+            else:
+                assert defaults[flag] == value, flag
 
 
 @pytest.mark.parametrize("command", ["report", "preprocess", "metrics"])

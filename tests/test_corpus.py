@@ -1,8 +1,11 @@
 import math
+import re
 from dataclasses import fields
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +97,32 @@ class TestRecord:
     def test_int_numbers_allowed(self):
         record = rec("a", snr=20, cer=0, duration=2)
         assert (record.duration_s, record.snr_db, record.cer) == (2, 20, 0)
+
+    @pytest.mark.parametrize("field", ["duration_s", "snr_db", "cer"])
+    @pytest.mark.parametrize("value, message", [
+        (Fraction(1, 3), "must be a real number, got Fraction(1, 3), not a float or an int"),
+        (np.float32(0.1), "must be a real number, got np.float32(0.1), not a float or an int"),
+        (10**400, "must be an int that a float holds exactly"),
+        (-(10**5000), "must be an int that a float holds exactly"),
+        (2**53 + 1, "must be an int that a float holds exactly"),
+        (np.int64(2**62 + 1), "must be an int that a float holds exactly"),
+    ], ids=["fraction", "float32", "overflow", "huge", "2**53+1", "int64"])
+    def test_number_that_would_not_load_back_rejected(self, field, value, message):
+        cells = {"utterance_id": "a", "audio_path": "a.wav", "duration_s": 1.0, field: value}
+        with pytest.raises(InvalidConfigError, match=re.escape(f"{field} {message}")):
+            UtteranceRecord(**cells)
+
+    @pytest.mark.parametrize("value", [2**53, -(2**60), np.int64(7), np.float64(0.1)])
+    def test_int_or_float_subclass_loads_back_equal(self, value, tmp_path):
+        record = rec("a", snr=value, cer=abs(value), duration=abs(value))
+        corpus.save_manifest(Manifest((record,)), tmp_path / "m.tsv")
+        loaded = corpus.load_manifest(tmp_path / "m.tsv").records[0]
+        assert (loaded.duration_s, loaded.snr_db, loaded.cer) == (abs(value), value, abs(value))
+
+    @pytest.mark.parametrize("cer", [-0.1, math.inf, math.nan])
+    def test_negative_or_non_finite_cer_rejected(self, cer):
+        with pytest.raises(InvalidConfigError, match="cer must be finite and non-negative"):
+            rec("a", cer=cer)
 
 
 class TestManifest:
@@ -384,9 +413,23 @@ CELL = st.text(
 EDGE_FLOATS = st.sampled_from(
     [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308]
 )
-SNR = st.none() | st.sampled_from([math.inf, -math.inf]) | EDGE_FLOATS | st.floats(allow_nan=False)
-CER = st.none() | EDGE_FLOATS | st.floats(min_value=0.0, allow_infinity=False)
-DURATION = st.sampled_from([5e-324, 1e308]) | st.floats(0.0, exclude_min=True, allow_infinity=False)
+# Ints a float holds exactly, which load back as equal floats
+EXACT_INTS = st.sampled_from([2**53, 2**1023, int(1.7976931348623157e308)]) | st.integers(1, 2**53)
+# Numbers that would not load back as saved; UtteranceRecord rejects each of them
+NOT_SAVED = [Fraction(1, 3), 10**400, -(10**400), 2**53 + 1, np.float32(0.1), np.int64(2**62 + 1)]
+BAD_CER = [-0.1, math.inf, math.nan]
+SNR = (
+    st.none() | st.sampled_from([math.inf, -math.inf]) | EDGE_FLOATS | st.floats(allow_nan=False)
+    | EXACT_INTS | EXACT_INTS.map(lambda n: -n) | st.sampled_from(NOT_SAVED)
+)
+CER = (
+    st.none() | EDGE_FLOATS | st.floats(min_value=0.0, allow_infinity=False) | EXACT_INTS
+    | st.sampled_from(NOT_SAVED + BAD_CER)
+)
+DURATION = (
+    st.sampled_from([5e-324, 1e308]) | st.floats(0.0, exclude_min=True, allow_infinity=False)
+    | EXACT_INTS | st.sampled_from(NOT_SAVED)
+)
 
 
 def _has_lone_surrogate(*texts):
@@ -394,8 +437,16 @@ def _has_lone_surrogate(*texts):
 
 
 def _cell_reprs(record):
-    """Each field's repr, so -0.0 and 0.0 differ."""
-    return [repr(getattr(record, f.name)) for f in fields(record)]
+    """Each field's repr, so -0.0 and 0.0 differ; an int is the float it loads back as."""
+    values = [getattr(record, f.name) for f in fields(record)]
+    return [repr(float(v) if isinstance(v, int) else v) for v in values]
+
+
+def _rejected_number(row):
+    """Whether a drawn row holds a number UtteranceRecord rejects; drawn, so found by identity."""
+    duration, snr, cer = row[2], row[5], row[6]
+    cells = [(duration, NOT_SAVED), (snr, NOT_SAVED), (cer, NOT_SAVED + BAD_CER)]
+    return any(value is bad for value, choices in cells for bad in choices)
 
 
 @pytest.fixture(scope="module")
@@ -416,7 +467,8 @@ def test_every_manifest_save_writes_loads_back(drawn_manifest_path, rows, tag):
     records = []
     for row in rows:
         texts = [cell for cell in row if isinstance(cell, str)]
-        if row[0] == "" or row[0].startswith("#") or _has_lone_surrogate(*texts):
+        bad_text = row[0] == "" or row[0].startswith("#") or _has_lone_surrogate(*texts)
+        if bad_text or _rejected_number(row):
             with pytest.raises(InvalidConfigError):
                 UtteranceRecord(*row)
         else:
