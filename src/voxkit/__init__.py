@@ -64,7 +64,7 @@ _EXPORTS = {
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# voxkit.errors resolves too, but `from voxkit import *` binds only its names, as before.
+# voxkit.errors resolves too, but `from voxkit import *` binds only its names.
 __all__ = sorted(_SOURCE.keys() | _EXPORTS.keys() - {"errors"})
 
 

@@ -44,23 +44,23 @@ def derive_seed(base_seed: int, utterance_id: str) -> int:
 
 
 def _run_utterances(func, items: dict, args, cfg, stage: str, out_dir: Path):
-    """Make out_dir, then map func(id, item, args, cfg, stage) over items in --workers processes.
+    """Make out_dir, then map func(id, item, args, cfg, stage) over items.
 
-    func returns (value, errors), errors being (stage, message) rows.
-    stage is a one-item list naming the stage func is in, starting at the
-    given label; a VoxkitError, OSError or MemoryError that func raises gives
-    the value None and one error row for that stage. Once every item is done,
-    the UTTERANCE_WARNINGS each one raised go to stderr, in item order, one
-    `warning: <id>: <Category>: <message>` line each. Returns
-    ({id: value}, rows of (id, stage, message)), both in item order.
+    The map runs in up to --workers processes, never more than one per utterance. func returns
+    (value, errors), errors being (stage, message) rows. stage is a one-item list naming the
+    stage func is in, starting at the given label; a VoxkitError, OSError or MemoryError that
+    func raises gives the value None and one error row for that stage. Once all items are done,
+    the UTTERANCE_WARNINGS each raised go to stderr as `warning: <id>: <Category>: <message>`
+    lines. Returns ({id: value}, rows of (id, stage, message)); all three are in item order.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     attempt = partial(_attempt, func, stage, args, cfg)
-    if args.workers <= 1:
+    workers = min(args.workers, len(items))
+    if workers <= 1:
         results = [attempt(item) for item in items.items()]
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(attempt, items.items(), chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(attempt, items.items()))
     values, error_rows = {}, []
     for utterance_id, (value, errors, caught) in zip(items, results):
         values[utterance_id] = value
@@ -117,6 +117,28 @@ def _discard_wav(out_dir, utterance_id: str) -> None:
     """Remove <out_dir>/<id>.wav if present; an id _out_wav rejects has none."""
     with suppress(InvalidConfigError, FileNotFoundError):
         _out_wav(out_dir, utterance_id).unlink()
+
+
+def _overwritten_inputs(out_dir, inputs: dict) -> list:
+    """The ids whose <out_dir>/<id>.wav is already an input file, directly or through a link.
+
+    inputs maps each id to its input path. Writing such a WAV would destroy that input, and
+    discarding it for a failed or dropped utterance would delete it. An id that _out_wav
+    rejects writes nothing; it gets its error row.
+    """
+
+    def file_id(path):
+        with suppress(OSError, ValueError):  # a missing file; a NUL byte in the name
+            st = os.stat(path)
+            return st.st_dev, st.st_ino
+
+    taken = {file_id(path) for path in inputs.values()} - {None}
+    clashes = []
+    for utterance_id in inputs:
+        with suppress(InvalidConfigError):
+            if file_id(_out_wav(out_dir, utterance_id)) in taken:
+                clashes.append(utterance_id)
+    return clashes
 
 
 def _usage(message: str) -> int:
@@ -200,8 +222,9 @@ def _configure(args) -> dict:
         vad = enhance.VadConfig(energy_threshold_db=args.energy_threshold_db)
         for name in cfg["stages"]:
             if name.startswith("VAD-"):
-                enhance.check_vad_rate(args.sample_rate)
                 cfg[name] = replace(vad, aggressiveness=int(name[4:]))
+    if "out" in args and Path(args.out).name == "errors.tsv":
+        raise InvalidConfigError("--out must not be named errors.tsv, which snr writes beside it")
     if "spec_dir" in args and (args.manifest is None) == (args.spec_dir is None):
         raise InvalidConfigError("pass exactly one of --manifest (round trip) or --spec-dir")
     if "fft" in args:
@@ -265,6 +288,9 @@ def cmd_preprocess(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     records = {r.utterance_id: r for r in manifest}
+    inputs = {i: corpus.resolve_audio_path(r, args.manifest) for i, r in records.items()}
+    if clashes := _overwritten_inputs(out_dir, inputs):
+        return _usage(f"--out-dir would overwrite the input audio of {clashes}")
     stages = cfg["stages"]
     results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, "load", out_dir)
     error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
@@ -456,6 +482,8 @@ def cmd_vocode(args, cfg) -> int:
             return _usage(f"no .npy spectrograms found in {args.spec_dir}")
         sources = {path.stem: path for path in spec_paths}
     out_dir = Path(args.out_dir)
+    if clashes := _overwritten_inputs(out_dir, sources):
+        return _usage(f"--out-dir would overwrite the input audio of {clashes}")
     gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg, "vocode", out_dir)
 
     done = {name: gap for name, gap in gaps.items() if gap is not None}

@@ -18,7 +18,6 @@ from .errors import (
     RateMismatchError,
 )
 
-VAD_SAMPLE_RATES = (8000, 16000, 22050, 44100, 48000)
 PEAK_TARGET = 0.95  # headroom below full scale after normalization
 VAD_FRAME_MS = 10.0  # VAD frame duration
 MAX_INTERNAL_SILENCE_MS = 300.0  # longest pause trim_and_compress keeps
@@ -124,15 +123,8 @@ def _runs(mask: np.ndarray) -> list:
     return list(zip(edges[::2], edges[1::2]))
 
 
-def check_vad_rate(sr: int) -> None:
-    """Raise InvalidConfigError unless vad_label accepts audio at sample rate sr."""
-    if sr not in VAD_SAMPLE_RATES:
-        raise InvalidConfigError(f"sample rate {sr} not in {VAD_SAMPLE_RATES}; resample first")
-
-
 def vad_label(w: Waveform, cfg: VadConfig = VadConfig()) -> FrameLabels:
     """Label frames as speech by mean-power threshold in dBFS, then smooth."""
-    check_vad_rate(w.sample_rate)
     if len(w) == 0:
         raise EmptySignalError("cannot label an empty signal")
     flen = frame_length_samples(w.sample_rate)

@@ -943,22 +943,29 @@ def test_count_below_one_is_usage_error_before_any_output(command, flag, value, 
     assert not (tmp_path / "out").exists()
 
 
-# Flag values that would fail every utterance the same way.
+# Flag values that would fail every utterance the same way, keyed by a fixed case number that
+# names the case's test id, so removing a case renames no other; a number is never reused.
 CONFIG_ERRORS = [
-    ("metrics", ["--which", "f0", "--win", "256", "--hop", "128"], "frame_length 256 cannot hold"),
-    ("metrics", ["--which", "f0", "--sample-rate", "1000"], "sample rate 1000 is below 2 * f0_max"),
-    ("metrics", ["--which", "mcd", "--mels", "13"], "n_coeffs 13 must be smaller than n_mels 13"),
-    ("metrics", ["--hop", "0"], "hop_length must be positive"),
-    ("metrics", ["--mels", "0"], "n_mels must be at least 1, got 0"),
-    ("vad", ["--sample-rate", "12000"], "sample rate 12000 not in"),
-    ("vad", ["--energy-threshold-db", "nan"], "energy_threshold_db must not be NaN"),
-    ("preprocess", ["--min-snr", "nan"], "min_snr_db and max_cer must not be NaN"),
-    ("preprocess", ["--stages", "VAD-2", "--sample-rate", "11025"], "sample rate 11025 not in"),
-    ("filter", ["--max-cer", "nan"], "min_snr_db and max_cer must not be NaN"),
-    ("vocode", ["--fft", "512"], "win_length 1024 exceeds fft_size 512"),
-    ("vocode", ["--win", "512", "--hop", "512"], "vocode needs --hop at most half of --win"),
-    ("vocode", ["--win", "512", "--hop", "257"], "got --hop 257 and --win 512"),
-    ("preprocess", ["--stages", "FLT,VN,FLT"], "--stages may name FLT only once, got 'FLT,VN,FLT'"),
+    pytest.param(command, extra, message, id=f"{command}-extra{number}-{message}")
+    for number, (command, extra, message) in {
+        0: ("metrics", ["--which", "f0", "--win", "256", "--hop", "128"],
+            "frame_length 256 cannot hold"),
+        1: ("metrics", ["--which", "f0", "--sample-rate", "1000"],
+            "sample rate 1000 is below 2 * f0_max"),
+        2: ("metrics", ["--which", "mcd", "--mels", "13"],
+            "n_coeffs 13 must be smaller than n_mels 13"),
+        3: ("metrics", ["--hop", "0"], "hop_length must be positive"),
+        4: ("metrics", ["--mels", "0"], "n_mels must be at least 1, got 0"),
+        6: ("vad", ["--energy-threshold-db", "nan"], "energy_threshold_db must not be NaN"),
+        7: ("preprocess", ["--min-snr", "nan"], "min_snr_db and max_cer must not be NaN"),
+        9: ("filter", ["--max-cer", "nan"], "min_snr_db and max_cer must not be NaN"),
+        10: ("vocode", ["--fft", "512"], "win_length 1024 exceeds fft_size 512"),
+        11: ("vocode", ["--win", "512", "--hop", "512"],
+             "vocode needs --hop at most half of --win"),
+        12: ("vocode", ["--win", "512", "--hop", "257"], "got --hop 257 and --win 512"),
+        13: ("preprocess", ["--stages", "FLT,VN,FLT"],
+             "--stages may name FLT only once, got 'FLT,VN,FLT'"),
+    }.items()
 ]
 
 
@@ -986,12 +993,120 @@ def test_vocode_without_spectrograms_creates_no_out_dir(tmp_path, capsys):
     ("preprocess", ["--stages", "DN,VN", "--sample-rate", "12000"]),  # no VAD stage runs
     ("metrics", ["--which", "mcd,msd,cer", "--win", "256", "--hop", "128"]),  # no f0
     ("vocode", ["--win", "512", "--hop", "256", "--iters", "2"]),  # half overlap is enough
+    ("vad", ["--sample-rate", "12000"]),  # the VAD frames 10 ms at any rate
+    ("preprocess", ["--stages", "VAD-2", "--sample-rate", "11025"]),
 ])
 def test_rate_and_cepstrum_checks_run_only_for_what_runs(command, extra, tmp_path, capsys):
     build_corpus(tmp_path, 2, seed=29)
     assert cli.main(_minimal_argv(command, tmp_path) + extra) == cli.EXIT_OK
     capsys.readouterr()
     assert (tmp_path / "out" / "errors.tsv").read_text() == "id\tstage\terror\n"
+
+
+@pytest.mark.parametrize("rate", [11025, 12000, 24000, 32000])
+@pytest.mark.parametrize("command, extra, level", [
+    ("vad", [], 1), ("preprocess", ["--stages", "VAD-2"], 2)
+], ids=["vad", "VAD-2"])
+def test_vad_trims_at_the_corpus_rate_without_resampling(
+    command, extra, level, rate, tmp_path, capsys
+):
+    manifest = build_corpus(tmp_path / "corpus", 2, seed=31, sr=rate, with_enhanced=False)
+    outputs = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"out{workers}"
+        argv = [command, "--manifest", str(manifest), "--out-dir", str(out_dir), *extra]
+        argv += ["--sample-rate", str(rate), "--workers", workers]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["errors.tsv"] == b"id\tstage\terror\n"
+    vad = enhance.VadConfig(aggressiveness=level)
+    for record in corpus.load_manifest(manifest):
+        w = wavio.read_wav(corpus.resolve_audio_path(record, manifest))
+        assert w.sample_rate == rate
+        seed = cli.derive_seed(0, record.utterance_id)
+        wavio.write_wav(tmp_path / "expected.wav", enhance.trim_and_compress(
+            w, enhance.vad_label(w, vad), enhance.SilencePolicy(), seed=seed
+        ))
+        expected = (tmp_path / "expected.wav").read_bytes()
+        assert outputs[0][f"{record.utterance_id}.wav"] == expected
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("workers, utterances, pools", [("8", 3, [3]), ("4", 1, []), ("2", 0, [])])
+def test_pool_has_at_most_one_process_per_utterance(
+    workers, utterances, pools, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    manifest = build_corpus(tmp_path, utterances, seed=29, with_enhanced=False)
+    argv = ["vad", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["--workers", workers]) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith(f"wrote {utterances} utterances to "
+                                            f"{tmp_path / 'out' / 'manifest.tsv'} (0 errors)\n")
+    assert _RecordingPool.sizes == pools
+
+
+def _out_dir_over_inputs(raw, out_dir, layout):
+    """Make out_dir reach the input WAVs in raw; returns the ids whose output would hit one."""
+    if layout == "inputs dir":
+        return raw, ["utt000", "utt001", "utt002"]
+    if layout == "dir link":
+        out_dir.symlink_to(raw, target_is_directory=True)
+        return out_dir, ["utt000", "utt001", "utt002"]
+    out_dir.mkdir()
+    link = os.symlink if layout == "file link" else os.link
+    link(raw / "utt001.wav", out_dir / "utt001.wav")
+    return out_dir, ["utt001"]
+
+
+@pytest.mark.parametrize("layout", ["inputs dir", "dir link", "file link", "hard link"])
+@pytest.mark.parametrize("command", ["preprocess", "vad", "vocode"])
+def test_out_dir_that_would_overwrite_the_input_audio_is_usage_error(
+    command, layout, tmp_path, capsys
+):
+    manifest = build_corpus(tmp_path, 3, seed=37, with_enhanced=False)
+    raw = tmp_path / "raw"
+    out_dir, clashes = _out_dir_over_inputs(raw, tmp_path / "out", layout)
+    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    argv = [command, "--manifest", str(manifest), "--out-dir", str(out_dir)]
+    argv += {"preprocess": ["--stages", "DN,FLT"], "vad": [], "vocode": ["--iters", "2"]}[command]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --out-dir would overwrite the input audio of {clashes}\n"
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+
+
+def test_snr_out_named_errors_tsv_is_usage_error(tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 2, seed=37)
+    out = tmp_path / "out" / "errors.tsv"
+    argv = ["snr", "--manifest", str(manifest), "--enhanced-dir", str(tmp_path / "enh")]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "usage error: --out must not be named errors.tsv, which snr writes beside it\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_metrics_builds_one_pitch_config_per_run(tmp_path, monkeypatch, capsys):
@@ -1124,6 +1239,107 @@ def test_filter_on_drawn_manifest_text_splits_every_id_or_fails_whole(
         for line in (out_dir / "dropped.tsv").read_text(encoding="utf-8").split("\n")[2:-1]
     ]
     assert sorted(kept + dropped) == corpus.load_manifest(manifest).ids()
+
+
+# vocode --spec-dir on drawn .npy files, at a 64-point FFT, so 33 bins.
+_NPY_REAL = ("<f8", ">f8", "<f4", "<i2", "|b1")
+_NPY_SPECIAL = {"nan": np.nan, "inf": np.inf, "overflow": 1e200}  # 1e200's norm overflows
+_NPY_CHARS = b"0123456789(),:'<>{}[] -.fFTbiucO\n\0\xff"
+_VOCODE_SMALL = ["--iters", "1", "--fft", "64", "--win", "64", "--hop", "16"]
+
+
+def _npy_file(dtype, shape, special, damage, where, byte, seed):
+    """(.npy bytes, whether vocode must succeed on them, or None when either may happen).
+
+    special is None or a key of _NPY_SPECIAL, written into one cell of a float64 array only.
+    damage is None, "cut" or "garble". A cut ends the file in its header at a `where` below
+    1, as that fraction of the header, and otherwise in its data, at `where - 1` of the data.
+    A garble sets the header byte at fraction `where % 1` to `byte`.
+    """
+    frames = np.random.default_rng(seed).uniform(0.0, 1.0, shape)
+    if dtype not in ("<f8", ">f8") or not frames.size:
+        special = None
+    if special is not None:
+        frames.flat[seed % frames.size] = _NPY_SPECIAL[special]
+    buf = io.BytesIO()
+    np.save(buf, frames.astype(dtype), allow_pickle=dtype == "|O")
+    data = buf.getvalue()
+    start = 10 + int.from_bytes(data[8:10], "little")  # where a version 1.0 header ends
+    ok = dtype in _NPY_REAL and shape == (6, 33) and special is None
+    if damage == "cut":
+        at = int(where * start) if where < 1 else start + int((where - 1) * (len(data) - start))
+        return (data[:at], False) if at < len(data) else (data, ok)
+    if damage == "garble":
+        at = int(where % 1 * start)
+        return data[:at] + bytes([byte]) + data[at + 1 :], None if data[at] != byte else ok
+    return data, ok
+
+
+_NPY_FILES = st.builds(
+    _npy_file,
+    dtype=st.sampled_from(_NPY_REAL + ("<c16", "|O")),
+    shape=st.sampled_from([(6, 33), (6, 33), (1, 33), (0, 33), (2, 3, 33), (6, 5)]),
+    special=st.sampled_from([None, None, *_NPY_SPECIAL]),
+    damage=st.sampled_from([None, None, "cut", "garble"]),
+    where=st.floats(0.0, 1.99),
+    byte=st.sampled_from(_NPY_CHARS),
+    seed=st.integers(0, 2**16),
+)
+
+
+def _vocode_drawn(work, files, workers):
+    """Run vocode --spec-dir on files, a list of (bytes, expected); check its rows, return out_dir.
+
+    expected is whether the file must succeed, or None when it may succeed or fail.
+    """
+    spec_dir, out_dir = work / "specs", work / f"out{workers}"
+    spec_dir.mkdir(exist_ok=True)
+    for k, (data, _) in enumerate(files):
+        (spec_dir / f"s{k:02d}.npy").write_bytes(data)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        argv = ["vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir)]
+        assert cli.main(argv + _VOCODE_SMALL + ["--workers", workers]) == cli.EXIT_OK
+    assert all(line.startswith("warning: s") for line in stderr.getvalue().splitlines())
+    done = [line.split("\t")[0] for line in (out_dir / "roundtrip.tsv").read_text().split("\n")]
+    failed = [line.split("\t")[0] for line in (out_dir / "errors.tsv").read_text().split("\n")]
+    names = [f"s{k:02d}" for k in range(len(files))]
+    assert done[0] == failed[0] == "id" and done[-1] == failed[-1] == ""
+    assert sorted(done[1:-1] + failed[1:-1]) == names  # each file once, in one of the two
+    for name, (_, ok) in zip(names, files):
+        assert ok is None or ok == (name in done)
+        assert (out_dir / f"{name}.wav").exists() == (name in done)
+    return out_dir
+
+
+@given(files=st.lists(_NPY_FILES, min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_vocode_on_drawn_spectrograms_gives_one_row_per_file(tmp_path_factory, files):
+    work = tmp_path_factory.mktemp("drawn_npy")
+    out_dir = _vocode_drawn(work, files, "1")
+    assert {p.parent for p in work.rglob("*") if p.is_file()} <= {work / "specs", out_dir}
+
+
+def test_drawn_spectrogram_batch_gives_the_same_bytes_at_two_workers(tmp_path):
+    files = [
+        _npy_file("<f8", (6, 33), None, None, 0.0, 0, 1),
+        _npy_file(">f8", (6, 33), None, None, 0.0, 0, 2),
+        _npy_file("|b1", (6, 33), None, None, 0.0, 0, 3),
+        _npy_file("<f8", (6, 33), "overflow", None, 0.0, 0, 4),
+        _npy_file("<f8", (1, 33), None, None, 0.0, 0, 5),
+        _npy_file("<c16", (6, 33), None, None, 0.0, 0, 6),
+        _npy_file("|O", (6, 33), None, None, 0.0, 0, 7),
+        _npy_file("<f8", (2, 3, 33), None, None, 0.0, 0, 8),
+        _npy_file("<f4", (6, 33), None, "cut", 0.5, 0, 9),
+        _npy_file("<f4", (6, 33), None, "cut", 1.5, 0, 10),
+        _npy_file("<f8", (6, 33), None, "garble", 0.7, ord("("), 11),
+    ]
+    outputs = [
+        {p.name: p.read_bytes() for p in sorted(_vocode_drawn(tmp_path, files, w).iterdir())}
+        for w in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 2 + 3  # roundtrip.tsv, errors.tsv and the three good WAVs
 
 
 # Every (command, flag) pair that the shared flags once gave a command that never read it.

@@ -112,9 +112,18 @@ class TestVad:
                 previous = labels.speech
 
 
-    def test_unsupported_rate_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            enhance.vad_label(wav(np.ones(1000), sr=11025))
+    def test_any_sample_rate_is_labeled(self):
+        # 10 ms frames at each rate; the last frame is a half frame of tone
+        for sr, flen in ((11025, 110), (12000, 120), (24000, 240), (32000, 320)):
+            assert enhance.frame_length_samples(sr) == flen
+            x = np.concatenate([
+                np.zeros(3 * flen), sine(440.0, 5 * flen, sr, amp=0.5),
+                np.zeros(4 * flen), sine(440.0, flen // 2, sr, amp=0.5),
+            ])
+            plain = enhance.vad_label(wav(x, sr))
+            assert plain.speech.tolist() == [False] * 3 + [True] * 5 + [False] * 4 + [True]
+            smoothed = enhance.vad_label(wav(x, sr), enhance.VadConfig(aggressiveness=1))
+            assert smoothed.speech.tolist() == [False] * 4 + [True] * 3 + [False] * 6
 
     def test_empty_signal_rejected(self):
         with pytest.raises(EmptySignalError):
@@ -134,15 +143,6 @@ class TestVad:
         assert low.speech.tolist() == [False] * 10 + [True] * 10  # digital silence is -inf dB
         high = enhance.vad_label(wav(x, 16000), enhance.VadConfig(energy_threshold_db=np.inf))
         assert not high.speech.any()
-
-    def test_rate_check_is_the_one_vad_label_applies(self):
-        for sr in enhance.VAD_SAMPLE_RATES:
-            enhance.check_vad_rate(sr)
-        with pytest.raises(InvalidConfigError) as direct:
-            enhance.check_vad_rate(12000)
-        with pytest.raises(InvalidConfigError) as labeled:
-            enhance.vad_label(wav(np.ones(1200), sr=12000))
-        assert str(direct.value) == str(labeled.value)
 
 
 def make_labeled(pattern, flen=160, sr=16000):
