@@ -53,6 +53,7 @@ _EXPORTS = {
         "InvalidConfigError",
         "ParseError",
         "TrackLengthWarning",
+        "TruncatedWavWarning",
         "VoxkitError",
     ),
     "metrics": (

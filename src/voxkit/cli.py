@@ -18,10 +18,11 @@ from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
-from scipy.io.wavfile import WavFileWarning
 
 from . import corpus, dsp, enhance, metrics, pitch, wavio
-from .errors import ClippingWarning, InvalidConfigError, TrackLengthWarning, VoxkitError
+from .errors import (
+    ClippingWarning, InvalidConfigError, TrackLengthWarning, TruncatedWavWarning, VoxkitError,
+)
 from .serialize import json_value, write_json, write_tsv
 
 EXIT_OK = 0
@@ -33,9 +34,8 @@ ENHANCED_SUFFIX = ".enhanced.wav"
 NAME_MAX = 255  # bytes in one file name, on the file systems voxkit writes to
 
 METRIC_CHOICES = tuple(metrics.METRIC_COLUMNS)
-# Warnings about one utterance; the runner prints them with its id. A WAV cut inside
-# its data chunk gives scipy's WavFileWarning and is read as shorter audio.
-UTTERANCE_WARNINGS = (ClippingWarning, TrackLengthWarning, WavFileWarning)
+# Warnings about one utterance; the runner prints them with its id.
+UTTERANCE_WARNINGS = (ClippingWarning, TrackLengthWarning, TruncatedWavWarning)
 
 
 def derive_seed(base_seed: int, utterance_id: str) -> int:
@@ -119,6 +119,13 @@ def _discard_wav(out_dir, utterance_id: str) -> None:
         _out_wav(out_dir, utterance_id).unlink()
 
 
+def _file_id(path):
+    """(st_dev, st_ino) of the file path names, directly or through a link; None if none."""
+    with suppress(OSError, ValueError):  # a missing file; a NUL byte in the name
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+
+
 def _overwritten_inputs(out_dir, inputs: dict) -> list:
     """The ids whose <out_dir>/<id>.wav is already an input file, directly or through a link.
 
@@ -126,19 +133,23 @@ def _overwritten_inputs(out_dir, inputs: dict) -> list:
     discarding it for a failed or dropped utterance would delete it. An id that _out_wav
     rejects writes nothing; it gets its error row.
     """
-
-    def file_id(path):
-        with suppress(OSError, ValueError):  # a missing file; a NUL byte in the name
-            st = os.stat(path)
-            return st.st_dev, st.st_ino
-
-    taken = {file_id(path) for path in inputs.values()} - {None}
+    taken = {_file_id(path) for path in inputs.values()} - {None}
     clashes = []
     for utterance_id in inputs:
         with suppress(InvalidConfigError):
-            if file_id(_out_wav(out_dir, utterance_id)) in taken:
+            if _file_id(_out_wav(out_dir, utterance_id)) in taken:
                 clashes.append(utterance_id)
     return clashes
+
+
+def _manifest_clash(outputs, *manifests):
+    """A usage error message if one of the output paths is an input manifest, directly or
+    through a link; else None."""
+    taken = {_file_id(path) for path in manifests} - {None}
+    for path in outputs:
+        if _file_id(path) in taken:
+            return f"writing {path} would overwrite an input manifest"
+    return None
 
 
 def _usage(message: str) -> int:
@@ -287,11 +298,14 @@ def cmd_preprocess(args, cfg) -> int:
     """Run stages over --manifest into --out-dir; `vad` runs its one VAD stage here."""
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
+    stages = cfg["stages"]
+    outputs = ("manifest.tsv", "errors.tsv") + (("dropped.tsv",) if "FLT" in stages else ())
+    if clash := _manifest_clash((out_dir / name for name in outputs), args.manifest):
+        return _usage(clash)
     records = {r.utterance_id: r for r in manifest}
     inputs = {i: corpus.resolve_audio_path(r, args.manifest) for i, r in records.items()}
     if clashes := _overwritten_inputs(out_dir, inputs):
         return _usage(f"--out-dir would overwrite the input audio of {clashes}")
-    stages = cfg["stages"]
     results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, "load", out_dir)
     error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
 
@@ -388,9 +402,12 @@ def cmd_metrics(args, cfg) -> int:
             f"only in reference: {only_ref}; only in hypothesis: {only_hyp}"
         )
 
+    out_dir = Path(args.out_dir)
+    outputs = (out_dir / name for name in ("report.tsv", "report.json", "errors.tsv"))
+    if clash := _manifest_clash(outputs, args.ref_manifest, args.hyp_manifest):
+        return _usage(clash)
     hyp_by_id = {r.utterance_id: r for r in hyp_manifest}
     pairs = {r.utterance_id: (r, hyp_by_id[r.utterance_id]) for r in ref_manifest}
-    out_dir = Path(args.out_dir)
     rows, error_rows = _run_utterances(_metrics_one, pairs, args, cfg, "audio", out_dir)
     means = metrics.write_report({i: row or {} for i, row in rows.items()}, out_dir)
 
@@ -418,6 +435,8 @@ def _snr_one(utterance_id, audio, args, cfg, stage):
 def cmd_snr(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_path = Path(args.out)
+    if clash := _manifest_clash((out_path, out_path.parent / "errors.tsv"), args.manifest):
+        return _usage(clash)
     audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
     snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, "snr", out_path.parent)
     records = tuple(
@@ -440,7 +459,9 @@ def _load_spectrogram(path) -> np.ndarray:
     with open(path, "rb") as fh:
         try:
             frames = np.load(fh, allow_pickle=False)
-        except (ValueError, EOFError, SyntaxError, TypeError, tokenize.TokenError) as exc:
+        except tokenize.TokenError as exc:  # its args are (message, (line, column))
+            raise InvalidConfigError(f"{path}: {exc.args[0]}") from None
+        except (ValueError, EOFError, SyntaxError, TypeError) as exc:
             raise InvalidConfigError(f"{path}: {exc}") from None
     if not isinstance(frames, np.ndarray):
         raise InvalidConfigError(f"{path}: expected a single .npy array")
@@ -482,6 +503,9 @@ def cmd_vocode(args, cfg) -> int:
             return _usage(f"no .npy spectrograms found in {args.spec_dir}")
         sources = {path.stem: path for path in spec_paths}
     out_dir = Path(args.out_dir)
+    outputs = (out_dir / "roundtrip.tsv", out_dir / "errors.tsv")
+    if args.manifest is not None and (clash := _manifest_clash(outputs, args.manifest)):
+        return _usage(clash)
     if clashes := _overwritten_inputs(out_dir, sources):
         return _usage(f"--out-dir would overwrite the input audio of {clashes}")
     gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg, "vocode", out_dir)
@@ -499,6 +523,8 @@ def cmd_vocode(args, cfg) -> int:
 def cmd_filter(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
+    if clash := _manifest_clash((out_dir / "kept.tsv", out_dir / "dropped.tsv"), args.manifest):
+        return _usage(clash)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = tuple(_input_audio(r, args.manifest, out_dir) for r in manifest)
     result = corpus.apply_filter(corpus.Manifest(records, manifest.source_tag), cfg["FLT"])

@@ -70,11 +70,15 @@ class ParseError(VoxkitError):
 
 
 class UnsupportedWavError(VoxkitError):
-    """A WAV file uses a channel count or sample format we do not read."""
+    """A WAV file is malformed, or uses a channel count or sample format we do not read."""
 
 
 class ClippingWarning(UserWarning):
     """Samples were clipped into [-1, 1] during a mix or write."""
+
+
+class TruncatedWavWarning(UserWarning):
+    """A WAV file ends inside its data chunk; the samples it holds were read."""
 
 
 class TrackLengthWarning(UserWarning):

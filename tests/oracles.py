@@ -5,10 +5,12 @@ recursive prefix definitions, per-frame loops over plain Python ints.
 """
 
 import math
+import warnings
 from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
+import scipy.io.wavfile
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial.distance import cdist
 
@@ -386,3 +388,19 @@ def histogram_if_chain(values, edges):
         else:
             counts[bisect_right(edges, v) - 1] += 1
     return tuple(counts), below, above, pos_inf, neg_inf, absent
+
+
+def read_wav_scipy(path):
+    """(rate, float64 samples) of a mono 16-bit PCM or 32-bit float WAV, decoded by
+    scipy.io.wavfile and scaled as voxkit scales them: int16 by 1/32768, float32 as is.
+    scipy warns about a chunk id it does not know; here it skips it quietly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.io.wavfile.WavFileWarning)
+        rate, data = scipy.io.wavfile.read(path)
+    assert data.ndim == 1 and data.dtype in (np.int16, np.float32), data.dtype
+    return rate, data.astype(np.float64) / (32768.0 if data.dtype == np.int16 else 1.0)
+
+
+def write_wav_scipy(path, rate, samples):
+    """scipy.io.wavfile.write: samples' dtype picks the format, its shape the channels."""
+    scipy.io.wavfile.write(path, rate, samples)

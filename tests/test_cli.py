@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.io.wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +21,7 @@ import voxkit
 from voxkit import cli, corpus, dsp, enhance, metrics, wavio
 from voxkit.errors import VoxkitError
 from conftest import build_corpus, sine
+from oracles import write_wav_scipy
 
 SR = 22050
 
@@ -160,7 +160,7 @@ class TestPreprocess:
         assert len(lines) == 2
         assert lines[1].startswith("utt001\tload\t")
 
-    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    @pytest.mark.filterwarnings("ignore::voxkit.errors.TruncatedWavWarning")
     def test_corrupt_wav_headers_are_reported_at_any_worker_count(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         manifest = build_corpus(root, 3, seed=12, with_enhanced=False)
@@ -568,6 +568,8 @@ class TestVocode:
         errors = (out_dir / "errors.tsv").read_text().splitlines()
         assert len(errors) == 2
         assert errors[1].startswith("a_bad\tvocode\t")
+        if kind == "header_unclosed":  # the message of a TokenError, not its args tuple
+            assert "(" not in errors[1].split("\t")[2]
         assert not (out_dir / "a_bad.wav").exists()
 
 
@@ -764,7 +766,7 @@ def _corpus_with_unusable_audio(root):
             samples, frames = samples[:0], frames[:0]
         else:
             samples[100] = frames[3, 7] = value
-        scipy.io.wavfile.write(root / f"{name}.wav", SR, samples)
+        write_wav_scipy(root / f"{name}.wav", SR, samples)
         wavio.write_wav(root / "enh" / f"{name}.enhanced.wav", tone)
         np.save(root / "specs" / f"{name}.npy", frames)
         records.append(corpus.UtteranceRecord(name, f"{name}.wav", 0.25, "a b", "a b"))
@@ -872,8 +874,8 @@ def test_wav_cut_inside_its_data_is_read_short_with_a_warning_line(tmp_path):
     (code_one, stderr), (code_two, stderr_two) = _voxkit_processes(argvs, tmp_path)
     assert code_one == code_two == cli.EXIT_OK
     assert stderr == stderr_two == (
-        "warning: utt001: WavFileWarning: Reached EOF prematurely; finished at 3000 bytes, "
-        f"expected {riff_size} bytes from header.\n"
+        "warning: utt001: TruncatedWavWarning: raw/utt001.wav: file ends inside the data chunk; "
+        f"read {(3000 - 44) // 2} of {(riff_size - 44) // 2} samples\n"
     )
     for out_dir in ("out1", "out2"):
         assert (tmp_path / out_dir / "errors.tsv").read_text() == "id\tstage\terror\n"
@@ -1107,6 +1109,41 @@ def test_snr_out_named_errors_tsv_is_usage_error(tmp_path, capsys):
     )
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via", ["dir", "dir link"])
+@pytest.mark.parametrize("command, name", [
+    ("preprocess", "manifest.tsv"), ("vad", "errors.tsv"), ("filter", "kept.tsv"),
+    ("snr", "scored.tsv"), ("metrics", "report.tsv"), ("vocode", "roundtrip.tsv"),
+])
+def test_output_that_would_overwrite_the_input_manifest_is_usage_error(
+    command, name, via, tmp_path, capsys
+):
+    root = tmp_path / "corpus"
+    build_corpus(root, 2, seed=37)
+    manifest = str((root / "manifest.tsv").rename(root / name))
+    out_dir = root
+    if via == "dir link":
+        out_dir = tmp_path / "link"
+        out_dir.symlink_to(root, target_is_directory=True)
+    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    argv = {
+        "preprocess": ["preprocess", "--manifest", manifest, "--out-dir", str(out_dir)],
+        "vad": ["vad", "--manifest", manifest, "--out-dir", str(out_dir)],
+        "filter": ["filter", "--manifest", manifest, "--out-dir", str(out_dir)],
+        "snr": ["snr", "--manifest", manifest, "--enhanced-dir", str(root / "enh"),
+                "--out", str(out_dir / name)],
+        "metrics": ["metrics", "--ref-manifest", manifest, "--hyp-manifest", manifest,
+                    "--out-dir", str(out_dir)],
+        "vocode": ["vocode", "--manifest", manifest, "--out-dir", str(out_dir)],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"usage error: writing {out_dir / name} would overwrite an input manifest\n"
+    )
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
 
 
 def test_metrics_builds_one_pitch_config_per_run(tmp_path, monkeypatch, capsys):

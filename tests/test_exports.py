@@ -37,6 +37,14 @@ def test_import_voxkit_corpus_loads_neither_numpy_nor_scipy():
     assert _fresh(code) == "[]"
 
 
+def test_import_voxkit_cli_loads_no_scipy_io():
+    code = (
+        "import sys, voxkit.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))"
+    )
+    assert _fresh(code) == "[]"
+
+
 def test_each_export_is_the_attribute_of_its_submodule():
     code = """
 import importlib, inspect, voxkit
