@@ -25,8 +25,8 @@ LOG_FLOOR = 1e-10  # added to mel power before the log
 MEL_F_MIN = 0.0  # Hz; the mel filters span MEL_F_MIN to the Nyquist frequency
 N_CEPSTRA = 13  # mel cepstra c1..c13 that mfcc and mcd keep; c0 is dropped
 GRIFFIN_LIM_MOMENTUM = 0.9  # weight of the previous rebuilt spectrum in each phase step
-# frames per chunk of stft, istft, griffin_lim and pitch.extract_pitch, whose work buffers
-# then hold a chunk rather than the whole utterance
+# frames per chunk of stft, istft, log_mel, griffin_lim, spectral_convergence and
+# pitch.extract_pitch, whose work buffers then hold a chunk rather than the whole utterance
 _CHUNK_FRAMES = 64
 
 _FEATURE_KINDS = ("magnitude_spectrogram", "log_mel", "mfcc")
@@ -193,14 +193,36 @@ def _windowed_chunks(samples, cfg: StftConfig):
         t0 += len(chunk)
 
 
+def _magnitude_chunks(samples, cfg: StftConfig):
+    """Yield (t, magnitudes): |rfft| of the windowed frames t (a slice) of samples.
+
+    Every chunk is written into one buffer, which the caller may overwrite
+    before asking for the next.
+    """
+    n_chunk = min(_n_frames(len(samples), cfg.win_length, cfg.hop_length), _CHUNK_FRAMES)
+    spectra = np.empty((n_chunk, cfg.n_bins), complex)
+    mags = np.empty((n_chunk, cfg.n_bins))
+    for t, chunk in _windowed_chunks(samples, cfg):
+        spectrum = np.fft.rfft(chunk, n=cfg.fft_size, axis=1, out=spectra[: len(chunk)])
+        yield t, np.abs(spectrum, out=mags[: len(chunk)])
+
+
+def _chunked_sum_squares(a: np.ndarray) -> float:
+    """Sum of a's squared entries: np.sum over each chunk of _CHUNK_FRAMES rows, the
+    chunk sums added in increasing row order. No BLAS call, so its bits do not
+    depend on the BLAS thread count, and only one chunk of squares is held."""
+    total = 0.0
+    for t0 in range(0, len(a), _CHUNK_FRAMES):
+        chunk = a[t0 : t0 + _CHUNK_FRAMES]
+        total += np.sum(chunk * chunk)
+    return total
+
+
 def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> FeatureSeq:
     """Magnitude spectrogram of centered, Hann-windowed frames."""
-    n_frames = _n_frames(len(w), cfg.win_length, cfg.hop_length)
-    spectra = np.empty((min(n_frames, _CHUNK_FRAMES), cfg.n_bins), complex)
-    spec = np.empty((n_frames, cfg.n_bins))
-    for t, chunk in _windowed_chunks(w.samples, cfg):
-        spectrum = np.fft.rfft(chunk, n=cfg.fft_size, axis=1, out=spectra[: len(chunk)])
-        np.abs(spectrum, out=spec[t])
+    spec = np.empty((_n_frames(len(w), cfg.win_length, cfg.hop_length), cfg.n_bins))
+    for t, mags in _magnitude_chunks(w.samples, cfg):
+        spec[t] = mags
     return FeatureSeq(spec, w.sample_rate / cfg.hop_length, "magnitude_spectrogram")
 
 
@@ -305,12 +327,40 @@ def mel_filterbank(sample_rate: int, cfg: MelConfig = MelConfig()) -> np.ndarray
     return np.maximum(0.0, np.minimum(up, down))
 
 
+def _mel_taps(sample_rate: int, cfg: MelConfig) -> tuple:
+    """(bins, weights, starts, filled): mel_filterbank's nonzero entries, band by band.
+
+    Band m's entries are bins[starts[k]:starts[k + 1]] with their weights,
+    where m is the k-th band that filled marks as having any; a band with
+    none sums to 0.
+    """
+    fb = mel_filterbank(sample_rate, cfg)
+    bands, bins = np.nonzero(fb)  # band-major, bins increasing within a band
+    counts = np.bincount(bands, minlength=len(fb))
+    filled = counts > 0
+    starts = (np.cumsum(counts) - counts)[filled]
+    return bins, fb[bands, bins], starts, filled
+
+
 def log_mel(w: Waveform, cfg: MelConfig = MelConfig()) -> FeatureSeq:
-    """Natural-log mel power spectrogram."""
-    spec = stft(w, cfg.stft)
-    power = spec.frames**2
-    fb = mel_filterbank(w.sample_rate, cfg)
-    return FeatureSeq(np.log(power @ fb.T + LOG_FLOOR), spec.frame_rate, "log_mel")
+    """Natural-log mel power spectrogram.
+
+    Each chunk of STFT magnitudes is squared and projected straight onto the
+    mel bands. The filters are triangles, so a band sums only its few nonzero
+    bins, in increasing bin order, with no BLAS call: the bits do not depend
+    on the BLAS thread count, and no whole spectrogram is kept.
+    """
+    scfg = cfg.stft
+    bins, weights, starts, filled = _mel_taps(w.sample_rate, cfg)
+    mel = np.zeros((_n_frames(len(w), scfg.win_length, scfg.hop_length), cfg.n_mels))
+    for t, mags in _magnitude_chunks(w.samples, scfg):
+        power = np.square(mags, out=mags)
+        taps = np.take(power, bins, axis=1)
+        taps *= weights
+        # reduceat gives an empty segment its first entry, not 0, so empty bands get none
+        mel[t, filled] = np.add.reduceat(taps, starts, axis=1)
+    mel += LOG_FLOOR
+    return FeatureSeq(np.log(mel, out=mel), w.sample_rate / scfg.hop_length, "log_mel")
 
 
 def mfcc(w: Waveform, cfg: MelConfig = MelConfig()) -> FeatureSeq:
@@ -421,7 +471,7 @@ def griffin_lim(
         raise InvalidConfigError("magnitude spectrogram has negative entries")
     sample_rate = int(round(spec.frame_rate * cfg.hop_length))
     with np.errstate(over="ignore"):
-        mag_norm = np.linalg.norm(mag)
+        mag_norm = math.sqrt(_chunked_sum_squares(mag))
     if not np.isfinite(mag_norm):
         raise InvalidConfigError("magnitude spectrogram's norm overflows float64")
     if mag_norm == 0.0:
@@ -429,35 +479,36 @@ def griffin_lim(
     rng = np.random.default_rng(seed)
     angles = np.exp(1j * rng.uniform(-np.pi, np.pi, mag.shape))
     plan = _ola_plan(cfg, len(mag))
-    # angles, rebuilt and gap are whole; denom holds one chunk of frames.
+    # angles and rebuilt are whole; work holds one chunk of frames, first
+    # |rebuilt| - mag, whose squares the error sums, then the phase divisor.
     # Each step below is the ufunc of the plain expression, with the same
     # operands in the same order, writing through out=, so its bits are
     # those of a fresh array. Until a chunk's rfft overwrites it, rebuilt
     # holds the previous spectrum, so the momentum step is formed in angles:
-    # shrink * previous first, then rebuilt minus that. gap stays whole
-    # because the error is its norm, whose rounding depends on reducing the
-    # whole array at once.
-    denom = np.empty((min(len(mag), _CHUNK_FRAMES), cfg.n_bins))
+    # shrink * previous first, then rebuilt minus that. The error's chunk
+    # sums are added in increasing chunk order, as _chunked_sum_squares adds them.
+    work = np.empty((min(len(mag), _CHUNK_FRAMES), cfg.n_bins))
     rebuilt = np.zeros_like(angles)
-    gap = np.empty(mag.shape)
     shrink = GRIFFIN_LIM_MOMENTUM / (1.0 + GRIFFIN_LIM_MOMENTUM)
     best_err = math.inf
     best = None
     for k in range(n_iters + 1):
         np.multiply(mag, angles, out=angles)
         y = _synthesize(angles, cfg, plan)
+        gap_sq = 0.0
         for t, chunk in _windowed_chunks(y, cfg):
+            buf = work[: len(chunk)]
             np.multiply(shrink, rebuilt[t], out=angles[t])
             np.fft.rfft(chunk, n=cfg.fft_size, axis=1, out=rebuilt[t])
-            np.abs(rebuilt[t], out=gap[t])
-            gap[t] -= mag[t]
+            np.abs(rebuilt[t], out=buf)
+            buf -= mag[t]
+            gap_sq += np.sum(np.multiply(buf, buf, out=buf))
             if k < n_iters:
-                d = denom[: len(chunk)]
                 np.subtract(rebuilt[t], angles[t], out=angles[t])
-                np.abs(angles[t], out=d)
-                d += 1e-16
-                np.divide(angles[t], d, out=angles[t])
-        err = np.linalg.norm(gap) / mag_norm
+                np.abs(angles[t], out=buf)
+                buf += 1e-16
+                np.divide(angles[t], buf, out=angles[t])
+        err = math.sqrt(gap_sq) / mag_norm
         if err < best_err:
             best_err = err
             best = y
@@ -466,17 +517,26 @@ def griffin_lim(
 
 
 def spectral_convergence(target: FeatureSeq, w: Waveform, cfg: StftConfig = StftConfig()) -> float:
-    """Relative Frobenius gap between a target magnitude and a waveform's."""
-    mag = stft(w, cfg).frames
-    if mag.shape != target.frames.shape:
+    """Relative Frobenius gap between a target magnitude and a waveform's.
+
+    Both norms are square roots of sums of squares taken one chunk of frames
+    at a time, as _chunked_sum_squares takes them; w's magnitude is never whole.
+    """
+    shape = (_n_frames(len(w), cfg.win_length, cfg.hop_length), cfg.n_bins)
+    if shape != target.frames.shape:
         raise DimensionMismatchError(
-            f"spectrogram shapes differ: {mag.shape} vs {target.frames.shape}"
+            f"spectrogram shapes differ: {shape} vs {target.frames.shape}"
         )
-    denom = np.linalg.norm(target.frames)
-    gap = np.linalg.norm(mag - target.frames)
+    gap_sq = 0.0
+    with np.errstate(over="ignore"):  # a sum of squares past float64 is inf, without a warning
+        for t, mags in _magnitude_chunks(w.samples, cfg):
+            mags -= target.frames[t]
+            gap_sq += np.sum(np.multiply(mags, mags, out=mags))
+        denom = math.sqrt(_chunked_sum_squares(target.frames))
+    gap = math.sqrt(gap_sq)
     if denom == 0.0:
         return 0.0 if gap == 0.0 else math.inf
-    return float(gap / denom)
+    return gap / denom
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:

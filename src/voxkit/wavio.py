@@ -18,6 +18,8 @@ PCM, IEEE_FLOAT, EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 # (format tag, bits per sample): the sample dtype and the value of full scale.
 SAMPLE_FORMATS = {(PCM, 16): ("<i2", 32768.0), (IEEE_FLOAT, 32): ("<f4", 1.0)}
+# write_wav's byte rate, 2 * rate, must fit the header's unsigned 32-bit field.
+MAX_WRITE_RATE = (2**32 - 1) // 2
 
 
 def _sample_format(path, fmt: bytes) -> tuple:
@@ -78,13 +80,21 @@ def read_wav(path) -> Waveform:
 
 
 def write_wav(path, w: Waveform) -> None:
-    """Write 16-bit PCM, clipping to [-1, 1] first."""
+    """Write 16-bit PCM, clipping to [-1, 1] first.
+
+    A rate above MAX_WRITE_RATE raises UnsupportedWavError before the file is opened.
+    """
+    rate = int(w.sample_rate)
+    if rate > MAX_WRITE_RATE:
+        raise UnsupportedWavError(
+            f"{path}: sample rate {rate} Hz does not fit a 16-bit WAV header; "
+            f"the most is {MAX_WRITE_RATE} Hz"
+        )
     clipped = np.clip(w.samples, -1.0, 1.0)
     n_clipped = int(np.count_nonzero(clipped != w.samples))
     if n_clipped:
         warnings.warn(ClippingWarning(f"{path}: {n_clipped} samples clipped on write"))
     pcm = np.round(clipped * 32767.0).astype("<i2").tobytes()
-    rate = int(w.sample_rate)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(pcm), b"WAVE",

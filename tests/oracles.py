@@ -14,6 +14,7 @@ import scipy.io.wavfile
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial.distance import cdist
 
+from voxkit.dsp import LOG_FLOOR, mel_filterbank
 from voxkit.pitch import F0_MAX, F0_MIN, VOICING_THRESHOLD
 
 
@@ -313,6 +314,13 @@ def _hann(n):
 def stft_complex_gather(samples, cfg):
     frames = frame_signal_gather(samples, cfg.win_length, cfg.hop_length)
     return np.fft.rfft(frames * _hann(cfg.win_length), n=cfg.fft_size, axis=1)
+
+
+def log_mel_dense(samples, sample_rate, cfg):
+    """log(|stft|**2 @ mel_filterbank.T + LOG_FLOOR): every band weighs every bin of
+    the whole spectrogram in one matrix product."""
+    power = np.abs(stft_complex_gather(samples, cfg.stft)) ** 2
+    return np.log(power @ mel_filterbank(sample_rate, cfg).T + LOG_FLOOR)
 
 
 def istft_frame_loop(spec, cfg):

@@ -819,16 +819,19 @@ def test_non_finite_or_empty_audio_is_one_error_row_each(command, stage, output,
     assert [row[0] for row in rows if row[0] in names and any(row[1:])] == ["d_tone"]
 
 
-def _voxkit_processes(argvs, cwd):
-    """Run `python -m voxkit.cli` once per argv, all at once; returns (exit code, stderr) each."""
+def _voxkit_processes(argvs, cwd, envs=None):
+    """Run `python -m voxkit.cli` once per argv, all at once; returns (exit code, stderr) each.
+
+    envs, if given, holds one dict of environment variables to set per argv.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "voxkit.cli"]
     procs = [
-        subprocess.Popen(command + argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
+        subprocess.Popen(command + argv, cwd=cwd, env={**env, **extra}, stdout=subprocess.PIPE,
                          stderr=subprocess.PIPE, text=True)
-        for argv in argvs
+        for argv, extra in zip(argvs, envs or [{}] * len(argvs))
     ]
     stderrs = [p.communicate(timeout=120)[1] for p in procs]
     return [(p.returncode, stderr) for p, stderr in zip(procs, stderrs)]
@@ -859,6 +862,35 @@ def test_warnings_print_one_line_each_in_manifest_order(tmp_path):
     ]
     assert all(": TrackLengthWarning: track lengths " in line for line in lines)
     assert ".py:" not in stderr
+
+
+def test_blas_thread_count_does_not_change_outputs(tmp_path):
+    # hyp is ref scaled by 1 + 2**-18, so mcd and msd are small enough that a
+    # reordered sum shows in their digits; 1 s is 87 frames, over the size at
+    # which OpenBLAS splits a matrix product or a dot product between threads
+    rng = np.random.default_rng(5)
+    ref = (sine(180.0, 1.0) + 0.05 * rng.standard_normal(SR)).astype(np.float32)
+    header = "id\taudio\tduration_s\ttext\thyp_text\tsnr_db\tcer\tspeaker\n"
+    for name, samples in (("ref", ref), ("hyp", ref * np.float32(1 + 2**-18))):
+        write_wav_scipy(tmp_path / f"{name}.wav", SR, samples)
+        (tmp_path / f"{name}.tsv").write_text(f"{header}u\t{name}.wav\t1.0\t\t\t\t\t\n")
+    argvs, envs = [], []
+    for threads in ("1", "2"):
+        argvs += [
+            ["metrics", "--ref-manifest", "ref.tsv", "--hyp-manifest", "hyp.tsv",
+             "--which", "mcd,msd", "--out-dir", f"metrics{threads}"],
+            ["vocode", "--manifest", "ref.tsv", "--iters", "2", "--out-dir", f"vocode{threads}"],
+        ]
+        envs += [{"OPENBLAS_NUM_THREADS": threads}] * 2
+    results = _voxkit_processes(argvs, tmp_path, envs)
+    assert results == [(cli.EXIT_OK, "")] * 4
+    for command in ("metrics", "vocode"):
+        one, two = (
+            {p.name: p.read_bytes() for p in sorted((tmp_path / f"{command}{n}").iterdir())}
+            for n in (1, 2)
+        )
+        assert one == two
+    assert len(one) == 3  # u.wav, roundtrip.tsv and errors.tsv
 
 
 def test_wav_cut_inside_its_data_is_read_short_with_a_warning_line(tmp_path):
@@ -1537,6 +1569,25 @@ def test_spectrogram_whose_norm_overflows_is_an_error_row(tmp_path):
         "a_huge\tvocode\tmagnitude spectrogram's norm overflows float64\n"
     )
     assert sorted(p.name for p in (tmp_path / "out").glob("*.wav")) == ["b_tone.wav"]
+
+
+def test_rate_too_high_for_a_wav_header_is_an_error_row(tmp_path, capsys):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    np.save(spec_dir / "tone.npy", dsp.stft(dsp.Waveform(sine(440.0, 0.1), SR)).frames)
+    out_dir = tmp_path / "out"
+    code = cli.main([
+        "vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir), "--iters", "1",
+        "--sample-rate", "3000000000",
+    ])
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    assert (out_dir / "errors.tsv").read_text() == (
+        "id\tstage\terror\n"
+        f"tone\tvocode\t{out_dir / 'tone.wav'}: sample rate 3000000000 Hz does not fit a "
+        "16-bit WAV header; the most is 2147483647 Hz\n"
+    )
+    assert not list(out_dir.glob("*.wav"))
 
 
 def test_spectrogram_whose_header_claims_petabytes_is_an_error_row(tmp_path, capsys):

@@ -11,7 +11,11 @@ padded framing, sums YIN's energies exactly as the block cumulative sums
 did, and makes its voicing decisions exactly as the per-frame loop does
 on the same CMND rows, but takes the difference function from FFTs, so
 its f0 is held to a relative tolerance against the pairwise-sum
-definition (TestChunkedPitch).
+definition (TestChunkedPitch). dsp.log_mel sums each mel band over its
+nonzero bins only, and griffin_lim and spectral_convergence take norms as
+chunk-by-chunk sums of squares; these reorder sums, so they are held to a
+relative 1e-12 against the dense matrix product and np.linalg.norm
+(TestSparseKernels).
 """
 
 import tracemalloc
@@ -31,6 +35,7 @@ from oracles import (
     frame_signal_gather,
     griffin_lim_loop,
     istft_frame_loop,
+    log_mel_dense,
     pitch_decisions_loop,
     stft_complex_gather,
     yin_energies_blocks,
@@ -513,14 +518,80 @@ def test_stft_memory_is_the_magnitude_and_a_few_chunks():
 
 
 @pytest.mark.parametrize("n_iters", [1, 3])
-def test_griffin_lim_memory_stays_under_30_kb_per_frame(n_iters):
-    # angles and rebuilt (complex) and |rebuilt| - mag take 40 B per bin,
-    # 20.5 kB per frame. The best iterate's signal and the one being
-    # synthesized, the divisor and the silent mask take about 6.4 kB more.
-    # Whole (frames x bins) work arrays took 53.6 kB.
+def test_griffin_lim_memory_stays_under_24_kb_per_frame(n_iters):
+    # angles and rebuilt (complex) take 32 B per bin, 16.4 kB per frame.
+    # The best iterate's signal and the one being synthesized, the divisor
+    # and the silent mask take about 6.4 kB more. A whole |rebuilt| - mag
+    # (4.1 kB per frame) would not fit under the bound.
     cfg = dsp.StftConfig()
     spec = dsp.stft(dsp.Waveform(speechlike(60 * SR, SR, 60), SR), cfg)
-    assert peak_bytes(dsp.griffin_lim, spec, cfg, n_iters) <= 30_000 * spec.n_frames
+    assert peak_bytes(dsp.griffin_lim, spec, cfg, n_iters) <= 24_000 * spec.n_frames
+
+
+def test_log_mel_memory_is_its_output_and_a_few_chunks():
+    # the 0.6 kB per frame of log-mel output and chunk buffers; a whole
+    # magnitude spectrogram (4.1 kB per frame) would not fit
+    cfg = dsp.MelConfig()
+    w = dsp.Waveform(speechlike(60 * SR, SR, 60), SR)
+    n_frames = 1 + len(w) // cfg.stft.hop_length
+    outputs = n_frames * cfg.n_mels * 8
+    work = 6 * B * cfg.stft.fft_size * 8  # six float64 buffers of one chunk
+    assert peak_bytes(dsp.log_mel, w, cfg) <= outputs + work
+
+
+def test_spectral_convergence_memory_is_a_few_chunks():
+    # chunk buffers only; a whole magnitude of w (4.1 kB per frame) would not fit
+    cfg = dsp.StftConfig()
+    w = dsp.Waveform(speechlike(60 * SR, SR, 60), SR)
+    target = dsp.stft(w, cfg)
+    assert peak_bytes(dsp.spectral_convergence, target, w, cfg) <= 4 * B * cfg.fft_size * 8
+
+
+MEL_CONFIGS = {
+    "default": dsp.MelConfig(),
+    # 32 of the 80 bands have no nonzero bin at 22.05 kHz
+    "fft64-mels80": dsp.MelConfig(80, dsp.StftConfig(fft_size=64, win_length=64, hop_length=16)),
+}
+REL = 1e-12  # reordered sums of squares and products moved values by about 1e-16 relative
+
+
+@pytest.mark.parametrize("cfg", MEL_CONFIGS.values(), ids=MEL_CONFIGS.keys())
+@pytest.mark.parametrize("n_frames", [1, B - 1, B, B + 1])
+class TestSparseKernels:
+    """log_mel's band sums over nonzero bins and the chunked norms, against
+    the dense matrix product and np.linalg.norm that they replace."""
+
+    def signal(self, cfg, n_frames):
+        x = speechlike(cfg.stft.hop_length * (n_frames - 1) + 5, SR, n_frames)
+        assert dsp._n_frames(len(x), cfg.stft.win_length, cfg.stft.hop_length) == n_frames
+        return x
+
+    def test_log_mel(self, cfg, n_frames):
+        x = self.signal(cfg, n_frames)
+        out = dsp.log_mel(dsp.Waveform(x, SR), cfg).frames
+        expected = log_mel_dense(x, SR, cfg)
+        # a difference of logs is the relative difference of the mel powers; a relative
+        # bound on the logs themselves would not hold where a power is near 1
+        np.testing.assert_allclose(out, expected, rtol=0, atol=REL)
+        empty = ~dsp.mel_filterbank(SR, cfg).any(axis=1)
+        assert empty.sum() == (32 if cfg.stft.fft_size == 64 else 0)
+        assert (out[:, empty] == np.log(dsp.LOG_FLOOR)).all()
+
+    def test_chunked_norm(self, cfg, n_frames):
+        mag = np.abs(stft_complex_gather(self.signal(cfg, n_frames), cfg.stft))
+        norm = np.sqrt(dsp._chunked_sum_squares(mag))
+        np.testing.assert_allclose(norm, np.linalg.norm(mag), rtol=REL, atol=0)
+
+    def test_spectral_convergence(self, cfg, n_frames):
+        x = self.signal(cfg, n_frames)
+        target = np.abs(stft_complex_gather(x[::-1], cfg.stft))
+        w = dsp.Waveform(x, SR)
+        out = dsp.spectral_convergence(
+            dsp.FeatureSeq(target, SR / cfg.stft.hop_length, "magnitude_spectrogram"), w, cfg.stft
+        )
+        mag = np.abs(stft_complex_gather(x, cfg.stft))
+        expected = np.linalg.norm(mag - target) / np.linalg.norm(target)
+        np.testing.assert_allclose(out, expected, rtol=REL, atol=0)
 
 
 def recorded(fn, *args):

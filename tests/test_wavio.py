@@ -126,6 +126,19 @@ def test_write_in_range_is_silent(tmp_path):
         wavio.write_wav(path, Waveform(np.array([0.0, 0.5, -1.0, 1.0]), 8000))
 
 
+def test_write_rate_must_fit_the_byte_rate_field(tmp_path):
+    # the header stores 2 * rate in 32 bits
+    top = tmp_path / "top.wav"
+    wavio.write_wav(top, Waveform(np.array([0.25, -0.5]), 2**31 - 1))
+    back = wavio.read_wav(top)
+    assert back.sample_rate == 2**31 - 1
+    assert back.samples.tolist() == [8192 / 32768, -16384 / 32768]
+    over = tmp_path / "over.wav"
+    with pytest.raises(UnsupportedWavError, match=f"sample rate {2**31} Hz does not fit"):
+        wavio.write_wav(over, Waveform(np.array([0.25, -0.5]), 2**31))
+    assert not over.exists()
+
+
 @pytest.mark.parametrize("n_data_bytes", [0, 1, 57, 199])
 def test_file_cut_inside_data_is_read_short_with_a_warning(tmp_path, n_data_bytes):
     path = tmp_path / "cut.wav"
