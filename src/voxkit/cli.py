@@ -226,6 +226,11 @@ def _configure(args) -> dict:
             cfg["DN"] = enhance.DryWetConfig(args.dry)
         except InvalidConfigError as exc:  # name the flag; DryWetConfig names its field
             raise InvalidConfigError(f"--dry: {exc}") from None
+    if ("stages" in cfg or "iters" in args) and args.sample_rate > wavio.MAX_WRITE_RATE:
+        raise InvalidConfigError(  # these commands write every WAV at --sample-rate
+            f"--sample-rate {args.sample_rate} does not fit a 16-bit WAV header; "
+            f"the most is {wavio.MAX_WRITE_RATE} Hz"
+        )
     if "flt" in args:
         cfg["FLT"] = corpus.FilterConfig(args.min_snr, args.max_cer, args.flt)
     if "fill" in args:

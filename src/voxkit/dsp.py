@@ -6,11 +6,12 @@ Waveform samples are float64 with a nominal [-1, 1] range.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -28,6 +29,9 @@ GRIFFIN_LIM_MOMENTUM = 0.9  # weight of the previous rebuilt spectrum in each ph
 # frames per chunk of stft, istft, log_mel, griffin_lim, spectral_convergence and
 # pitch.extract_pitch, whose work buffers then hold a chunk rather than the whole utterance
 _CHUNK_FRAMES = 64
+# resampling filters kept per process; one has 20 * max(up, down) + 1 taps, so a coprime
+# rate pair such as 22,051 -> 22,050 Hz alone takes 3.5 MB
+_RESAMPLE_FILTERS = 4
 
 _FEATURE_KINDS = ("magnitude_spectrogram", "log_mel", "mfcc")
 
@@ -539,8 +543,21 @@ def spectral_convergence(target: FeatureSeq, w: Waveform, cfg: StftConfig = Stft
     return gap / denom
 
 
+@lru_cache(maxsize=_RESAMPLE_FILTERS)
+def _resample_taps(max_rate: int) -> np.ndarray:
+    """The Kaiser-windowed low-pass FIR that resample_poly designs for itself when
+    max(up, down) is max_rate, read-only: resample_poly copies it before scaling it."""
+    taps = firwin(2 * 10 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    taps.flags.writeable = False
+    return taps
+
+
 def resample(w: Waveform, target_rate: int) -> Waveform:
-    """Band-limited resampling with a windowed-sinc polyphase filter."""
+    """Band-limited resampling with a windowed-sinc polyphase filter.
+
+    The filter depends only on max(up, down) of the reduced rate ratio, so each
+    is designed once per process; the _RESAMPLE_FILTERS most recently used are kept.
+    """
     if target_rate <= 0:
         raise InvalidRateError(f"target rate must be positive, got {target_rate}")
     if len(w) == 0:
@@ -548,5 +565,6 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     if target_rate == w.sample_rate:
         return w
     g = math.gcd(int(target_rate), int(w.sample_rate))
-    out = resample_poly(w.samples, int(target_rate) // g, int(w.sample_rate) // g)
+    up, down = int(target_rate) // g, int(w.sample_rate) // g
+    out = resample_poly(w.samples, up, down, window=_resample_taps(max(up, down)))
     return Waveform(out, target_rate)

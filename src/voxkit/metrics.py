@@ -127,50 +127,53 @@ def normalize_text(text: str) -> str:
     return " ".join(text.split())
 
 
-def _edit_distance_matrix(ref: str, hyp: str) -> np.ndarray:
-    """The (len(ref) + 1, len(hyp) + 1) Wagner-Fischer grid of prefix edit distances.
-
-    Row i takes the diagonal and up candidates in one vector step; the left
-    dependency row[j] = min(tmp[j], row[j - 1] + 1) unrolls to
-    j + min(tmp[k] - k for k <= j), a running minimum, exact in integers.
-    """
-    m = len(hyp)
-    cols = np.arange(m + 1, dtype=np.int64)
-    hyp_codes = np.fromiter(map(ord, hyp), dtype=np.int64, count=m)
-    dist = np.empty((len(ref) + 1, m + 1), dtype=np.int64)
-    dist[0] = cols
-    tmp = np.empty(m + 1, dtype=np.int64)
-    for i, ref_c in enumerate(ref, start=1):
-        prev = dist[i - 1]
-        tmp[0] = i
-        np.minimum(prev[:-1] + (hyp_codes != ord(ref_c)), prev[1:] + 1, out=tmp[1:])
-        np.minimum.accumulate(tmp - cols, out=dist[i])
-        dist[i] += cols
-    return dist
-
-
 def edit_counts(ref: str, hyp: str) -> tuple:
     """Substitution/deletion/insertion counts of one optimal alignment.
 
-    The grid fill is row-vectorized and exact, equal cell for cell to a scalar fill.
-    Ties during backtrace prefer substitution, then insertion, then deletion.
+    D[i][j] is the edit distance of ref[:i] and hyp[:j]. Neighbouring cells
+    differ by -1, 0 or +1, so each row of D is held as bit vectors over hyp,
+    bit j - 1 for column j, in Python ints (Hyyrö's bit-parallel Levenshtein):
+    vp/vn mark D[i][j] - D[i][j - 1] = +1/-1 along the row, hp/hn mark
+    D[i][j] - D[i - 1][j] = +1/-1 from the row above. One step per ref
+    character computes the next row; the counts are exact integers, and the
+    four vectors take half a byte per cell. Ties during backtrace prefer the
+    diagonal (a match or a substitution), then insertion, then deletion.
     """
     n, m = len(ref), len(hyp)
-    dist = _edit_distance_matrix(ref, hyp)
+    mask = (1 << m) - 1
+    match_bits = {}
+    for j, c in enumerate(hyp):
+        match_bits[c] = match_bits.get(c, 0) | 1 << j
+    vp, vn = mask, 0  # row 0 is D[0][j] = j
+    rows = [(0, 0, vp, vn)]
+    for c in ref:
+        eq = match_bits.get(c, 0)
+        d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & mask
+        hp = vn | (~(d0 | vp) & mask)
+        hn = vp & d0
+        hp_in = hp << 1 | 1  # D[i][0] - D[i - 1][0] = +1
+        vp = (hn << 1 | ~(d0 | hp_in)) & mask
+        vn = hp_in & d0
+        rows.append((hp, hn, vp, vn))
     n_sub = n_del = n_ins = 0
     i, j = n, m
-    while i or j:
-        if i and j and dist[i, j] == dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
-            n_sub += ref[i - 1] != hyp[j - 1]
+    while i and j:
+        k = j - 1
+        hp, hn, vp, vn = rows[i]
+        up = (hp >> k & 1) - (hn >> k & 1)  # D[i][j] - D[i - 1][j]
+        above_vp, above_vn = rows[i - 1][2:]
+        diagonal = up + (above_vp >> k & 1) - (above_vn >> k & 1)  # D[i][j] - D[i-1][j-1]
+        if diagonal == (ref[i - 1] != hyp[k]):
+            n_sub += diagonal
             i -= 1
             j -= 1
-        elif j and dist[i, j] == dist[i, j - 1] + 1:
+        elif vp >> k & 1:
             n_ins += 1
             j -= 1
         else:
             n_del += 1
             i -= 1
-    return int(n_sub), int(n_del), int(n_ins)
+    return n_sub, n_del + i, n_ins + j
 
 
 @dataclass(frozen=True)

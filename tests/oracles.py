@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.io.wavfile
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.signal import resample_poly
 from scipy.spatial.distance import cdist
 
 from voxkit.dsp import LOG_FLOOR, mel_filterbank
@@ -113,8 +114,9 @@ def edit_distance_two_rows(ref, hyp):
 def edit_distance_matrix_loop(ref, hyp):
     """The full Wagner-Fischer grid of prefix distances, one cell at a time.
 
-    The same recurrence as metrics._edit_distance_matrix, which fills a
-    row per numpy step; edit_counts backtraces over either.
+    metrics.edit_counts holds the same grid as bit vectors of the
+    differences between neighbouring cells; edit_counts_backtrace walks
+    this one.
     """
     n, m = len(ref), len(hyp)
     dist = np.zeros((n + 1, m + 1), dtype=np.int64)
@@ -131,6 +133,25 @@ def edit_distance_matrix_loop(ref, hyp):
                 prev[j] + 1,
             )
     return dist
+
+
+def edit_counts_backtrace(ref, hyp, dist):
+    """(n_sub, n_del, n_ins) backtraced over dist, the grid of edit_distance_matrix_loop,
+    preferring the diagonal (a match or a substitution), then insertion, then deletion."""
+    n_sub = n_del = n_ins = 0
+    i, j = len(ref), len(hyp)
+    while i or j:
+        if i and j and dist[i, j] == dist[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]):
+            n_sub += ref[i - 1] != hyp[j - 1]
+            i -= 1
+            j -= 1
+        elif j and dist[i, j] == dist[i, j - 1] + 1:
+            n_ins += 1
+            j -= 1
+        else:
+            n_del += 1
+            i -= 1
+    return n_sub, n_del, n_ins
 
 
 def f0_error_counts(ref_f0, ref_voiced, hyp_f0, hyp_voiced):
@@ -407,6 +428,12 @@ def read_wav_scipy(path):
         rate, data = scipy.io.wavfile.read(path)
     assert data.ndim == 1 and data.dtype in (np.int16, np.float32), data.dtype
     return rate, data.astype(np.float64) / (32768.0 if data.dtype == np.int16 else 1.0)
+
+
+def resample_poly_scipy(samples, rate, target_rate):
+    """samples at rate resampled to target_rate by scipy.signal.resample_poly, with the
+    Kaiser-windowed filter it designs itself; it reduces target_rate / rate by their gcd."""
+    return resample_poly(samples, target_rate, rate)
 
 
 def write_wav_scipy(path, rate, samples):

@@ -999,6 +999,12 @@ CONFIG_ERRORS = [
         12: ("vocode", ["--win", "512", "--hop", "257"], "got --hop 257 and --win 512"),
         13: ("preprocess", ["--stages", "FLT,VN,FLT"],
              "--stages may name FLT only once, got 'FLT,VN,FLT'"),
+        14: ("preprocess", ["--sample-rate", "2147483648"],
+             "--sample-rate 2147483648 does not fit a 16-bit WAV header"),
+        15: ("vad", ["--sample-rate", "2147483648"],
+             "--sample-rate 2147483648 does not fit a 16-bit WAV header"),
+        16: ("vocode", ["--sample-rate", "2147483648"],
+             "--sample-rate 2147483648 does not fit a 16-bit WAV header"),
     }.items()
 ]
 
@@ -1571,23 +1577,24 @@ def test_spectrogram_whose_norm_overflows_is_an_error_row(tmp_path):
     assert sorted(p.name for p in (tmp_path / "out").glob("*.wav")) == ["b_tone.wav"]
 
 
-def test_rate_too_high_for_a_wav_header_is_an_error_row(tmp_path, capsys):
+def test_rate_too_high_for_a_wav_header_is_a_usage_error(tmp_path, capsys):
+    # --spec-dir never resamples, so the largest rate that fits still runs here
     spec_dir = tmp_path / "specs"
     spec_dir.mkdir()
     np.save(spec_dir / "tone.npy", dsp.stft(dsp.Waveform(sine(440.0, 0.1), SR)).frames)
-    out_dir = tmp_path / "out"
-    code = cli.main([
-        "vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir), "--iters", "1",
-        "--sample-rate", "3000000000",
-    ])
+    argv = ["vocode", "--spec-dir", str(spec_dir), "--iters", "1", "--out-dir"]
+    code = cli.main(argv + [str(tmp_path / "out"), "--sample-rate", "3000000000"])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: --sample-rate 3000000000 does not fit a 16-bit WAV header; "
+        "the most is 2147483647 Hz\n"
+    )
+    assert not (tmp_path / "out").exists()
+    code = cli.main(argv + [str(tmp_path / "ok"), "--sample-rate", "2147483647"])
     assert code == cli.EXIT_OK
     capsys.readouterr()
-    assert (out_dir / "errors.tsv").read_text() == (
-        "id\tstage\terror\n"
-        f"tone\tvocode\t{out_dir / 'tone.wav'}: sample rate 3000000000 Hz does not fit a "
-        "16-bit WAV header; the most is 2147483647 Hz\n"
-    )
-    assert not list(out_dir.glob("*.wav"))
+    assert (tmp_path / "ok" / "errors.tsv").read_text() == "id\tstage\terror\n"
+    assert wavio.read_wav(tmp_path / "ok" / "tone.wav").sample_rate == 2147483647
 
 
 def test_spectrogram_whose_header_claims_petabytes_is_an_error_row(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The vectorized kernels against their scalar references.
 
 dsp.dtw_align fills the cost grid in place one anti-diagonal at a time,
-metrics.edit_counts fills its edit-distance grid one vectorized row at a
-time, and dsp.stft, dsp.istft and dsp.griffin_lim work dsp._CHUNK_FRAMES
+metrics.edit_counts holds its edit-distance grid as bit-parallel deltas and
+backtraces over them, dsp.resample passes scipy the filter it designed
+once, and dsp.stft, dsp.istft and dsp.griffin_lim work dsp._CHUNK_FRAMES
 frames at a time and overlap-add in strided chunks into preallocated
 buffers; all must reproduce the cell-by-cell, per-frame and whole-array
 arithmetic exactly, so those comparisons are ==, never a tolerance.
@@ -18,6 +19,7 @@ relative 1e-12 against the dense matrix product and np.linalg.norm
 (TestSparseKernels).
 """
 
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -27,16 +29,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
+from scipy.signal import resample_poly
 
 from oracles import (
     cmnd_per_frame,
     dtw_row_major,
+    edit_counts_backtrace,
+    edit_counts_recursive,
     edit_distance_matrix_loop,
     frame_signal_gather,
     griffin_lim_loop,
     istft_frame_loop,
     log_mel_dense,
     pitch_decisions_loop,
+    resample_poly_scipy,
     stft_complex_gather,
     yin_energies_blocks,
 )
@@ -97,34 +103,35 @@ class TestDtwWavefront:
         assert_same_alignment(a, b)
 
 
-def assert_same_edit_grid(ref, hyp):
-    """The row-vectorized grid equals the cell-by-cell one, and so do the counts
-    backtraced over each."""
-    expected = edit_distance_matrix_loop(ref, hyp)
-    dist = metrics._edit_distance_matrix(ref, hyp)
-    assert dist.dtype == expected.dtype
-    assert np.array_equal(dist, expected)
+def assert_same_edit_counts(ref, hyp):
+    """edit_counts equals the backtrace over the cell-by-cell grid and the recursive
+    definition, in plain ints."""
     counts = metrics.edit_counts(ref, hyp)
-    with mock.patch.object(metrics, "_edit_distance_matrix", edit_distance_matrix_loop):
-        assert counts == metrics.edit_counts(ref, hyp)
+    assert counts == edit_counts_backtrace(ref, hyp, edit_distance_matrix_loop(ref, hyp))
+    assert counts == edit_counts_recursive(ref, hyp)
+    assert all(type(c) is int for c in counts)
+
+
+def random_text(rng, n, alphabet="ab cé"):
+    return "".join(rng.choice(list(alphabet), n))
 
 
 class TestEditDistanceRows:
     @pytest.mark.parametrize("ref,hyp", [("", ""), ("", "abc"), ("abc", "")])
     def test_empty_sides(self, ref, hyp):
-        assert_same_edit_grid(ref, hyp)
+        assert_same_edit_counts(ref, hyp)
 
     @pytest.mark.parametrize("ref,hyp", [
         ("a", "a"), ("a", "b"), ("a", "banana"), ("x", "banana"), ("banana", "a"), ("banana", "x"),
     ])
     def test_one_by_n_and_n_by_one(self, ref, hyp):
-        assert_same_edit_grid(ref, hyp)
+        assert_same_edit_counts(ref, hyp)
 
     @pytest.mark.parametrize("ref,hyp", [
         ("aaaaaaa", "aaa"), ("aaa", "aaaaaaa"), ("aaaaa", "bbbbb"), ("aaaa", "abababab"),
     ])
     def test_runs_of_one_character(self, ref, hyp):
-        assert_same_edit_grid(ref, hyp)
+        assert_same_edit_counts(ref, hyp)
 
     @pytest.mark.parametrize("ref,hyp", [
         ("café au lait", "cafe au lait"),
@@ -134,12 +141,35 @@ class TestEditDistanceRows:
         ("\U00010348\U00010349", "\U00010349\U00010348x"),
     ])
     def test_non_ascii(self, ref, hyp):
-        assert_same_edit_grid(ref, hyp)
+        assert_same_edit_counts(ref, hyp)
+
+    @pytest.mark.parametrize("n_hyp", [63, 64, 65, 200])
+    @pytest.mark.parametrize("n_ref", [1, 40, 64, 201])
+    def test_hyp_lengths_around_machine_words(self, n_ref, n_hyp):
+        # one bit per hyp character, so the bit vectors end below, at and past 64 bits
+        rng = np.random.default_rng(n_ref * 1000 + n_hyp)
+        assert_same_edit_counts(random_text(rng, n_ref), random_text(rng, n_hyp))
 
     @given(st.text(alphabet="ab é", max_size=24), st.text(alphabet="ab é", max_size=24))
     @settings(max_examples=150, deadline=None)
     def test_drawn_pairs_over_a_small_alphabet(self, ref, hyp):
-        assert_same_edit_grid(ref, hyp)
+        assert_same_edit_counts(ref, hyp)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_pairs_of_any_text(self, data):
+        # a few drawn characters, each repeated, so the two texts share some
+        chars = data.draw(st.lists(st.characters(), min_size=1, max_size=6))
+        ref = data.draw(st.text(alphabet=st.sampled_from(chars) | st.characters(), max_size=90))
+        hyp = data.draw(st.text(alphabet=st.sampled_from(chars) | st.characters(), max_size=90))
+        assert_same_edit_counts(ref, hyp)
+
+
+def test_edit_counts_memory_is_half_a_byte_per_cell():
+    # four bits per cell of the 4,000 x 4,000 grid are 8 MB; the int64 grid was 128 MB
+    rng = np.random.default_rng(7)
+    ref, hyp = random_text(rng, 4000, "abcdefgh "), random_text(rng, 4000, "abcdefgh ")
+    assert peak_bytes(metrics.edit_counts, ref, hyp) <= 0.75 * 4000 * 4000
 
 
 @pytest.mark.parametrize(
@@ -592,6 +622,39 @@ class TestSparseKernels:
         mag = np.abs(stft_complex_gather(x, cfg.stft))
         expected = np.linalg.norm(mag - target) / np.linalg.norm(target)
         np.testing.assert_allclose(out, expected, rtol=REL, atol=0)
+
+
+RESAMPLE_RATES = [8000, 11025, 16000, 24000, 32000, 44100, 48000, 22051]  # 22,051 is coprime to SR
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 441, 33_333])
+@pytest.mark.parametrize("rate", RESAMPLE_RATES)
+def test_resample_equals_scipy_designing_its_own_filter(rate, n):
+    x = np.random.default_rng(n).standard_normal(n)
+    for src, dst in ((rate, SR), (SR, rate)):
+        out = dsp.resample(dsp.Waveform(x, src), dst).samples
+        assert out.tobytes() == resample_poly_scipy(x, src, dst).tobytes()
+
+
+def test_each_resampling_filter_is_designed_once_and_the_cache_is_bounded():
+    scipy_signaltools = sys.modules[resample_poly.__module__]
+    dsp._resample_taps.cache_clear()
+    x = np.ones(100)
+    with (
+        mock.patch.object(dsp, "firwin", wraps=dsp.firwin) as designs,
+        mock.patch.object(scipy_signaltools, "firwin", wraps=scipy_signaltools.firwin) as own,
+    ):
+        dsp.resample(dsp.Waveform(x, 44100), SR)  # up 1, down 2
+        dsp.resample(dsp.Waveform(x, 16000), 8000)  # the same max(up, down)
+        dsp.resample(dsp.Waveform(x, 44100), SR)
+        assert (designs.call_count, own.call_count) == (1, 0)
+        for rate in (8000, 24000, 32000, 48000):  # max(up, down) 441, 160, 640 and 320
+            dsp.resample(dsp.Waveform(x, rate), SR)
+        assert designs.call_count == 5
+        info = dsp._resample_taps.cache_info()
+        assert info.maxsize == info.currsize == dsp._RESAMPLE_FILTERS < 5
+        dsp.resample(dsp.Waveform(x, 44100), SR)  # the least recently used, so dropped
+        assert (designs.call_count, own.call_count) == (6, 0)
 
 
 def recorded(fn, *args):
