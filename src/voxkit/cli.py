@@ -126,30 +126,19 @@ def _file_id(path):
         return st.st_dev, st.st_ino
 
 
-def _overwritten_inputs(out_dir, inputs: dict) -> list:
-    """The ids whose <out_dir>/<id>.wav is already an input file, directly or through a link.
+def _overwritten_inputs(out_dir, ids, inputs) -> list:
+    """The ids whose <out_dir>/<id>.wav is already one of the inputs, directly or through a link.
 
-    inputs maps each id to its input path. Writing such a WAV would destroy that input, and
-    discarding it for a failed or dropped utterance would delete it. An id that _out_wav
-    rejects writes nothing; it gets its error row.
+    Writing such a WAV would destroy that input, and discarding it for a failed or dropped
+    utterance would delete it. An id that _out_wav rejects writes nothing; it gets its error row.
     """
-    taken = {_file_id(path) for path in inputs.values()} - {None}
+    taken = {_file_id(path) for path in inputs} - {None}
     clashes = []
-    for utterance_id in inputs:
+    for utterance_id in ids:
         with suppress(InvalidConfigError):
             if _file_id(_out_wav(out_dir, utterance_id)) in taken:
                 clashes.append(utterance_id)
     return clashes
-
-
-def _manifest_clash(outputs, *manifests):
-    """A usage error message if one of the output paths is an input manifest, directly or
-    through a link; else None."""
-    taken = {_file_id(path) for path in manifests} - {None}
-    for path in outputs:
-        if _file_id(path) in taken:
-            return f"writing {path} would overwrite an input manifest"
-    return None
 
 
 def _usage(message: str) -> int:
@@ -169,9 +158,9 @@ def _write_errors(path, rows) -> None:
     write_tsv(path, ("id", "stage", "error"), cells)
 
 
-def _finish(out_dir: Path, error_rows, wrote: str) -> int:
-    """End a per-utterance command: <out_dir>/errors.tsv, then the `wrote ...` line."""
-    _write_errors(out_dir / "errors.tsv", error_rows)
+def _finish(paths: dict, error_rows, wrote: str) -> int:
+    """End a per-utterance command: its errors.tsv from paths, then the `wrote ...` line."""
+    _write_errors(paths["errors.tsv"], error_rows)
     print(_sanitize(f"wrote {wrote} ({len(error_rows)} errors)"))
     return EXIT_OK
 
@@ -194,9 +183,13 @@ def _load(path, sample_rate: int) -> dsp.Waveform:
     return dsp.resample(wavio.read_wav(path), sample_rate)
 
 
-def _load_enhanced(audio: Path, args) -> dsp.Waveform:
+def _enhanced_path(audio: Path, args) -> Path:
     """The <stem>.enhanced.wav of audio under --enhanced-dir."""
-    return _load(Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX), args.sample_rate)
+    return Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX)
+
+
+def _load_enhanced(audio: Path, args) -> dsp.Waveform:
+    return _load(_enhanced_path(audio, args), args.sample_rate)
 
 
 def _comma_list(flag: str, text: str, choices: tuple) -> tuple:
@@ -207,11 +200,31 @@ def _comma_list(flag: str, text: str, choices: tuple) -> tuple:
     return items
 
 
+def _under(directory, *names) -> dict:
+    return {name: Path(directory) / name for name in names}
+
+
+# The files each command writes besides <id>.wav, by name or by the flag that names them, from
+# its args and configured stages. The writers take their paths from here; _configure checks them.
+OUTPUTS = {
+    "preprocess": lambda args, stages: _under(
+        args.out_dir, "manifest.tsv", "errors.tsv", *(("dropped.tsv",) if "FLT" in stages else ())
+    ),
+    "vad": lambda args, _: _under(args.out_dir, "manifest.tsv", "errors.tsv"),
+    "metrics": lambda args, _: _under(args.out_dir, *metrics.REPORT_FILES, "errors.tsv"),
+    "snr": lambda args, _: {"--out": Path(args.out), **_under(Path(args.out).parent, "errors.tsv")},
+    "vocode": lambda args, _: _under(args.out_dir, "roundtrip.tsv", "errors.tsv"),
+    "filter": lambda args, _: _under(args.out_dir, "kept.tsv", "dropped.tsv"),
+    "report": lambda args, _: {} if args.json is None else {"--json": Path(args.json)},
+}
+
+
 def _configure(args) -> dict:
     """Every config the command uses, by name, built before any input is read or output written.
 
     A command has only the flags it reads, so they pick its configs. The checks on
-    --sample-rate run only for the stages and metrics that will run.
+    --sample-rate run only for the stages and metrics that will run. No output may be an input
+    manifest or a directory.
     """
     for flag in ("workers", "iters", "sample_rate"):
         value = getattr(args, flag, 1)
@@ -257,6 +270,13 @@ def _configure(args) -> dict:
             dsp.check_cepstrum(args.mels)
         if "f0" in which:
             pitch.lags(args.sample_rate, args.win)
+    cfg["outputs"] = OUTPUTS[args.command](args, cfg.get("stages", ()))
+    taken = {_file_id(v) for k, v in vars(args).items() if k.endswith("manifest") and v} - {None}
+    for path in cfg["outputs"].values():
+        if _file_id(path) in taken:
+            raise InvalidConfigError(f"writing {path} would overwrite an input manifest")
+        if path.is_dir():
+            raise InvalidConfigError(f"cannot write {path}, which is a directory")
     return cfg
 
 
@@ -302,14 +322,13 @@ def _preprocess_one(utterance_id, record, args, cfg, stage):
 def cmd_preprocess(args, cfg) -> int:
     """Run stages over --manifest into --out-dir; `vad` runs its one VAD stage here."""
     manifest = corpus.load_manifest(args.manifest)
-    out_dir = Path(args.out_dir)
+    out_dir, paths = Path(args.out_dir), cfg["outputs"]
     stages = cfg["stages"]
-    outputs = ("manifest.tsv", "errors.tsv") + (("dropped.tsv",) if "FLT" in stages else ())
-    if clash := _manifest_clash((out_dir / name for name in outputs), args.manifest):
-        return _usage(clash)
     records = {r.utterance_id: r for r in manifest}
-    inputs = {i: corpus.resolve_audio_path(r, args.manifest) for i, r in records.items()}
-    if clashes := _overwritten_inputs(out_dir, inputs):
+    inputs = [corpus.resolve_audio_path(r, args.manifest) for r in manifest]
+    if "DN" in stages and args.enhanced_dir is not None:
+        inputs += [_enhanced_path(audio, args) for audio in inputs]
+    if clashes := _overwritten_inputs(out_dir, records, inputs):
         return _usage(f"--out-dir would overwrite the input audio of {clashes}")
     results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, "load", out_dir)
     error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
@@ -339,13 +358,12 @@ def cmd_preprocess(args, cfg) -> int:
         replace(record, audio_path=f"{record.utterance_id}.wav", duration_s=durations[-1])
         for record, durations in map(results.get, alive)
     )
-    corpus.save_manifest(corpus.Manifest(outputs, tags[-1]), out_dir / "manifest.tsv")
+    corpus.save_manifest(corpus.Manifest(outputs, tags[-1]), paths["manifest.tsv"])
     if filter_result is not None:
-        corpus.save_dropped_report(filter_result, out_dir / "dropped.tsv")
+        corpus.save_dropped_report(filter_result, paths["dropped.tsv"])
 
     _print_stage_table(table)
-    wrote = f"{len(alive)} utterances to {out_dir / 'manifest.tsv'}"
-    return _finish(out_dir, error_rows, wrote)
+    return _finish(paths, error_rows, f"{len(alive)} utterances to {paths['manifest.tsv']}")
 
 
 # ------------------------------------------------------------------- metrics
@@ -407,10 +425,7 @@ def cmd_metrics(args, cfg) -> int:
             f"only in reference: {only_ref}; only in hypothesis: {only_hyp}"
         )
 
-    out_dir = Path(args.out_dir)
-    outputs = (out_dir / name for name in ("report.tsv", "report.json", "errors.tsv"))
-    if clash := _manifest_clash(outputs, args.ref_manifest, args.hyp_manifest):
-        return _usage(clash)
+    out_dir, paths = Path(args.out_dir), cfg["outputs"]
     hyp_by_id = {r.utterance_id: r for r in hyp_manifest}
     pairs = {r.utterance_id: (r, hyp_by_id[r.utterance_id]) for r in ref_manifest}
     rows, error_rows = _run_utterances(_metrics_one, pairs, args, cfg, "audio", out_dir)
@@ -427,7 +442,7 @@ def cmd_metrics(args, cfg) -> int:
             print("CER (S/D/I): n/a")
         else:
             print("CER (S/D/I): {:.1f} ({:.1f}/{:.1f}/{:.1f})".format(*(100 * v for v in values)))
-    return _finish(out_dir, error_rows, f"{len(rows)} rows to {out_dir / 'report.tsv'}")
+    return _finish(paths, error_rows, f"{len(rows)} rows to {paths['report.tsv']}")
 
 
 # ----------------------------------------------------------------------- snr
@@ -439,9 +454,7 @@ def _snr_one(utterance_id, audio, args, cfg, stage):
 
 def cmd_snr(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
-    out_path = Path(args.out)
-    if clash := _manifest_clash((out_path, out_path.parent / "errors.tsv"), args.manifest):
-        return _usage(clash)
+    out_path = cfg["outputs"]["--out"]
     audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
     snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, "snr", out_path.parent)
     records = tuple(
@@ -450,7 +463,7 @@ def cmd_snr(args, cfg) -> int:
         if snrs[record.utterance_id] is not None
     )
     corpus.save_manifest(corpus.Manifest(records, manifest.source_tag), out_path)
-    return _finish(out_path.parent, error_rows, f"{len(records)} utterances to {out_path}")
+    return _finish(cfg["outputs"], error_rows, f"{len(records)} utterances to {out_path}")
 
 
 # -------------------------------------------------------------------- vocode
@@ -507,19 +520,16 @@ def cmd_vocode(args, cfg) -> int:
         if not spec_paths:
             return _usage(f"no .npy spectrograms found in {args.spec_dir}")
         sources = {path.stem: path for path in spec_paths}
-    out_dir = Path(args.out_dir)
-    outputs = (out_dir / "roundtrip.tsv", out_dir / "errors.tsv")
-    if args.manifest is not None and (clash := _manifest_clash(outputs, args.manifest)):
-        return _usage(clash)
-    if clashes := _overwritten_inputs(out_dir, sources):
+    out_dir, paths = Path(args.out_dir), cfg["outputs"]
+    if clashes := _overwritten_inputs(out_dir, sources, sources.values()):
         return _usage(f"--out-dir would overwrite the input audio of {clashes}")
     gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg, "vocode", out_dir)
 
     done = {name: gap for name, gap in gaps.items() if gap is not None}
-    write_tsv(out_dir / "roundtrip.tsv", ("id", "spectral_convergence"), done.items())
+    write_tsv(paths["roundtrip.tsv"], ("id", "spectral_convergence"), done.items())
     if done:
         print(f"mean spectral convergence: {sum(done.values()) / len(done):.4f}")
-    return _finish(out_dir, error_rows, f"{len(done)} files to {out_dir}")
+    return _finish(paths, error_rows, f"{len(done)} files to {out_dir}")
 
 
 # ----------------------------------------------------------- filter / report
@@ -527,14 +537,12 @@ def cmd_vocode(args, cfg) -> int:
 
 def cmd_filter(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
-    out_dir = Path(args.out_dir)
-    if clash := _manifest_clash((out_dir / "kept.tsv", out_dir / "dropped.tsv"), args.manifest):
-        return _usage(clash)
+    out_dir, paths = Path(args.out_dir), cfg["outputs"]
     out_dir.mkdir(parents=True, exist_ok=True)
     records = tuple(_input_audio(r, args.manifest, out_dir) for r in manifest)
     result = corpus.apply_filter(corpus.Manifest(records, manifest.source_tag), cfg["FLT"])
-    corpus.save_manifest(result.kept, out_dir / "kept.tsv")
-    corpus.save_dropped_report(result, out_dir / "dropped.tsv")
+    corpus.save_manifest(result.kept, paths["kept.tsv"])
+    corpus.save_dropped_report(result, paths["dropped.tsv"])
     kept_stats = corpus.summarize(result.kept)
     dropped_stats = corpus.summarize(result.dropped)
     print(f"kept {kept_stats.n_utterances} utterances ({kept_stats.total_hours:.2f} h)")
@@ -572,16 +580,15 @@ def cmd_report(args, cfg) -> int:
         print(f"speaker {label}: {stats.per_speaker[speaker]}")
     _print_histogram("snr_db", stats.snr)
     _print_histogram("cer", stats.cer)
-    if args.json is not None:
-        payload = {
+    if json_path := cfg["outputs"].get("--json"):
+        write_json(json_path, {
             "source": manifest.source_tag,
             "utterances": stats.n_utterances,
             "hours": json_value(stats.total_hours),
             "per_speaker": stats.per_speaker,
             "snr_db": _histogram_dict(stats.snr),
             "cer": _histogram_dict(stats.cer),
-        }
-        write_json(args.json, payload)
+        })
     return EXIT_OK
 
 

@@ -218,6 +218,7 @@ METRIC_COLUMNS = {
     "cer": ("cer", "substitutions", "deletions", "insertions"),
 }  # each metric's report columns, in report order
 REPORT_COLUMNS = ("id",) + sum(METRIC_COLUMNS.values(), ())
+REPORT_FILES = ("report.tsv", "report.json")  # write_report's two files in its out_dir, in order
 
 
 def write_report(rows: dict, out_dir) -> dict:
@@ -234,12 +235,11 @@ def write_report(rows: dict, out_dir) -> dict:
     for column in REPORT_COLUMNS[1:]:
         values = [row[column] for row in table if row[column] is not None]
         means[column] = sum(values, -0.0) / len(values) if values else None
-    out_dir = Path(out_dir)
     cells = [row.values() for row in table + [{"id": "mean", **means}]]
-    write_tsv(out_dir / "report.tsv", REPORT_COLUMNS, cells)
+    write_tsv(Path(out_dir) / REPORT_FILES[0], REPORT_COLUMNS, cells)
     payload = {
         "utterances": [{c: json_value(v) for c, v in row.items()} for row in table],
         "mean": {c: json_value(v) for c, v in means.items()},
     }
-    write_json(out_dir / "report.json", payload)
+    write_json(Path(out_dir) / REPORT_FILES[1], payload)
     return means

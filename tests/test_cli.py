@@ -1136,6 +1136,57 @@ def test_out_dir_that_would_overwrite_the_input_audio_is_usage_error(
     assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_out_dir_that_would_overwrite_an_enhanced_input_is_usage_error(workers, tmp_path, capsys):
+    # DN reads u1's enhanced audio from enh/u1.enhanced.wav, which is where the id u1.enhanced
+    # would write its output.
+    (tmp_path / "raw").mkdir()
+    (tmp_path / "enh").mkdir()
+    records = []
+    for utterance_id in ("u1", "u1.enhanced"):
+        audio = sine(220.0, 0.5)
+        wavio.write_wav(tmp_path / "raw" / f"{utterance_id}.wav", dsp.Waveform(audio, SR))
+        wavio.write_wav(tmp_path / "enh" / f"{utterance_id}.enhanced.wav",
+                        dsp.Waveform(0.5 * audio, SR))
+        records.append(corpus.UtteranceRecord(utterance_id, f"raw/{utterance_id}.wav", 0.5))
+    manifest = tmp_path / "manifest.tsv"
+    corpus.save_manifest(corpus.Manifest(tuple(records), "Raw"), manifest)
+    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    enh = str(tmp_path / "enh")
+    argv = ["preprocess", "--manifest", str(manifest), "--stages", "DN", "--enhanced-dir", enh]
+    assert cli.main(argv + ["--out-dir", enh, "--workers", workers]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "usage error: --out-dir would overwrite the input audio of ['u1.enhanced']\n"
+    )
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+
+
+# One file each command would write, made a directory beforehand: its path under root.
+DIRECTORY_OUTPUTS = {
+    "preprocess": "out/dropped.tsv", "vad": "out/errors.tsv", "metrics": "out/report.json",
+    "snr": "out/scored.tsv", "vocode": "out/roundtrip.tsv", "filter": "out/kept.tsv",
+    "report": "out/r.json",
+}
+
+
+@pytest.mark.parametrize("command", list(DIRECTORY_OUTPUTS))
+def test_output_that_is_an_existing_directory_is_usage_error(command, tmp_path, capsys):
+    build_corpus(tmp_path, 2, seed=37)
+    directory = tmp_path / DIRECTORY_OUTPUTS[command]
+    directory.mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    files = {p: p.read_bytes() for p in before if p.is_file()}
+    argv = _minimal_argv(command, tmp_path) + (["--iters", "2"] if command == "vocode" else [])
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: cannot write {directory}, which is a directory\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+    assert {p: p.read_bytes() for p in before if p.is_file()} == files
+
+
 def test_snr_out_named_errors_tsv_is_usage_error(tmp_path, capsys):
     manifest = build_corpus(tmp_path, 2, seed=37)
     out = tmp_path / "out" / "errors.tsv"
@@ -1153,6 +1204,7 @@ def test_snr_out_named_errors_tsv_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("command, name", [
     ("preprocess", "manifest.tsv"), ("vad", "errors.tsv"), ("filter", "kept.tsv"),
     ("snr", "scored.tsv"), ("metrics", "report.tsv"), ("vocode", "roundtrip.tsv"),
+    ("report", "summary.json"),
 ])
 def test_output_that_would_overwrite_the_input_manifest_is_usage_error(
     command, name, via, tmp_path, capsys
@@ -1174,6 +1226,7 @@ def test_output_that_would_overwrite_the_input_manifest_is_usage_error(
         "metrics": ["metrics", "--ref-manifest", manifest, "--hyp-manifest", manifest,
                     "--out-dir", str(out_dir)],
         "vocode": ["vocode", "--manifest", manifest, "--out-dir", str(out_dir)],
+        "report": ["report", "--manifest", manifest, "--json", str(out_dir / name)],
     }[command]
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
@@ -1445,6 +1498,22 @@ def _subparsers():
     parser = cli.build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices
+
+
+def test_every_command_declares_its_output_files():
+    assert set(cli.OUTPUTS) == set(_subparsers())
+
+
+@pytest.mark.parametrize("command", list(cli.OUTPUTS))
+def test_a_run_writes_exactly_its_declared_files_besides_wavs(command, tmp_path, capsys):
+    build_corpus(tmp_path, 1, seed=29)
+    (tmp_path / "out").mkdir()  # report does not make the directory of --json
+    argv = _minimal_argv(command, tmp_path) + (["--iters", "2"] if command == "vocode" else [])
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    declared = cli._configure(cli.build_parser().parse_args(argv))["outputs"]
+    written = {p for p in (tmp_path / "out").iterdir() if p.suffix != ".wav"}
+    assert written == set(declared.values())
 
 
 def test_readme_option_table_matches_the_parser():
