@@ -126,21 +126,6 @@ def _file_id(path):
         return st.st_dev, st.st_ino
 
 
-def _overwritten_inputs(out_dir, ids, inputs) -> list:
-    """The ids whose <out_dir>/<id>.wav is already one of the inputs, directly or through a link.
-
-    Writing such a WAV would destroy that input, and discarding it for a failed or dropped
-    utterance would delete it. An id that _out_wav rejects writes nothing; it gets its error row.
-    """
-    taken = {_file_id(path) for path in inputs} - {None}
-    clashes = []
-    for utterance_id in ids:
-        with suppress(InvalidConfigError):
-            if _file_id(_out_wav(out_dir, utterance_id)) in taken:
-                clashes.append(utterance_id)
-    return clashes
-
-
 def _usage(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -165,6 +150,10 @@ def _finish(paths: dict, error_rows, wrote: str) -> int:
     return EXIT_OK
 
 
+def _audio_files(manifest, manifest_path) -> list:
+    return [corpus.resolve_audio_path(r, manifest_path) for r in manifest]
+
+
 def _input_audio(record, manifest_path, out_dir, **changes):
     """record with changes, its audio cell pointing from out_dir at its input audio."""
     audio = os.path.relpath(corpus.resolve_audio_path(record, manifest_path), out_dir)
@@ -183,13 +172,13 @@ def _load(path, sample_rate: int) -> dsp.Waveform:
     return dsp.resample(wavio.read_wav(path), sample_rate)
 
 
-def _enhanced_path(audio: Path, args) -> Path:
-    """The <stem>.enhanced.wav of audio under --enhanced-dir."""
-    return Path(args.enhanced_dir) / (audio.stem + ENHANCED_SUFFIX)
+def _enhanced_path(audio: Path, enhanced_dir) -> Path:
+    """The <stem>.enhanced.wav of audio under enhanced_dir."""
+    return Path(enhanced_dir) / (audio.stem + ENHANCED_SUFFIX)
 
 
 def _load_enhanced(audio: Path, args) -> dsp.Waveform:
-    return _load(_enhanced_path(audio, args), args.sample_rate)
+    return _load(_enhanced_path(audio, args.enhanced_dir), args.sample_rate)
 
 
 def _comma_list(flag: str, text: str, choices: tuple) -> tuple:
@@ -219,12 +208,63 @@ OUTPUTS = {
 }
 
 
+def _reads(manifests, audio, enhanced_dir=None) -> dict:
+    """{kind: paths}: the manifests given, audio, and each audio file's twin in enhanced_dir."""
+    enhanced = [_enhanced_path(a, enhanced_dir) for a in audio] if enhanced_dir else []
+    return {"manifest": [m for m in manifests if m], "audio file": audio, "enhanced file": enhanced}
+
+
+# The files each command reads, by kind, from its args, configured stages and `audio`, the audio
+# or .npy file of each utterance, which is empty until the manifests are read or --spec-dir listed.
+INPUTS = {
+    "preprocess": lambda args, stages, audio: _reads(
+        [args.manifest], audio, args.enhanced_dir if "DN" in stages else None
+    ),
+    "vad": lambda args, _, audio: _reads([args.manifest], audio),
+    "metrics": lambda args, _, audio: _reads([args.ref_manifest, args.hyp_manifest], audio),
+    "snr": lambda args, _, audio: _reads([args.manifest], audio, args.enhanced_dir),
+    "vocode": lambda args, _, audio: _reads([args.manifest], audio),
+    "filter": lambda args, _, audio: _reads([args.manifest], audio),
+    "report": lambda args, _, audio: _reads([args.manifest], audio),
+}
+
+
+def _refusal(args, cfg, audio=(), ids=()):
+    """Why the run would write over a file it reads or write one file twice; None if it would not.
+
+    The run reads what INPUTS declares, given audio, and writes cfg["outputs"] and, for each
+    of ids, <out-dir>/<id>.wav, which it deletes again for a failed or dropped utterance. No
+    output may be an input, directly or through a link, or a directory, and no two declared
+    outputs may be one file.
+    """
+    inputs = INPUTS[args.command](args, cfg.get("stages", ()), audio)
+    taken = {key: kind for kind, paths in inputs.items() for key in map(_file_id, paths) if key}
+    written = {}
+    for name, path in cfg["outputs"].items():
+        key = _file_id(path) or os.path.realpath(path)
+        if key in taken:
+            return f"writing {path} would overwrite an input {taken[key]}"
+        if key in written:
+            return f"{written[key]} must not be named {name}, which {args.command} writes beside it"
+        if path.is_dir():
+            return f"cannot write {path}, which is a directory"
+        written[key] = name
+    clashes = []
+    for utterance_id in ids:
+        with suppress(InvalidConfigError):  # an id _out_wav refuses gets an error row instead
+            if _file_id(_out_wav(args.out_dir, utterance_id)) in taken:
+                clashes.append(utterance_id)
+    if clashes:
+        return f"--out-dir would overwrite the input audio of {clashes}"
+
+
 def _configure(args) -> dict:
     """Every config the command uses, by name, built before any input is read or output written.
 
     A command has only the flags it reads, so they pick its configs. The checks on
-    --sample-rate run only for the stages and metrics that will run. No output may be an input
-    manifest or a directory.
+    --sample-rate run only for the stages and metrics that will run. _refusal checks the
+    outputs against the input manifests here; each command checks them again, and its
+    <id>.wav files, once it knows its audio.
     """
     for flag in ("workers", "iters", "sample_rate"):
         value = getattr(args, flag, 1)
@@ -252,8 +292,6 @@ def _configure(args) -> dict:
         for name in cfg["stages"]:
             if name.startswith("VAD-"):
                 cfg[name] = replace(vad, aggressiveness=int(name[4:]))
-    if "out" in args and Path(args.out).name == "errors.tsv":
-        raise InvalidConfigError("--out must not be named errors.tsv, which snr writes beside it")
     if "spec_dir" in args and (args.manifest is None) == (args.spec_dir is None):
         raise InvalidConfigError("pass exactly one of --manifest (round trip) or --spec-dir")
     if "fft" in args:
@@ -271,12 +309,8 @@ def _configure(args) -> dict:
         if "f0" in which:
             pitch.lags(args.sample_rate, args.win)
     cfg["outputs"] = OUTPUTS[args.command](args, cfg.get("stages", ()))
-    taken = {_file_id(v) for k, v in vars(args).items() if k.endswith("manifest") and v} - {None}
-    for path in cfg["outputs"].values():
-        if _file_id(path) in taken:
-            raise InvalidConfigError(f"writing {path} would overwrite an input manifest")
-        if path.is_dir():
-            raise InvalidConfigError(f"cannot write {path}, which is a directory")
+    if refusal := _refusal(args, cfg):
+        raise InvalidConfigError(refusal)
     return cfg
 
 
@@ -325,11 +359,8 @@ def cmd_preprocess(args, cfg) -> int:
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
     stages = cfg["stages"]
     records = {r.utterance_id: r for r in manifest}
-    inputs = [corpus.resolve_audio_path(r, args.manifest) for r in manifest]
-    if "DN" in stages and args.enhanced_dir is not None:
-        inputs += [_enhanced_path(audio, args) for audio in inputs]
-    if clashes := _overwritten_inputs(out_dir, records, inputs):
-        return _usage(f"--out-dir would overwrite the input audio of {clashes}")
+    if refusal := _refusal(args, cfg, _audio_files(manifest, args.manifest), records):
+        return _usage(refusal)
     results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, "load", out_dir)
     error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
 
@@ -425,6 +456,9 @@ def cmd_metrics(args, cfg) -> int:
             f"only in reference: {only_ref}; only in hypothesis: {only_hyp}"
         )
 
+    audio = _audio_files(ref_manifest, args.ref_manifest)
+    if refusal := _refusal(args, cfg, audio + _audio_files(hyp_manifest, args.hyp_manifest)):
+        return _usage(refusal)
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
     hyp_by_id = {r.utterance_id: r for r in hyp_manifest}
     pairs = {r.utterance_id: (r, hyp_by_id[r.utterance_id]) for r in ref_manifest}
@@ -456,6 +490,8 @@ def cmd_snr(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
     out_path = cfg["outputs"]["--out"]
     audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
+    if refusal := _refusal(args, cfg, audio.values()):
+        return _usage(refusal)
     snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, "snr", out_path.parent)
     records = tuple(
         _input_audio(record, args.manifest, out_path.parent, snr_db=snrs[record.utterance_id])
@@ -521,8 +557,8 @@ def cmd_vocode(args, cfg) -> int:
             return _usage(f"no .npy spectrograms found in {args.spec_dir}")
         sources = {path.stem: path for path in spec_paths}
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
-    if clashes := _overwritten_inputs(out_dir, sources, sources.values()):
-        return _usage(f"--out-dir would overwrite the input audio of {clashes}")
+    if refusal := _refusal(args, cfg, sources.values(), sources):
+        return _usage(refusal)
     gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg, "vocode", out_dir)
 
     done = {name: gap for name, gap in gaps.items() if gap is not None}
@@ -537,6 +573,8 @@ def cmd_vocode(args, cfg) -> int:
 
 def cmd_filter(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
+    if refusal := _refusal(args, cfg, _audio_files(manifest, args.manifest)):
+        return _usage(refusal)
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
     out_dir.mkdir(parents=True, exist_ok=True)
     records = tuple(_input_audio(r, args.manifest, out_dir) for r in manifest)
@@ -571,16 +609,11 @@ def _print_histogram(name: str, histogram) -> None:
 
 def cmd_report(args, cfg) -> int:
     manifest = corpus.load_manifest(args.manifest)
+    if refusal := _refusal(args, cfg, _audio_files(manifest, args.manifest)):
+        return _usage(refusal)
     stats = corpus.summarize(manifest)
-    print(f"source: {manifest.source_tag}")
-    print(f"utterances: {stats.n_utterances}")
-    print(f"hours: {stats.total_hours:.2f}")
-    for speaker in sorted(stats.per_speaker):
-        label = speaker if speaker else "(unspecified)"
-        print(f"speaker {label}: {stats.per_speaker[speaker]}")
-    _print_histogram("snr_db", stats.snr)
-    _print_histogram("cer", stats.cer)
     if json_path := cfg["outputs"].get("--json"):
+        json_path.parent.mkdir(parents=True, exist_ok=True)
         write_json(json_path, {
             "source": manifest.source_tag,
             "utterances": stats.n_utterances,
@@ -589,6 +622,14 @@ def cmd_report(args, cfg) -> int:
             "snr_db": _histogram_dict(stats.snr),
             "cer": _histogram_dict(stats.cer),
         })
+    print(f"source: {manifest.source_tag}")
+    print(f"utterances: {stats.n_utterances}")
+    print(f"hours: {stats.total_hours:.2f}")
+    for speaker in sorted(stats.per_speaker):
+        label = speaker if speaker else "(unspecified)"
+        print(f"speaker {label}: {stats.per_speaker[speaker]}")
+    _print_histogram("snr_db", stats.snr)
+    _print_histogram("cer", stats.cer)
     return EXIT_OK
 
 

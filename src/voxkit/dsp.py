@@ -32,6 +32,8 @@ _CHUNK_FRAMES = 64
 # resampling filters kept per process; one has 20 * max(up, down) + 1 taps, so a coprime
 # rate pair such as 22,051 -> 22,050 Hz alone takes 3.5 MB
 _RESAMPLE_FILTERS = 4
+# Hann windows, and mel tap sets, kept per process (the most recently used); a run needs one of each
+_STFT_TABLES = 4
 
 _FEATURE_KINDS = ("magnitude_spectrogram", "log_mel", "mfcc")
 
@@ -146,6 +148,14 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+@lru_cache(maxsize=_STFT_TABLES)
+def _window(n: int) -> np.ndarray:
+    """hann_window(n), built once per process and read-only."""
+    window = hann_window(n)
+    window.flags.writeable = False
+    return window
+
+
 def _n_frames(n_samples: int, win_length: int, hop_length: int) -> int:
     """Number of frames centered on samples 0, hop_length, ... (1 + n_samples // hop_length
     for an even win_length)."""
@@ -188,7 +198,7 @@ def _windowed_chunks(samples, cfg: StftConfig):
     The analysis half of the STFT kernels. Every chunk is written into one
     buffer, so the caller takes each chunk's rfft before asking for the next.
     """
-    window = hann_window(cfg.win_length)
+    window = _window(cfg.win_length)
     n_frames = _n_frames(len(samples), cfg.win_length, cfg.hop_length)
     buf = np.empty((min(n_frames, _CHUNK_FRAMES), cfg.win_length))
     t0 = 0
@@ -253,7 +263,7 @@ def _synthesize(spec: np.ndarray, cfg: StftConfig, plan) -> np.ndarray:
     t, as one overlap-add of the whole array does.
     """
     n_samples, divisor, silent = plan
-    window = hann_window(cfg.win_length)
+    window = _window(cfg.win_length)
     buf = np.empty((min(len(spec), _CHUNK_FRAMES), cfg.win_length))
     out = np.zeros(n_samples)
     for t0 in range(0, len(spec), _CHUNK_FRAMES):
@@ -298,7 +308,7 @@ def _ola_plan(cfg: StftConfig, n_frames: int) -> tuple[int, np.ndarray, np.ndarr
         raise EmptySequenceError("need at least 2 frames to reconstruct a signal")
     win, hop = cfg.win_length, cfg.hop_length
     n_samples = hop * (n_frames - 1 + -(-win // hop))
-    wsq = hann_window(win) ** 2
+    wsq = _window(win) ** 2
     norm = _overlap_add(np.broadcast_to(wsq, (n_frames, win)), hop, np.zeros(n_samples))
     norm = norm[: hop * (n_frames - 1) + win]
     tiny = np.finfo(np.float64).tiny
@@ -331,8 +341,10 @@ def mel_filterbank(sample_rate: int, cfg: MelConfig = MelConfig()) -> np.ndarray
     return np.maximum(0.0, np.minimum(up, down))
 
 
+@lru_cache(maxsize=_STFT_TABLES)
 def _mel_taps(sample_rate: int, cfg: MelConfig) -> tuple:
-    """(bins, weights, starts, filled): mel_filterbank's nonzero entries, band by band.
+    """(bins, weights, starts, filled): mel_filterbank's nonzero entries, band by band,
+    built once per process and read-only.
 
     Band m's entries are bins[starts[k]:starts[k + 1]] with their weights,
     where m is the k-th band that filled marks as having any; a band with
@@ -343,7 +355,10 @@ def _mel_taps(sample_rate: int, cfg: MelConfig) -> tuple:
     counts = np.bincount(bands, minlength=len(fb))
     filled = counts > 0
     starts = (np.cumsum(counts) - counts)[filled]
-    return bins, fb[bands, bins], starts, filled
+    taps = bins, fb[bands, bins], starts, filled
+    for table in taps:
+        table.flags.writeable = False
+    return taps
 
 
 def log_mel(w: Waveform, cfg: MelConfig = MelConfig()) -> FeatureSeq:

@@ -1187,6 +1187,77 @@ def test_output_that_is_an_existing_directory_is_usage_error(command, tmp_path, 
     assert {p: p.read_bytes() for p in before if p.is_file()} == files
 
 
+def _files(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command, target, kind, workers", [
+    pytest.param("snr", "raw/utt001.wav", "audio file", "1", id="snr-audio-1"),
+    pytest.param("snr", "raw/utt001.wav", "audio file", "2", id="snr-audio-2"),
+    pytest.param("snr", "enh/utt001.enhanced.wav", "enhanced file", "2", id="snr-enhanced-2"),
+    # report opens no audio and has no --workers, but its manifest names the audio
+    pytest.param("report", "raw/utt001.wav", "audio file", None, id="report-audio"),
+])
+def test_output_that_would_overwrite_an_input_file_is_usage_error(
+    command, target, kind, workers, tmp_path, capsys
+):
+    manifest = build_corpus(tmp_path, 2, seed=37)
+    path = tmp_path / target
+    before = _files(tmp_path)
+    argv = [command, "--manifest", str(manifest)]
+    if command == "snr":
+        argv += ["--enhanced-dir", str(tmp_path / "enh"), "--out", str(path)]
+        argv += ["--workers", workers]
+    else:
+        argv += ["--json", str(path)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: writing {path} would overwrite an input {kind}\n"
+    assert captured.out == ""
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", list(DIRECTORY_OUTPUTS))
+def test_output_linked_to_an_input_audio_file_is_usage_error(command, tmp_path, capsys):
+    build_corpus(tmp_path, 2, seed=37)
+    link = tmp_path / DIRECTORY_OUTPUTS[command]
+    link.parent.mkdir()
+    link.symlink_to(tmp_path / "raw" / "utt001.wav")
+    before = _files(tmp_path)
+    argv = _minimal_argv(command, tmp_path) + (["--iters", "2"] if command == "vocode" else [])
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: writing {link} would overwrite an input audio file\n"
+    assert captured.out == ""
+    assert _files(tmp_path) == before
+
+
+def test_snr_out_linked_to_its_errors_tsv_is_usage_error(tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 2, seed=37)
+    out = tmp_path / "out" / "scored.tsv"
+    out.parent.mkdir()
+    out.symlink_to("errors.tsv")  # a dangling link: snr would make errors.tsv by writing --out
+    argv = ["snr", "--manifest", str(manifest), "--enhanced-dir", str(tmp_path / "enh")]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "usage error: --out must not be named errors.tsv, which snr writes beside it\n"
+    )
+    assert captured.out == ""
+    assert sorted((tmp_path / "out").iterdir()) == [out]
+
+
+def test_report_json_into_a_missing_directory_makes_it(tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 2, seed=37)
+    json_path = tmp_path / "missing" / "deeper" / "r.json"
+    argv = ["report", "--manifest", str(manifest)]
+    assert cli.main(argv + ["--json", str(json_path)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert json.loads(json_path.read_text())["utterances"] == 2
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == printed
+
+
 def test_snr_out_named_errors_tsv_is_usage_error(tmp_path, capsys):
     manifest = build_corpus(tmp_path, 2, seed=37)
     out = tmp_path / "out" / "errors.tsv"
@@ -1504,10 +1575,13 @@ def test_every_command_declares_its_output_files():
     assert set(cli.OUTPUTS) == set(_subparsers())
 
 
+def test_every_command_declares_its_input_files():
+    assert set(cli.INPUTS) == set(_subparsers())
+
+
 @pytest.mark.parametrize("command", list(cli.OUTPUTS))
 def test_a_run_writes_exactly_its_declared_files_besides_wavs(command, tmp_path, capsys):
     build_corpus(tmp_path, 1, seed=29)
-    (tmp_path / "out").mkdir()  # report does not make the directory of --json
     argv = _minimal_argv(command, tmp_path) + (["--iters", "2"] if command == "vocode" else [])
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()

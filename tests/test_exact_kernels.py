@@ -657,6 +657,28 @@ def test_each_resampling_filter_is_designed_once_and_the_cache_is_bounded():
         assert (designs.call_count, own.call_count) == (6, 0)
 
 
+def test_windows_and_mel_taps_are_built_once_and_handed_out_read_only():
+    dsp._window.cache_clear()
+    dsp._mel_taps.cache_clear()
+    w = dsp.Waveform(np.random.default_rng(5).standard_normal(8000), SR)
+    cfg = dsp.MelConfig()
+    with (
+        mock.patch.object(dsp, "hann_window", wraps=dsp.hann_window) as windows,
+        mock.patch.object(dsp, "mel_filterbank", wraps=dsp.mel_filterbank) as filterbanks,
+    ):
+        first = dsp.log_mel(w, cfg)
+        assert (windows.call_count, filterbanks.call_count) == (1, 1)
+        second = dsp.log_mel(w, cfg)
+        dsp.griffin_lim(dsp.stft(w, cfg.stft), cfg.stft, n_iters=2, seed=0)
+        assert (windows.call_count, filterbanks.call_count) == (1, 1)
+    assert second.frames.tobytes() == first.frames.tobytes()
+    for table in (dsp._window(cfg.stft.win_length), *dsp._mel_taps(SR, cfg)):
+        assert not table.flags.writeable
+    # The public builders still hand each caller an array of its own.
+    assert dsp.hann_window(64).flags.writeable and dsp.mel_filterbank(SR).flags.writeable
+    assert dsp.hann_window(64) is not dsp.hann_window(64)
+
+
 def recorded(fn, *args):
     """fn(*args) with the set of warning messages it raised."""
     with warnings.catch_warnings(record=True) as caught:
