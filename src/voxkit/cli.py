@@ -234,8 +234,8 @@ def _refusal(args, cfg, audio=(), ids=()):
 
     The run reads what INPUTS declares, given audio, and writes cfg["outputs"] and, for each
     of ids, <out-dir>/<id>.wav, which it deletes again for a failed or dropped utterance. No
-    output may be an input, directly or through a link, or a directory, and no two declared
-    outputs may be one file.
+    output may be an input, directly or through a link, or a directory, and no declared
+    output may be one file with another or with an <id>.wav.
     """
     inputs = INPUTS[args.command](args, cfg.get("stages", ()), audio)
     taken = {key: kind for kind, paths in inputs.items() for key in map(_file_id, paths) if key}
@@ -249,13 +249,18 @@ def _refusal(args, cfg, audio=(), ids=()):
         if path.is_dir():
             return f"cannot write {path}, which is a directory"
         written[key] = name
-    clashes = []
+    clashes, shared = [], None
     for utterance_id in ids:
         with suppress(InvalidConfigError):  # an id _out_wav refuses gets an error row instead
-            if _file_id(_out_wav(args.out_dir, utterance_id)) in taken:
+            wav = _out_wav(args.out_dir, utterance_id)
+            key = _file_id(wav) or os.path.realpath(wav)
+            if key in taken:
                 clashes.append(utterance_id)
+            elif key in written and shared is None:
+                shared = f"{written[key]} must not be {wav.name}, which {args.command} writes too"
     if clashes:
         return f"--out-dir would overwrite the input audio of {clashes}"
+    return shared
 
 
 def _configure(args) -> dict:

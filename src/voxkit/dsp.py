@@ -9,10 +9,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.fft import dct
-from scipy.signal import firwin, resample_poly
+from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
+from scipy.special import i0
 
 from .errors import (
     DimensionMismatchError,
@@ -29,9 +30,12 @@ GRIFFIN_LIM_MOMENTUM = 0.9  # weight of the previous rebuilt spectrum in each ph
 # frames per chunk of stft, istft, log_mel, griffin_lim, spectral_convergence and
 # pitch.extract_pitch, whose work buffers then hold a chunk rather than the whole utterance
 _CHUNK_FRAMES = 64
-# resampling filters kept per process; one has 20 * max(up, down) + 1 taps, so a coprime
-# rate pair such as 22,051 -> 22,050 Hz alone takes 3.5 MB
+# resampling operators kept per process, one per reduced (up, down) pair; one holds about
+# 20 taps per output of a period, so a coprime pair such as 22,051 -> 22,050 Hz alone takes 5.6 MB
 _RESAMPLE_FILTERS = 4
+# window-matrix entries (128 kB) that resample hands the operator at a time, and the most
+# taps an operator holds when one period of outputs needs fewer
+_RESAMPLE_BLOCK = 16_384
 # Hann windows, and mel tap sets, kept per process (the most recently used); a run needs one of each
 _STFT_TABLES = 4
 
@@ -189,7 +193,9 @@ def _frame_chunks(samples: np.ndarray, win_length: int, hop_length: int, chunk: 
         span = samples[max(lo, 0) : min(hi, n)]
         if lo < 0 or hi > n:
             span = np.concatenate((reflected(lo, min(hi, 0)), span, reflected(max(lo, n), hi)))
-        yield sliding_window_view(span, win_length)[::hop_length]
+        step = span.strides[0]
+        yield as_strided(span, (1 + (len(span) - win_length) // hop_length, win_length),
+                         (hop_length * step, step), writeable=False)
 
 
 def _windowed_chunks(samples, cfg: StftConfig):
@@ -558,20 +564,69 @@ def spectral_convergence(target: FeatureSeq, w: Waveform, cfg: StftConfig = Stft
     return gap / denom
 
 
+def _kaiser_lowpass(max_rate: int) -> np.ndarray:
+    """The low-pass FIR that scipy's resample_poly designs for itself when max(up, down) is
+    max_rate: firwin(20 * max_rate + 1, 1 / max_rate, window=("kaiser", 5.0)).
+
+    Each step is scipy 1.17's firwin and kaiser step, so the bits are theirs. Two of firwin's
+    steps are left out because they change no bit: subtracting the band's zero left edge
+    (h - 0.0 is h) and weighting the scale sum by cos(0) = 1. np.i0 would not do: its bits
+    differ from scipy.special.i0's.
+    """
+    numtaps = 20 * max_rate + 1
+    cutoff = 1.0 / max_rate
+    alpha = 0.5 * (numtaps - 1)
+    m = np.arange(numtaps, dtype=np.float64) - alpha
+    h = cutoff * np.sinc(cutoff * m)
+    h *= i0(5.0 * np.sqrt(1 - (m / alpha) ** 2.0)) / i0(np.float64(5.0))
+    h /= np.sum(h)
+    return h
+
+
 @lru_cache(maxsize=_RESAMPLE_FILTERS)
-def _resample_taps(max_rate: int) -> np.ndarray:
-    """The Kaiser-windowed low-pass FIR that resample_poly designs for itself when
-    max(up, down) is max_rate, read-only: resample_poly copies it before scaling it."""
-    taps = firwin(2 * 10 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
-    taps.flags.writeable = False
-    return taps
+def _resample_operator(up: int, down: int) -> tuple:
+    """(op, offset, step): resample_poly(x, up, down) as a sparse matrix over windows of x.
+
+    resample_poly scales the low-pass h by up and delays it by delay = down - half % down
+    zeros, where half = 10 * max(up, down). Its output m sums x[j] * h[m * down - j * up]
+    over the inputs j, oldest first, into a zeroed sum, and it keeps the outputs from
+    first = (half + delay) // down on. Row r of op holds those taps for output
+    first + b * op.shape[0] + r, over the window of x that starts at input b * step + offset.
+    The rows span q periods of up outputs, with q = ceil(4 * per_phase / down), so that
+    consecutive windows share at most about a fifth of their inputs. Where that would give
+    op more than _RESAMPLE_BLOCK taps, q is cut, down to one period, so that a large up over
+    a small down (1 Hz to 22.05 kHz) does not build q periods of taps. scipy's csr_matvecs
+    adds each row's products to a zeroed output in stored order, as resample_poly does.
+    A window also reaches zeros past either end of x, and h's leading zeros; each adds ±0
+    to a sum that began as +0.0. A float sum is -0.0 only if both addends are, so the sum
+    is never -0.0 and adding ±0 changes no bit.
+    """
+    half = 10 * max(up, down)
+    delay = down - half % down
+    h = np.concatenate((np.zeros(delay), _kaiser_lowpass(max(up, down)) * up))
+    first = (half + delay) // down
+    per_phase = -(-len(h) // up)
+    q = max(1, min(-(-4 * per_phase // down), _RESAMPLE_BLOCK // (per_phase * up)))
+    r = np.arange(q * up)
+    newest = (first + r) * down // up  # the last input each output sums
+    offset = newest[0] - per_phase + 1
+    cols = newest[:, None] - offset - np.arange(per_phase - 1, -1, -1)
+    taps = (first + r[:, None]) * down - (cols + offset) * up
+    inside = taps < len(h)  # taps >= 0 everywhere, as cols stops at newest
+    # int32 indices: 2**31 taps would take 16 GB
+    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1)))).astype(np.int32)
+    indices = cols[inside].astype(np.int32)
+    op = csr_array((h[taps[inside]], indices, indptr), shape=(len(r), newest[-1] - offset + 1))
+    return op, offset, q * down
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
-    """Band-limited resampling with a windowed-sinc polyphase filter.
+    """Band-limited resampling with a windowed-sinc polyphase filter, bit for bit
+    scipy.signal.resample_poly with the filter it designs for itself.
 
-    The filter depends only on max(up, down) of the reduced rate ratio, so each
-    is designed once per process; the _RESAMPLE_FILTERS most recently used are kept.
+    The operator depends only on the reduced rate ratio, so each is built once per
+    process; the _RESAMPLE_FILTERS most recently used are kept. It is applied to
+    _RESAMPLE_BLOCK window entries at a time, so no whole window matrix is built.
     """
     if target_rate <= 0:
         raise InvalidRateError(f"target rate must be positive, got {target_rate}")
@@ -581,5 +636,23 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         return w
     g = math.gcd(int(target_rate), int(w.sample_rate))
     up, down = int(target_rate) // g, int(w.sample_rate) // g
-    out = resample_poly(w.samples, up, down, window=_resample_taps(max(up, down)))
-    return Waveform(out, target_rate)
+    op, offset, step = _resample_operator(up, down)
+    rows, width = op.shape
+    x, n = w.samples, len(w)
+    n_out = -(-n * up // down)
+    n_blocks = -(-n_out // rows)
+    out = np.empty(n_blocks * rows)
+    per_block = max(1, _RESAMPLE_BLOCK // width)
+    for b0 in range(0, n_blocks, per_block):
+        nb = min(per_block, n_blocks - b0)
+        # the windows of these outputs span inputs [lo, hi), where lo < n and hi > 0
+        lo = b0 * step + offset
+        hi = lo + (nb - 1) * step + width
+        span = x[max(lo, 0) : min(hi, n)]
+        if lo < 0 or hi > n:
+            span = np.concatenate((np.zeros(max(-lo, 0)), span, np.zeros(max(hi - n, 0))))
+        windows = as_strided(span, (width, nb), (span.strides[0], step * span.strides[0]),
+                             writeable=False)
+        block = op @ np.ascontiguousarray(windows)
+        out[b0 * rows : (b0 + nb) * rows].reshape(nb, rows)[...] = block.T
+    return Waveform(out[:n_out], target_rate)

@@ -1247,6 +1247,30 @@ def test_snr_out_linked_to_its_errors_tsv_is_usage_error(tmp_path, capsys):
     assert sorted((tmp_path / "out").iterdir()) == [out]
 
 
+@pytest.mark.parametrize("target", ["dangling", "existing"])
+@pytest.mark.parametrize("command, name", [
+    ("preprocess", "manifest.tsv"), ("vad", "errors.tsv"), ("vocode", "roundtrip.tsv"),
+])
+def test_declared_output_linked_to_an_output_wav_is_usage_error(
+    command, name, target, tmp_path, capsys
+):
+    build_corpus(tmp_path, 2, seed=37)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if target == "existing":  # left by an earlier run
+        (out_dir / "utt000.wav").write_bytes(b"earlier")
+    (out_dir / name).symlink_to("utt000.wav")  # writing it would write the listed WAV
+    before = _files(tmp_path)
+    argv = _minimal_argv(command, tmp_path) + (["--iters", "2"] if command == "vocode" else [])
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"usage error: {name} must not be utt000.wav, which {command} writes too\n"
+    )
+    assert captured.out == ""
+    assert _files(tmp_path) == before
+
+
 def test_report_json_into_a_missing_directory_makes_it(tmp_path, capsys):
     manifest = build_corpus(tmp_path, 2, seed=37)
     json_path = tmp_path / "missing" / "deeper" / "r.json"

@@ -2,11 +2,12 @@
 
 dsp.dtw_align fills the cost grid in place one anti-diagonal at a time,
 metrics.edit_counts holds its edit-distance grid as bit-parallel deltas and
-backtraces over them, dsp.resample passes scipy the filter it designed
-once, and dsp.stft, dsp.istft and dsp.griffin_lim work dsp._CHUNK_FRAMES
-frames at a time and overlap-add in strided chunks into preallocated
-buffers; all must reproduce the cell-by-cell, per-frame and whole-array
-arithmetic exactly, so those comparisons are ==, never a tolerance.
+backtraces over them, dsp.resample adds resample_poly's products in its
+order through a sparse operator built once per rate pair, and dsp.stft,
+dsp.istft and dsp.griffin_lim work dsp._CHUNK_FRAMES frames at a time
+and overlap-add in strided chunks into preallocated buffers; all must
+reproduce the cell-by-cell, per-frame and whole-array arithmetic exactly,
+so those comparisons are ==, never a tolerance.
 pitch.extract_pitch frames the signal in chunks that equal the whole
 padded framing, sums YIN's energies exactly as the block cumulative sums
 did, and makes its voicing decisions exactly as the per-frame loop does
@@ -19,17 +20,15 @@ relative 1e-12 against the dense matrix product and np.linalg.norm
 (TestSparseKernels).
 """
 
-import sys
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
-from scipy.signal import resample_poly
 
 from oracles import (
     cmnd_per_frame,
@@ -636,25 +635,55 @@ def test_resample_equals_scipy_designing_its_own_filter(rate, n):
         assert out.tobytes() == resample_poly_scipy(x, src, dst).tobytes()
 
 
+@given(
+    src=st.sampled_from(RESAMPLE_RATES + [SR]) | st.integers(7_000, 12_000),
+    dst=st.sampled_from(RESAMPLE_RATES + [SR]) | st.integers(7_000, 12_000),
+    n=st.integers(1, 3_000),
+)
+@example(src=22051, dst=SR, n=2_000)  # coprime: one period of 22,050 outputs
+@example(src=SR, dst=22051, n=2_000)
+@example(src=1, dst=SR, n=3)  # up 22,050 over down 1: the operator is cut to one period
+@settings(max_examples=25, deadline=None)
+def test_resample_of_drawn_rates_and_lengths_equals_scipy(src, dst, n):
+    x = np.random.default_rng(n).standard_normal(n)
+    out = dsp.resample(dsp.Waveform(x, src), dst).samples
+    assert out.tobytes() == resample_poly_scipy(x, src, dst).tobytes()
+
+
+@pytest.mark.parametrize("rate", [44100, 16000])
+def test_resample_memory_is_its_output_and_a_few_blocks(rate):
+    # 60 s to 22.05 kHz: the output is 10.6 MB, and Waveform's finiteness check of it takes
+    # 1 B per sample more. A whole window matrix would add about 1.25 times the input at
+    # 44.1 kHz (26 MB) and 1.06 times it at 16 kHz (8.1 MB).
+    w = dsp.Waveform(np.random.default_rng(rate).standard_normal(60 * rate), rate)
+    dsp.resample(dsp.Waveform(np.ones(10), rate), SR)  # build the operator beforehand
+    assert peak_bytes(dsp.resample, w, SR) <= 60 * SR * (8 + 1) + 1_000_000
+
+
+@pytest.mark.parametrize(
+    "up, down", [(1, 2), (2, 1), (12, 1), (441, 320), (22050, 1), (22050, 22051)]
+)
+def test_resample_operator_holds_one_period_or_at_most_a_block_of_taps(up, down):
+    op, _, step = dsp._resample_operator(up, down)
+    assert op.shape[0] == step // down * up
+    assert op.shape[0] == up or op.nnz <= dsp._RESAMPLE_BLOCK
+
+
 def test_each_resampling_filter_is_designed_once_and_the_cache_is_bounded():
-    scipy_signaltools = sys.modules[resample_poly.__module__]
-    dsp._resample_taps.cache_clear()
+    dsp._resample_operator.cache_clear()
     x = np.ones(100)
-    with (
-        mock.patch.object(dsp, "firwin", wraps=dsp.firwin) as designs,
-        mock.patch.object(scipy_signaltools, "firwin", wraps=scipy_signaltools.firwin) as own,
-    ):
+    with mock.patch.object(dsp, "_kaiser_lowpass", wraps=dsp._kaiser_lowpass) as designs:
         dsp.resample(dsp.Waveform(x, 44100), SR)  # up 1, down 2
-        dsp.resample(dsp.Waveform(x, 16000), 8000)  # the same max(up, down)
+        dsp.resample(dsp.Waveform(x, 16000), 8000)  # the same reduced pair
         dsp.resample(dsp.Waveform(x, 44100), SR)
-        assert (designs.call_count, own.call_count) == (1, 0)
+        assert designs.call_count == 1
         for rate in (8000, 24000, 32000, 48000):  # max(up, down) 441, 160, 640 and 320
             dsp.resample(dsp.Waveform(x, rate), SR)
         assert designs.call_count == 5
-        info = dsp._resample_taps.cache_info()
+        info = dsp._resample_operator.cache_info()
         assert info.maxsize == info.currsize == dsp._RESAMPLE_FILTERS < 5
         dsp.resample(dsp.Waveform(x, 44100), SR)  # the least recently used, so dropped
-        assert (designs.call_count, own.call_count) == (6, 0)
+        assert designs.call_count == 6
 
 
 def test_windows_and_mel_taps_are_built_once_and_handed_out_read_only():

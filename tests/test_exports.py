@@ -45,6 +45,15 @@ def test_import_voxkit_cli_loads_no_scipy_io():
     assert _fresh(code) == "[]"
 
 
+def test_import_voxkit_cli_loads_no_scipy_signal():
+    # dsp.resample designs its filter and applies it itself; scipy.signal is only the oracle
+    code = (
+        "import sys, voxkit.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    )
+    assert _fresh(code) == "[]"
+
+
 def test_each_export_is_the_attribute_of_its_submodule():
     code = """
 import importlib, inspect, voxkit
