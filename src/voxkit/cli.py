@@ -6,6 +6,7 @@ Per-utterance failures are tabulated in errors.tsv and the run continues.
 """
 
 import argparse
+import gc
 import os
 import sys
 import tokenize
@@ -52,15 +53,27 @@ def _run_utterances(func, items: dict, args, cfg, stage: str, out_dir: Path):
     func raises gives the value None and one error row for that stage. Once all items are done,
     the UTTERANCE_WARNINGS each raised go to stderr as `warning: <id>: <Category>: <message>`
     lines. Returns ({id: value}, rows of (id, stage, message)); all three are in item order.
+
+    The map runs with the heap frozen (gc.freeze), unless the caller froze it already. The
+    objects the import left then take no part in a collection, here or in a forked worker:
+    no full collection walks them, and no worker copies their pages by writing to their GC
+    headers. Objects made during the map are collected as before.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     attempt = partial(_attempt, func, stage, args, cfg)
     workers = min(args.workers, len(items))
-    if workers <= 1:
-        results = [attempt(item) for item in items.items()]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(attempt, items.items()))
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
+    try:
+        if workers <= 1:
+            results = [attempt(item) for item in items.items()]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(attempt, items.items()))
+    finally:
+        if freeze:
+            gc.unfreeze()
     values, error_rows = {}, []
     for utterance_id, (value, errors, caught) in zip(items, results):
         values[utterance_id] = value

@@ -33,9 +33,15 @@ _CHUNK_FRAMES = 64
 # resampling operators kept per process, one per reduced (up, down) pair; one holds about
 # 20 taps per output of a period, so a coprime pair such as 22,051 -> 22,050 Hz alone takes 5.6 MB
 _RESAMPLE_FILTERS = 4
+# the longest filter, 20 * max(up, down) + 1 taps, whose operator is kept; a longer one (a
+# 1,000,003 Hz source would make a 240 MB operator) is built for its call and then dropped
+_RESAMPLE_CACHED_TAPS = 500_000
 # window-matrix entries (128 kB) that resample hands the operator at a time, and the most
 # taps an operator holds when one period of outputs needs fewer
 _RESAMPLE_BLOCK = 16_384
+# samples (128 kB of float64) per block of a whole-signal elementwise pass in wavio and enhance,
+# whose work buffers then hold a block rather than the whole signal
+BLOCK_SAMPLES = 16_384
 # Hann windows, and mel tap sets, kept per process (the most recently used); a run needs one of each
 _STFT_TABLES = 4
 
@@ -53,7 +59,8 @@ class Waveform:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise InvalidConfigError(f"waveform must be 1-D, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
+        # NaN propagates through min and max, and neither allocates a mask
+        if len(samples) and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise InvalidConfigError("waveform contains NaN or infinite samples")
         if self.sample_rate <= 0:
             raise InvalidRateError(f"sample rate must be positive, got {self.sample_rate}")
@@ -625,7 +632,8 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     scipy.signal.resample_poly with the filter it designs for itself.
 
     The operator depends only on the reduced rate ratio, so each is built once per
-    process; the _RESAMPLE_FILTERS most recently used are kept. It is applied to
+    process; the _RESAMPLE_FILTERS most recently used are kept, unless the filter has more
+    than _RESAMPLE_CACHED_TAPS taps. It is applied to
     _RESAMPLE_BLOCK window entries at a time, so no whole window matrix is built.
     """
     if target_rate <= 0:
@@ -636,7 +644,10 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         return w
     g = math.gcd(int(target_rate), int(w.sample_rate))
     up, down = int(target_rate) // g, int(w.sample_rate) // g
-    op, offset, step = _resample_operator(up, down)
+    build = _resample_operator
+    if 20 * max(up, down) + 1 > _RESAMPLE_CACHED_TAPS:
+        build = _resample_operator.__wrapped__
+    op, offset, step = build(up, down)
     rows, width = op.shape
     x, n = w.samples, len(w)
     n_out = -(-n * up // down)

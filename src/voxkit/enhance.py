@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import Waveform
+from .dsp import BLOCK_SAMPLES, Waveform
 from .errors import (
     AllSilenceError,
     AllZeroError,
@@ -54,12 +54,19 @@ def dry_wet_mix(
     the clipped-sample count when clipping occurs.
     """
     _check_pair(noisy, enhanced)
-    mixed = cfg.dry * noisy.samples + (1.0 - cfg.dry) * enhanced.samples
-    clipped = np.clip(mixed, -1.0, 1.0)
-    n_clipped = int(np.count_nonzero(clipped != mixed))
-    if n_clipped:
+    # The wet products are made BLOCK_SAMPLES at a time and added into the dry ones.
+    mixed = np.multiply(cfg.dry, noisy.samples)
+    wet = np.empty(min(len(mixed), BLOCK_SAMPLES))
+    for start in range(0, len(mixed), BLOCK_SAMPLES):
+        part = wet[: len(mixed) - start]
+        np.multiply(1.0 - cfg.dry, enhanced.samples[start : start + BLOCK_SAMPLES], out=part)
+        mixed[start : start + BLOCK_SAMPLES] += part
+    if len(mixed) and (mixed.min() < -1.0 or mixed.max() > 1.0):
+        clipped = np.clip(mixed, -1.0, 1.0)
+        n_clipped = np.count_nonzero(clipped != mixed)
         warnings.warn(ClippingWarning(f"{n_clipped} samples clipped to [-1, 1]"))
-    return Waveform(clipped, noisy.sample_rate)
+        mixed = clipped
+    return Waveform(mixed, noisy.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -106,12 +113,22 @@ def frame_length_samples(sample_rate: int) -> int:
 
 
 def _frame_powers(samples: np.ndarray, flen: int) -> np.ndarray:
+    """Mean square of each flen-sample frame, the last one possibly short.
+
+    The whole frames are squared about BLOCK_SAMPLES samples at a time; each frame's mean
+    is a reduction over its own row, so it has the bits of one over all frames at once.
+    """
     n = len(samples)
     n_frames = (n + flen - 1) // flen
     power = np.empty(n_frames)
     full = n // flen
-    if full:
-        power[:full] = (samples[: full * flen].reshape(full, flen) ** 2).mean(axis=1)
+    step = max(1, BLOCK_SAMPLES // flen)  # frames per block
+    squares = np.empty((min(step, full), flen))
+    for f0 in range(0, full, step):
+        f1 = min(f0 + step, full)
+        block = squares[: f1 - f0]
+        np.square(samples[f0 * flen : f1 * flen].reshape(-1, flen), out=block)
+        block.mean(axis=1, out=power[f0:f1])
     if n_frames > full:
         power[full] = (samples[full * flen :] ** 2).mean()
     return power
@@ -207,9 +224,11 @@ def estimate_snr(noisy: Waveform, enhanced: Waveform) -> float:
     _check_pair(noisy, enhanced)
     if len(noisy) == 0:
         raise EmptySignalError("cannot estimate SNR of empty signals")
-    residual = noisy.samples - enhanced.samples
-    p_residual = float((residual**2).sum())
-    p_signal = float((enhanced.samples**2).sum())
+    # One work array takes the residual's squares, then the enhanced signal's. Each sum is
+    # over the whole array: numpy's pairwise order sets its bits.
+    work = np.subtract(noisy.samples, enhanced.samples)
+    p_residual = float(np.square(work, out=work).sum())
+    p_signal = float(np.square(enhanced.samples, out=work).sum())
     if p_residual == 0.0:
         return math.inf
     if p_signal == 0.0:
@@ -221,7 +240,7 @@ def normalize_volume(w: Waveform) -> Waveform:
     """Scale so the absolute peak sits at PEAK_TARGET."""
     if len(w) == 0:
         raise EmptySignalError("cannot normalize an empty signal")
-    top = float(np.abs(w.samples).max())
+    top = float(max(w.samples.max(), -w.samples.min()))  # the largest |sample|
     if top == 0.0:
         raise AllZeroError("cannot normalize an all-zero signal")
     return Waveform(w.samples * (PEAK_TARGET / top), w.sample_rate)

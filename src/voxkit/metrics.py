@@ -120,10 +120,25 @@ def msd(ref: Waveform, hyp: Waveform, cfg: MelConfig = MelConfig()) -> float:
     return value
 
 
+class _PunctuationTable(dict):
+    """A str.translate table that drops punctuation (Unicode categories P*) and keeps any
+    other code point. It keeps each answer for the Basic Multilingual Plane once a code point
+    is first seen, so it holds at most 65,536 entries (4.7 MB); every code point would take
+    78 MB, so the rarer ones above it are looked up each time."""
+
+    def __missing__(self, code):
+        kept = None if unicodedata.category(chr(code)).startswith("P") else code
+        if code < 0x10000:
+            self[code] = kept
+        return kept
+
+
+_DROP_PUNCTUATION = _PunctuationTable()
+
+
 def normalize_text(text: str) -> str:
     """Unicode NFC, lowercased, punctuation removed and whitespace runs collapsed to one space."""
-    text = unicodedata.normalize("NFC", text).lower()
-    text = "".join(c for c in text if not unicodedata.category(c).startswith("P"))
+    text = unicodedata.normalize("NFC", text).lower().translate(_DROP_PUNCTUATION)
     return " ".join(text.split())
 
 

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import BLOCK_SAMPLES, Waveform
 from .errors import ClippingWarning, TruncatedWavWarning, UnsupportedWavError
 
 PCM, IEEE_FLOAT, EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -82,7 +82,9 @@ def read_wav(path) -> Waveform:
 def write_wav(path, w: Waveform) -> None:
     """Write 16-bit PCM, clipping to [-1, 1] first.
 
-    A rate above MAX_WRITE_RATE raises UnsupportedWavError before the file is opened.
+    A rate above MAX_WRITE_RATE raises UnsupportedWavError before the file is opened. The
+    samples are scaled and rounded BLOCK_SAMPLES at a time into the int16 data, so only the
+    clipping of an out-of-range signal makes a whole float copy.
     """
     rate = int(w.sample_rate)
     if rate > MAX_WRITE_RATE:
@@ -90,16 +92,23 @@ def write_wav(path, w: Waveform) -> None:
             f"{path}: sample rate {rate} Hz does not fit a 16-bit WAV header; "
             f"the most is {MAX_WRITE_RATE} Hz"
         )
-    clipped = np.clip(w.samples, -1.0, 1.0)
-    n_clipped = int(np.count_nonzero(clipped != w.samples))
-    if n_clipped:
+    x = w.samples
+    if len(x) and (x.min() < -1.0 or x.max() > 1.0):
+        clipped = np.clip(x, -1.0, 1.0)
+        n_clipped = np.count_nonzero(clipped != x)
         warnings.warn(ClippingWarning(f"{path}: {n_clipped} samples clipped on write"))
-    pcm = np.round(clipped * 32767.0).astype("<i2").tobytes()
+        x = clipped
+    pcm = np.empty(len(x), "<i2")
+    scaled = np.empty(min(len(x), BLOCK_SAMPLES))
+    for start in range(0, len(x), BLOCK_SAMPLES):
+        block = scaled[: len(x) - start]
+        np.multiply(x[start : start + BLOCK_SAMPLES], 32767.0, out=block)
+        pcm[start : start + len(block)] = np.round(block, out=block)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(pcm), b"WAVE",
+        b"RIFF", 36 + pcm.nbytes, b"WAVE",
         b"fmt ", 16, PCM, 1, rate, 2 * rate, 2, 16,
-        b"data", len(pcm),
+        b"data", pcm.nbytes,
     )
     with open(path, "wb") as f:
         f.write(header)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,27 @@ def noise(duration_s, sr=SR, rms_db=-55.0, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(int(round(duration_s * sr)))
     return x * (10 ** (rms_db / 20.0)) / np.sqrt(np.mean(x**2))
+
+
+def speechlike(n_samples, sr, seed):
+    """Harmonic glide with noise, its first third exact digital silence."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_samples) / sr
+    f0 = rng.uniform(90.0, 300.0)
+    phase = 2 * np.pi * f0 * (t + 0.2 * t**2)
+    x = 0.3 * np.sin(phase) + 0.1 * np.sin(2 * phase) + 0.01 * rng.standard_normal(n_samples)
+    x[: n_samples // 3] = 0.0
+    return x
+
+
+def peak_bytes(fn, *args):
+    """The tracemalloc peak of fn(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_text_pair(rng, n_words, max_cer=0.3):

@@ -5,6 +5,7 @@ recursive prefix definitions, per-frame loops over plain Python ints.
 """
 
 import math
+import unicodedata
 import warnings
 from bisect import bisect_right
 from functools import lru_cache
@@ -133,6 +134,14 @@ def edit_distance_matrix_loop(ref, hyp):
                 prev[j] + 1,
             )
     return dist
+
+
+def normalize_text(text):
+    """metrics.normalize_text by its definition: NFC, lowercase, each character whose
+    Unicode category starts with P dropped, whitespace runs collapsed to one space."""
+    text = unicodedata.normalize("NFC", text).lower()
+    text = "".join(c for c in text if not unicodedata.category(c).startswith("P"))
+    return " ".join(text.split())
 
 
 def edit_counts_backtrace(ref, hyp, dist):

@@ -6,6 +6,7 @@ from oracles import (
     edit_counts_recursive,
     edit_distance_recursive,
     edit_distance_two_rows,
+    normalize_text,
 )
 from voxkit import metrics
 from voxkit.errors import EmptyReferenceError
@@ -78,3 +79,8 @@ class TestNormalization:
     def test_idempotent(self, text):
         once = metrics.normalize_text(text)
         assert metrics.normalize_text(once) == once
+
+    @given(st.text())
+    @settings(max_examples=50, deadline=None)
+    def test_equals_the_per_character_definition(self, text):
+        assert metrics.normalize_text(text) == normalize_text(text)

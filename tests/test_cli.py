@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -751,6 +753,50 @@ def test_worker_count_does_not_change_outputs(command, tmp_path, capsys):
     # vad and vocode: 3 wavs, manifest.tsv or roundtrip.tsv, and errors.tsv
     assert len(outputs[0]) == (2 if command == "snr" else 5)
     assert outputs[0]["errors.tsv"].decode().splitlines()[1].startswith("utt001\t")
+
+
+# Objects made before the test runs ("early") and by it ("late"), which a forked worker shares.
+_PROBES = {"early": []}
+
+
+def _frozen(name):
+    """Whether the probe is frozen: gc.get_objects lists every generation but the frozen one."""
+    return not any(o is _PROBES[name] for o in gc.get_objects())
+
+
+def _probes_frozen_where_run(utterance_id, item, args, cfg, stage):
+    """A per-utterance function for cli._run_utterances: whether each probe is frozen where
+    it runs, or the error its item names."""
+    if item is not None:
+        raise item
+    return (_frozen("early"), _frozen("late")), ()
+
+
+@pytest.mark.parametrize("caller_froze", [False, True], ids=["unfrozen", "caller-froze"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_map_runs_on_a_frozen_heap_and_leaves_the_freeze_as_it_found_it(
+    workers, caller_froze, tmp_path
+):
+    args = argparse.Namespace(workers=workers)
+    run = partial(cli._run_utterances, _probes_frozen_where_run, args=args, cfg={}, stage="x",
+                  out_dir=tmp_path)
+    assert gc.get_freeze_count() == 0
+    if caller_froze:
+        gc.freeze()
+    _PROBES["late"] = []
+    try:
+        values, rows = run({"a": None, "b": VoxkitError("unreadable"), "c": None})
+        assert rows == [("b", "x", "unreadable")] and values["b"] is None
+        # The runner froze the heap for the map, here or in the forked worker; a caller's
+        # freeze it neither redid nor undid.
+        assert values["a"] == values["c"] == (True, not caller_froze)
+        assert (_frozen("early"), _frozen("late")) == (caller_froze, False)
+        with pytest.raises(RuntimeError, match="escapes"):  # not an utterance failure
+            run({"d": RuntimeError("escapes")})
+        assert (_frozen("early"), _frozen("late")) == (caller_froze, False)
+        assert (gc.get_freeze_count() > 0) == caller_froze
+    finally:
+        gc.unfreeze()
 
 
 def _corpus_with_unusable_audio(root):

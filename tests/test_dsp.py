@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from oracles import stft_complex_gather
 from voxkit import dsp
 from voxkit.errors import (
@@ -35,6 +36,24 @@ def dct2_ortho_oracle(x):
 def tone(freq, duration_s=1.0, sr=SR, amp=1.0):
     t = np.arange(int(duration_s * sr)) / sr
     return dsp.Waveform(amp * np.sin(2 * np.pi * freq * t), sr)
+
+
+class TestWaveform:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 7])
+    def test_non_finite_samples_rejected(self, bad, at):
+        x = np.zeros(8)
+        x[at] = bad
+        with pytest.raises(InvalidConfigError, match="NaN or infinite"):
+            dsp.Waveform(x, SR)
+
+    def test_empty_signal_accepted(self):
+        assert len(dsp.Waveform(np.zeros(0), SR)) == 0
+
+    def test_finiteness_check_allocates_no_mask(self):
+        # a mask over 60 s at 22.05 kHz would take 1.3 MB
+        x = np.random.default_rng(0).standard_normal(60 * SR)
+        assert peak_bytes(dsp.Waveform, x, SR) <= 10_000
 
 
 class TestStft:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import peak_bytes, speechlike
 from voxkit import dsp, enhance
 from voxkit.errors import (
     AllSilenceError,
@@ -321,3 +322,54 @@ class TestNormalizeVolume:
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroError):
             enhance.normalize_volume(wav(np.zeros(10)))
+
+
+LONG = 60 * SR  # 60 s at 22.05 kHz; one float64 copy of it is 10.6 MB
+SLACK = 300_000  # two float64 blocks of dsp.BLOCK_SAMPLES samples, and small objects
+B = dsp.BLOCK_SAMPLES
+
+
+@pytest.fixture(scope="module")
+def long_pair():
+    noisy = speechlike(LONG, SR, 61)
+    return wav(noisy), wav(noisy - 0.01 * np.sin(np.arange(LONG) * 0.1))
+
+
+@pytest.mark.parametrize("n", [1, B, B + 1, 3 * B - 7])
+@pytest.mark.parametrize("dry", [0.0, 0.01, 0.7])
+def test_mix_in_blocks_equals_the_whole_signal_formula(n, dry):
+    rng = np.random.default_rng(n)
+    x, y = rng.uniform(-1.2, 1.2, n), rng.uniform(-1.0, 1.0, n)
+    expected = np.clip(dry * x + (1.0 - dry) * y, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClippingWarning)
+        out = enhance.dry_wet_mix(wav(x), wav(y), enhance.DryWetConfig(dry))
+    assert out.samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("flen", [1, 3, 160, 220, 441, B + 5])
+@pytest.mark.parametrize("n", [1, 2 * B + 17, 5 * B])
+def test_frame_powers_in_blocks_equal_the_whole_reshape(flen, n):
+    x = np.random.default_rng(flen).standard_normal(n)[::-1]  # a strided view
+    full = n // flen
+    expected = [(x[: full * flen].reshape(full, flen) ** 2).mean(axis=1)]
+    if n % flen:
+        expected.append([(x[full * flen :] ** 2).mean()])
+    assert enhance._frame_powers(x, flen).tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_mix_memory_is_its_output_and_a_block(long_pair):
+    assert peak_bytes(enhance.dry_wet_mix, *long_pair) <= 8 * LONG + SLACK
+
+
+def test_snr_memory_is_one_work_array(long_pair):
+    assert peak_bytes(enhance.estimate_snr, *long_pair) <= 8 * LONG + SLACK
+
+
+def test_normalize_memory_is_its_output(long_pair):
+    assert peak_bytes(enhance.normalize_volume, long_pair[0]) <= 8 * LONG + SLACK
+
+
+def test_vad_memory_is_per_frame_and_a_block(long_pair):
+    n_frames = LONG // enhance.frame_length_samples(SR)
+    assert peak_bytes(enhance.vad_label, long_pair[0]) <= 16 * n_frames + SLACK

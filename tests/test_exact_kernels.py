@@ -30,6 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
+from conftest import peak_bytes, speechlike
 from oracles import (
     cmnd_per_frame,
     dtw_row_major,
@@ -204,17 +205,6 @@ def test_dtw_memory_is_the_distance_matrix_alone():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n1 * n2 + 128 * (n1 + n2)
-
-
-def speechlike(n_samples, sr, seed):
-    """Harmonic glide with noise, its first third exact digital silence."""
-    rng = np.random.default_rng(seed)
-    t = np.arange(n_samples) / sr
-    f0 = rng.uniform(90.0, 300.0)
-    phase = 2 * np.pi * f0 * (t + 0.2 * t**2)
-    x = 0.3 * np.sin(phase) + 0.1 * np.sin(2 * phase) + 0.01 * rng.standard_normal(n_samples)
-    x[: n_samples // 3] = 0.0
-    return x
 
 
 F0_RTOL = 1e-12  # FFT rounding moved f0 by at most 5e-14 relative on every signal tried
@@ -525,16 +515,6 @@ def test_griffin_lim_returns_an_earlier_best_iterate_intact(momentum, monkeypatc
     assert griffin_lim(mag, cfg, 4, 1).tobytes() == expected.tobytes()
 
 
-def peak_bytes(fn, *args):
-    """The tracemalloc peak of fn(*args), in bytes."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_stft_memory_is_the_magnitude_and_a_few_chunks():
     # 60 s at 22.05 kHz is 5,168 frames; whole windowed-frame and complex
     # matrices would take 18.5 kB per frame, where the magnitude is 4.1 kB
@@ -652,12 +632,11 @@ def test_resample_of_drawn_rates_and_lengths_equals_scipy(src, dst, n):
 
 @pytest.mark.parametrize("rate", [44100, 16000])
 def test_resample_memory_is_its_output_and_a_few_blocks(rate):
-    # 60 s to 22.05 kHz: the output is 10.6 MB, and Waveform's finiteness check of it takes
-    # 1 B per sample more. A whole window matrix would add about 1.25 times the input at
-    # 44.1 kHz (26 MB) and 1.06 times it at 16 kHz (8.1 MB).
+    # 60 s to 22.05 kHz: the output is 10.6 MB. A whole window matrix would add about 1.25
+    # times the input at 44.1 kHz (26 MB) and 1.06 times it at 16 kHz (8.1 MB).
     w = dsp.Waveform(np.random.default_rng(rate).standard_normal(60 * rate), rate)
     dsp.resample(dsp.Waveform(np.ones(10), rate), SR)  # build the operator beforehand
-    assert peak_bytes(dsp.resample, w, SR) <= 60 * SR * (8 + 1) + 1_000_000
+    assert peak_bytes(dsp.resample, w, SR) <= 60 * SR * 8 + 1_000_000
 
 
 @pytest.mark.parametrize(
@@ -684,6 +663,20 @@ def test_each_resampling_filter_is_designed_once_and_the_cache_is_bounded():
         assert info.maxsize == info.currsize == dsp._RESAMPLE_FILTERS < 5
         dsp.resample(dsp.Waveform(x, 44100), SR)  # the least recently used, so dropped
         assert designs.call_count == 6
+
+
+def test_an_operator_over_the_tap_budget_is_built_for_its_call_and_not_kept(monkeypatch):
+    # 22,051 -> 22,050 Hz has a filter of 441,021 taps; the default budget keeps it
+    assert 20 * 22051 + 1 <= dsp._RESAMPLE_CACHED_TAPS
+    monkeypatch.setattr(dsp, "_RESAMPLE_CACHED_TAPS", 20 * 22051)
+    dsp._resample_operator.cache_clear()
+    dsp.resample(dsp.Waveform(np.ones(10), 44100), SR)  # a short filter is still kept
+    assert dsp._resample_operator.cache_info().currsize == 1
+    x = np.random.default_rng(22051).standard_normal(3000)
+    for src, dst in ((22051, SR), (SR, 22051), (22051, SR)):
+        out = dsp.resample(dsp.Waveform(x, src), dst).samples
+        assert out.tobytes() == resample_poly_scipy(x, src, dst).tobytes()
+        assert dsp._resample_operator.cache_info().currsize == 1
 
 
 def test_windows_and_mel_taps_are_built_once_and_handed_out_read_only():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes, speechlike
 from oracles import read_wav_scipy, write_wav_scipy
 from voxkit import wavio
-from voxkit.dsp import Waveform
+from voxkit.dsp import BLOCK_SAMPLES, Waveform
 from voxkit.errors import ClippingWarning, TruncatedWavWarning, UnsupportedWavError
 
 
@@ -205,3 +206,27 @@ def test_codec_matches_scipy_on_valid_files(tmp_path_factory, data):
     pcm = np.round(np.clip(samples, -1.0, 1.0) * 32767.0).astype(np.int16)
     write_wav_scipy(root / "scipy.wav", rate, pcm)
     assert (root / "ours.wav").read_bytes() == (root / "scipy.wav").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_SAMPLES - 1, BLOCK_SAMPLES, 2 * BLOCK_SAMPLES + 1])
+@pytest.mark.parametrize("scale", [0.9, 1.2])
+def test_write_in_blocks_equals_scaling_the_whole_signal(tmp_path, n, scale):
+    samples = scale * np.sin(np.arange(n) * 0.37)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        wavio.write_wav(tmp_path / "ours.wav", Waveform(samples, 16000))
+    clipped = np.clip(samples, -1.0, 1.0)
+    n_clipped = np.count_nonzero(clipped != samples)
+    assert [str(w.message) for w in caught] == (
+        [f"{tmp_path / 'ours.wav'}: {n_clipped} samples clipped on write"] if n_clipped else []
+    )
+    write_wav_scipy(tmp_path / "scipy.wav", 16000, np.round(clipped * 32767.0).astype(np.int16))
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+def test_write_memory_is_the_int16_data_and_a_block(tmp_path):
+    # 60 s at 22.05 kHz: the int16 data is 2.6 MB, where whole-signal float temporaries and a
+    # bytes copy of the data would take about 24 B per sample.
+    n = 60 * 22050
+    w = Waveform(speechlike(n, 22050, 60), 22050)
+    assert peak_bytes(wavio.write_wav, tmp_path / "long.wav", w) <= 2 * n + 300_000
