@@ -44,8 +44,8 @@ def derive_seed(base_seed: int, utterance_id: str) -> int:
     return zlib.crc32(f"{base_seed}:{utterance_id}".encode("utf-8"))
 
 
-def _run_utterances(func, items: dict, args, cfg, stage: str, out_dir: Path):
-    """Make out_dir, then map func(id, item, args, cfg, stage) over items.
+def _run_utterances(func, items: dict, args, cfg, stage: str):
+    """Map func(id, item, args, cfg, stage) over items.
 
     The map runs in up to --workers processes, never more than one per utterance. func returns
     (value, errors), errors being (stage, message) rows. stage is a one-item list naming the
@@ -59,7 +59,6 @@ def _run_utterances(func, items: dict, args, cfg, stage: str, out_dir: Path):
     no full collection walks them, and no worker copies their pages by writing to their GC
     headers. Objects made during the map are collected as before.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     attempt = partial(_attempt, func, stage, args, cfg)
     workers = min(args.workers, len(items))
     freeze = not gc.get_freeze_count()
@@ -132,11 +131,16 @@ def _discard_wav(out_dir, utterance_id: str) -> None:
         _out_wav(out_dir, utterance_id).unlink()
 
 
-def _file_id(path):
-    """(st_dev, st_ino) of the file path names, directly or through a link; None if none."""
-    with suppress(OSError, ValueError):  # a missing file; a NUL byte in the name
+def _file_key(path):
+    """(st_dev, st_ino) of the file path names, directly or through a link, or if there is no
+    such file yet, path resolved; None for a path with a NUL byte, which names no file."""
+    try:
         st = os.stat(path)
-        return st.st_dev, st.st_ino
+    except OSError:
+        return os.path.realpath(path)
+    except ValueError:
+        return None
+    return st.st_dev, st.st_ino
 
 
 def _usage(message: str) -> int:
@@ -242,19 +246,21 @@ INPUTS = {
 }
 
 
-def _refusal(args, cfg, audio=(), ids=()):
-    """Why the run would write over a file it reads or write one file twice; None if it would not.
+def _refusal(args, cfg, audio, ids=()):
+    """Why the run would write over a file it reads or write one file twice; if it would not,
+    make the directory of each of cfg["outputs"] and return None.
 
     The run reads what INPUTS declares, given audio, and writes cfg["outputs"] and, for each
     of ids, <out-dir>/<id>.wav, which it deletes again for a failed or dropped utterance. No
     output may be an input, directly or through a link, or a directory, and no declared
-    output may be one file with another or with an <id>.wav.
+    output may be one file with another or with an <id>.wav. An input that does not exist
+    yet counts too: the run could make it before it reads it.
     """
     inputs = INPUTS[args.command](args, cfg.get("stages", ()), audio)
-    taken = {key: kind for kind, paths in inputs.items() for key in map(_file_id, paths) if key}
+    taken = {key: kind for kind, paths in inputs.items() for key in map(_file_key, paths) if key}
     written = {}
     for name, path in cfg["outputs"].items():
-        key = _file_id(path) or os.path.realpath(path)
+        key = _file_key(path)
         if key in taken:
             return f"writing {path} would overwrite an input {taken[key]}"
         if key in written:
@@ -266,23 +272,25 @@ def _refusal(args, cfg, audio=(), ids=()):
     for utterance_id in ids:
         with suppress(InvalidConfigError):  # an id _out_wav refuses gets an error row instead
             wav = _out_wav(args.out_dir, utterance_id)
-            key = _file_id(wav) or os.path.realpath(wav)
+            key = _file_key(wav)
             if key in taken:
                 clashes.append(utterance_id)
             elif key in written and shared is None:
                 shared = f"{written[key]} must not be {wav.name}, which {args.command} writes too"
     if clashes:
         return f"--out-dir would overwrite the input audio of {clashes}"
-    return shared
+    if shared:
+        return shared
+    for path in cfg["outputs"].values():
+        path.parent.mkdir(parents=True, exist_ok=True)
 
 
 def _configure(args) -> dict:
-    """Every config the command uses, by name, built before any input is read or output written.
+    """Every config the command uses, by name, built from args alone: no file is touched.
 
     A command has only the flags it reads, so they pick its configs. The checks on
-    --sample-rate run only for the stages and metrics that will run. _refusal checks the
-    outputs against the input manifests here; each command checks them again, and its
-    <id>.wav files, once it knows its audio.
+    --sample-rate run only for the stages and metrics that will run. Each command checks
+    its files with _refusal once its manifests are read or --spec-dir listed.
     """
     for flag in ("workers", "iters", "sample_rate"):
         value = getattr(args, flag, 1)
@@ -327,8 +335,6 @@ def _configure(args) -> dict:
         if "f0" in which:
             pitch.lags(args.sample_rate, args.win)
     cfg["outputs"] = OUTPUTS[args.command](args, cfg.get("stages", ()))
-    if refusal := _refusal(args, cfg):
-        raise InvalidConfigError(refusal)
     return cfg
 
 
@@ -379,7 +385,7 @@ def cmd_preprocess(args, cfg) -> int:
     records = {r.utterance_id: r for r in manifest}
     if refusal := _refusal(args, cfg, _audio_files(manifest, args.manifest), records):
         return _usage(refusal)
-    results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, "load", out_dir)
+    results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, "load")
     error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
 
     # Walk the chain: position k is after the first k stages, and tags[k] is its manifest tag.
@@ -478,9 +484,8 @@ def cmd_metrics(args, cfg) -> int:
     if refusal := _refusal(args, cfg, audio + _audio_files(hyp_manifest, args.hyp_manifest)):
         return _usage(refusal)
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
-    hyp_by_id = {r.utterance_id: r for r in hyp_manifest}
-    pairs = {r.utterance_id: (r, hyp_by_id[r.utterance_id]) for r in ref_manifest}
-    rows, error_rows = _run_utterances(_metrics_one, pairs, args, cfg, "audio", out_dir)
+    pairs = {ref.utterance_id: (ref, hyp) for ref, hyp in zip(ref_manifest, hyp_manifest)}
+    rows, error_rows = _run_utterances(_metrics_one, pairs, args, cfg, "audio")
     means = metrics.write_report({i: row or {} for i, row in rows.items()}, out_dir)
 
     for name, columns in metrics.METRIC_COLUMNS.items():
@@ -510,7 +515,7 @@ def cmd_snr(args, cfg) -> int:
     audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
     if refusal := _refusal(args, cfg, audio.values()):
         return _usage(refusal)
-    snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, "snr", out_path.parent)
+    snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, "snr")
     records = tuple(
         _input_audio(record, args.manifest, out_path.parent, snr_db=snrs[record.utterance_id])
         for record in manifest
@@ -577,7 +582,7 @@ def cmd_vocode(args, cfg) -> int:
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
     if refusal := _refusal(args, cfg, sources.values(), sources):
         return _usage(refusal)
-    gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg, "vocode", out_dir)
+    gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg, "vocode")
 
     done = {name: gap for name, gap in gaps.items() if gap is not None}
     write_tsv(paths["roundtrip.tsv"], ("id", "spectral_convergence"), done.items())
@@ -594,7 +599,6 @@ def cmd_filter(args, cfg) -> int:
     if refusal := _refusal(args, cfg, _audio_files(manifest, args.manifest)):
         return _usage(refusal)
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = tuple(_input_audio(r, args.manifest, out_dir) for r in manifest)
     result = corpus.apply_filter(corpus.Manifest(records, manifest.source_tag), cfg["FLT"])
     corpus.save_manifest(result.kept, paths["kept.tsv"])
@@ -631,7 +635,6 @@ def cmd_report(args, cfg) -> int:
         return _usage(refusal)
     stats = corpus.summarize(manifest)
     if json_path := cfg["outputs"].get("--json"):
-        json_path.parent.mkdir(parents=True, exist_ok=True)
         write_json(json_path, {
             "source": manifest.source_tag,
             "utterances": stats.n_utterances,

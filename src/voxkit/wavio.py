@@ -5,6 +5,7 @@ voxkit reads little-endian RIFF WAVE files holding one channel of 16-bit PCM or
 mono 16-bit PCM behind a 44-byte header.
 """
 
+import errno
 import struct
 import warnings
 
@@ -48,6 +49,8 @@ def read_wav(path) -> Waveform:
     A file that ends inside its data chunk is read as the whole samples it holds,
     with a TruncatedWavWarning. Chunks other than fmt and data are skipped.
     """
+    if "\0" in str(path):  # open would raise ValueError, which is no per-file failure
+        raise FileNotFoundError(errno.ENOENT, "no file name holds a NUL byte", str(path))
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != b"RIFF" or data[8:12] != b"WAVE":

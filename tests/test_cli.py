@@ -361,6 +361,26 @@ class TestMetrics:
         assert code == cli.EXIT_USAGE
         assert "utt002" in capsys.readouterr().err
 
+    def test_id_mismatch_names_the_ids_and_writes_nothing(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        loaded = corpus.load_manifest(build_corpus(root, 3, seed=9))
+        hyp_manifest = root / "hyp.tsv"
+        extra = replace(loaded.records[0], utterance_id="zzz")
+        corpus.save_manifest(corpus.Manifest(loaded.records[:2] + (extra,), "hyp"), hyp_manifest)
+        out_dir = tmp_path / "r"
+        code = cli.main([
+            "metrics", "--ref-manifest", str(root / "manifest.tsv"),
+            "--hyp-manifest", str(hyp_manifest), "--out-dir", str(out_dir),
+        ])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "usage error: manifests do not cover the same utterances; "
+            "only in reference: ['utt002']; only in hypothesis: ['zzz']\n"
+        )
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_summary_lines(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         ref_manifest = build_corpus(root, 2, seed=31)
@@ -778,8 +798,7 @@ def test_the_map_runs_on_a_frozen_heap_and_leaves_the_freeze_as_it_found_it(
     workers, caller_froze, tmp_path
 ):
     args = argparse.Namespace(workers=workers)
-    run = partial(cli._run_utterances, _probes_frozen_where_run, args=args, cfg={}, stage="x",
-                  out_dir=tmp_path)
+    run = partial(cli._run_utterances, _probes_frozen_where_run, args=args, cfg={}, stage="x")
     assert gc.get_freeze_count() == 0
     if caller_froze:
         gc.freeze()
@@ -1004,6 +1023,22 @@ def _minimal_argv(command, root):
     }[command]
 
 
+@pytest.mark.parametrize("command", list(cli.OUTPUTS))
+def test_configure_touches_no_file(command, tmp_path, monkeypatch):
+    build_corpus(tmp_path, 1, seed=29)
+    args = cli.build_parser().parse_args(_minimal_argv(command, tmp_path))
+    touched = []
+
+    def spy(name, real):
+        return lambda *a, **k: touched.append(name) or real(*a, **k)
+
+    with monkeypatch.context() as m:
+        for name in ("stat", "lstat", "mkdir", "makedirs", "listdir", "scandir"):
+            m.setattr(os, name, spy(name, getattr(os, name)))
+        cli._configure(args)
+    assert touched == []
+
+
 POSITIVE_FLAGS = [
     (command, flag)
     for command in ("preprocess", "vad", "metrics", "snr", "vocode")
@@ -1207,6 +1242,75 @@ def test_out_dir_that_would_overwrite_an_enhanced_input_is_usage_error(workers, 
     )
     assert captured.out == ""
     assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_out_dir_that_would_make_an_input_before_it_is_read_is_usage_error(
+    workers, tmp_path, capsys
+):
+    # zzz's audio is out/utt000.wav, which does not exist yet: the run would write it as
+    # utt000's output, then read it as zzz's input.
+    manifest = build_corpus(tmp_path, 2, seed=37, with_enhanced=False)
+    records = corpus.load_manifest(manifest).records
+    zzz = corpus.UtteranceRecord("zzz", "out/utt000.wav", 1.0)
+    corpus.save_manifest(corpus.Manifest(records + (zzz,), "Raw"), manifest)
+    before = _files(tmp_path)
+    argv = ["vad", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["--workers", workers]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --out-dir would overwrite the input audio of ['utt000']\n"
+    assert captured.out == ""
+    assert _files(tmp_path) == before
+    assert not (tmp_path / "out").exists()
+
+
+def _nul_in_audio_cell(root):
+    """A 3-utterance corpus whose manifest names utt001's audio with a NUL byte."""
+    manifest = build_corpus(root, 3, seed=37)
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace("raw/utt001.wav", "raw/utt001\0.wav"), encoding="utf-8")
+    return manifest
+
+
+@pytest.mark.parametrize("command, stage", [("vad", "load"), ("metrics", "audio")])
+def test_nul_byte_in_an_audio_cell_fails_only_its_utterance(command, stage, tmp_path, capsys):
+    _nul_in_audio_cell(tmp_path)
+    written = []
+    for workers in ("1", "2"):
+        argv = _minimal_argv(command, tmp_path) + ["--workers", workers]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith(" (1 errors)\n")
+        written.append(_files(tmp_path / "out"))
+        (tmp_path / "out").rename(tmp_path / f"out{workers}")
+    assert written[0] == written[1]
+    name = tmp_path / "raw" / "utt001\0.wav"
+    assert written[0][tmp_path / "out" / "errors.tsv"].decode() == (
+        f"id\tstage\terror\nutt001\t{stage}\t[Errno 2] no file name holds a NUL byte: "
+        f"{str(name)!r}\n"
+    )
+    if command == "vad":
+        assert {p.name for p in written[0] if p.suffix == ".wav"} == {"utt000.wav", "utt002.wav"}
+    else:
+        report = (tmp_path / "out1" / "report.tsv").read_text().splitlines()
+        assert [row.split("\t")[0] for row in report[1:]] == ["utt000", "utt001", "utt002", "mean"]
+
+
+@pytest.mark.parametrize("command", ["report", "filter"])
+def test_nul_byte_in_an_audio_cell_leaves_the_table_commands_working(command, tmp_path, capsys):
+    _nul_in_audio_cell(tmp_path)
+    assert cli.main(_minimal_argv(command, tmp_path)) == cli.EXIT_OK
+    capsys.readouterr()
+
+
+def test_unreadable_manifest_is_a_read_error_before_any_overwrite_check(tmp_path, capsys):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("garbage\n")
+    argv = ["report", "--manifest", str(manifest), "--json", str(manifest)]
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {manifest}: line 1: expected header")
+    assert captured.out == ""
+    assert manifest.read_text() == "garbage\n"
 
 
 # One file each command would write, made a directory beforehand: its path under root.

@@ -40,6 +40,14 @@ def test_reads_int16_scaling(tmp_path):
     np.testing.assert_allclose(back.samples, [-1.0, 0.0, 0.5])
 
 
+def test_a_path_with_a_nul_byte_is_a_missing_file(tmp_path):
+    # open raises ValueError for such a path; the CLI's runner catches OSError per utterance
+    path = tmp_path / "a\0.wav"
+    with pytest.raises(FileNotFoundError, match="no file name holds a NUL byte") as info:
+        wavio.read_wav(path)
+    assert info.value.filename == str(path)
+
+
 def test_rejects_stereo(tmp_path):
     path = tmp_path / "s.wav"
     write_wav_scipy(path, 8000, np.zeros((100, 2), dtype=np.int16))
