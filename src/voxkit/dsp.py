@@ -265,25 +265,30 @@ def istft(spec: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected (n_frames, {cfg.n_bins}) spectrogram, got {spec.shape}"
         )
-    return _synthesize(spec, cfg, _ola_plan(cfg, len(spec)))
-
-
-def _synthesize(spec: np.ndarray, cfg: StftConfig, plan) -> np.ndarray:
-    """Overlap-add of spec's windowed irfft frames in a new buffer, normalized
-    by plan = _ola_plan(cfg, len(spec)) and without the center padding.
-
-    Adding chunks in increasing t0 sums each sample's frames in increasing
-    t, as one overlap-add of the whole array does.
-    """
-    n_samples, divisor, silent = plan
-    window = _window(cfg.win_length)
-    buf = np.empty((min(len(spec), _CHUNK_FRAMES), cfg.win_length))
-    out = np.zeros(n_samples)
+    plan = _ola_plan(cfg, len(spec))
+    out = np.zeros(plan[0])
     for t0 in range(0, len(spec), _CHUNK_FRAMES):
-        # irfft computes in the precision of spec, as on the whole array
-        frames = np.fft.irfft(spec[t0 : t0 + _CHUNK_FRAMES], n=cfg.fft_size, axis=1)
-        windowed = np.multiply(frames[:, : cfg.win_length], window, out=buf[: len(frames)])
-        _overlap_add(windowed, cfg.hop_length, out[t0 * cfg.hop_length :])
+        _add_frames(spec[t0 : t0 + _CHUNK_FRAMES], cfg, out, t0)
+    return _normalized(out, cfg, plan)
+
+
+def _add_frames(spec: np.ndarray, cfg: StftConfig, out: np.ndarray, t0: int) -> None:
+    """Overlap-add the windowed irfft frames of spec, the frames of a spectrogram
+    from t0 on, into out, the buffer of its _ola_plan.
+
+    Adding a spectrogram's chunks in increasing t0 sums each sample's frames
+    in increasing t, as one overlap-add of the whole array does.
+    """
+    # irfft computes in the precision of spec, as on the whole array
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)
+    windowed = np.multiply(frames[:, : cfg.win_length], _window(cfg.win_length))
+    _overlap_add(windowed, cfg.hop_length, out[t0 * cfg.hop_length :])
+
+
+def _normalized(out: np.ndarray, cfg: StftConfig, plan) -> np.ndarray:
+    """The overlap-add buffer out divided in place by the window-squared norm of
+    its _ola_plan, silent samples zeroed, without the center padding."""
+    _, divisor, silent = plan
     out = out[: len(divisor)]
     np.divide(out, divisor, out=out)
     np.copyto(out, 0.0, where=silent)
@@ -499,52 +504,63 @@ def griffin_lim(
     if n_iters < 1:
         raise InvalidConfigError(f"n_iters must be at least 1, got {n_iters}")
     mag = spec.frames
-    if np.any(mag < 0):
+    if mag.min() < 0:
         raise InvalidConfigError("magnitude spectrogram has negative entries")
     sample_rate = int(round(spec.frame_rate * cfg.hop_length))
     with np.errstate(over="ignore"):
         mag_norm = math.sqrt(_chunked_sum_squares(mag))
     if not np.isfinite(mag_norm):
         raise InvalidConfigError("magnitude spectrogram's norm overflows float64")
-    if mag_norm == 0.0:
-        return Waveform(istft(mag.astype(np.complex128), cfg), sample_rate)
-    rng = np.random.default_rng(seed)
-    angles = np.exp(1j * rng.uniform(-np.pi, np.pi, mag.shape))
     plan = _ola_plan(cfg, len(mag))
-    # angles and rebuilt are whole; work holds one chunk of frames, first
-    # |rebuilt| - mag, whose squares the error sums, then the phase divisor.
-    # Each step below is the ufunc of the plain expression, with the same
-    # operands in the same order, writing through out=, so its bits are
+    if mag_norm == 0.0:
+        return Waveform(_normalized(np.zeros(plan[0]), cfg, plan), sample_rate)
+    # Iterate 0 is mag times random phases, drawn chunk by chunk in the order
+    # of one whole draw, so no whole phase array is made.
+    rng = np.random.default_rng(seed)
+    y = np.zeros(plan[0])
+    for t0 in range(0, len(mag), _CHUNK_FRAMES):
+        t = slice(t0, t0 + _CHUNK_FRAMES)
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, mag[t].shape))
+        _add_frames(np.multiply(mag[t], phases, out=phases), cfg, y, t0)
+    y = _normalized(y, cfg, plan)
+    # rebuilt is whole; work and step hold one chunk of frames. work holds
+    # first |rebuilt| - mag, whose squares the error sums, then the phase
+    # divisor. Each step below is the ufunc of the plain expression, with the
+    # same operands in the same order, writing through out=, so its bits are
     # those of a fresh array. Until a chunk's rfft overwrites it, rebuilt
-    # holds the previous spectrum, so the momentum step is formed in angles:
+    # holds the previous spectrum, so the momentum step is formed in step:
     # shrink * previous first, then rebuilt minus that. The error's chunk
-    # sums are added in increasing chunk order, as _chunked_sum_squares adds them.
+    # sums are added in increasing chunk order, as _chunked_sum_squares adds
+    # them. Each pass over iterate k overlap-adds iterate k + 1 into nxt, so
+    # at most three signals are alive: the best, this one and the next.
     work = np.empty((min(len(mag), _CHUNK_FRAMES), cfg.n_bins))
-    rebuilt = np.zeros_like(angles)
+    step = np.empty(work.shape, complex)
+    rebuilt = np.zeros(mag.shape, complex)
     shrink = GRIFFIN_LIM_MOMENTUM / (1.0 + GRIFFIN_LIM_MOMENTUM)
     best_err = math.inf
     best = None
     for k in range(n_iters + 1):
-        np.multiply(mag, angles, out=angles)
-        y = _synthesize(angles, cfg, plan)
+        nxt = np.zeros(plan[0]) if k < n_iters else None
         gap_sq = 0.0
         for t, chunk in _windowed_chunks(y, cfg):
-            buf = work[: len(chunk)]
-            np.multiply(shrink, rebuilt[t], out=angles[t])
+            buf, new = work[: len(chunk)], step[: len(chunk)]
+            np.multiply(shrink, rebuilt[t], out=new)
             np.fft.rfft(chunk, n=cfg.fft_size, axis=1, out=rebuilt[t])
             np.abs(rebuilt[t], out=buf)
             buf -= mag[t]
             gap_sq += np.sum(np.multiply(buf, buf, out=buf))
-            if k < n_iters:
-                np.subtract(rebuilt[t], angles[t], out=angles[t])
-                np.abs(angles[t], out=buf)
+            if nxt is not None:
+                np.subtract(rebuilt[t], new, out=new)
+                np.abs(new, out=buf)
                 buf += 1e-16
-                np.divide(angles[t], buf, out=angles[t])
+                np.divide(new, buf, out=new)
+                _add_frames(np.multiply(mag[t], new, out=new), cfg, nxt, t.start)
         err = math.sqrt(gap_sq) / mag_norm
         if err < best_err:
             best_err = err
             best = y
-        del y  # an iterate that is not best is freed before the next is synthesized
+        if nxt is not None:
+            y = _normalized(nxt, cfg, plan)  # iterate k is freed here unless it is best
     return Waveform(best, sample_rate)
 
 

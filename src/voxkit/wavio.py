@@ -77,7 +77,8 @@ def read_wav(path) -> Waveform:
         warnings.warn(TruncatedWavWarning(
             f"{path}: file ends inside the data chunk; read {n} of {size // width} samples"
         ))
-    samples = np.frombuffer(data, dtype, count=n, offset=offset).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN, which Waveform rejects below
+        samples = np.frombuffer(data, dtype, count=n, offset=offset).astype(np.float64)
     samples /= full_scale
     return Waveform(samples, rate)
 

@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -1673,7 +1674,15 @@ def _vocode_drawn(work, files, workers):
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         argv = ["vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir)]
         assert cli.main(argv + _VOCODE_SMALL + ["--workers", workers]) == cli.EXIT_OK
-    assert all(line.startswith("warning: s") for line in stderr.getvalue().splitlines())
+    _check_vocode_rows(out_dir, files, stderr.getvalue())
+    return out_dir
+
+
+def _check_vocode_rows(out_dir, files, stderr):
+    """Check that a vocode run over files s00, s01, ... gave each file one row, in
+    roundtrip.tsv or errors.tsv, and a WAV only when it succeeded, and no stderr
+    line but warnings."""
+    assert all(line.startswith("warning: s") for line in stderr.splitlines())
     done = [line.split("\t")[0] for line in (out_dir / "roundtrip.tsv").read_text().split("\n")]
     failed = [line.split("\t")[0] for line in (out_dir / "errors.tsv").read_text().split("\n")]
     names = [f"s{k:02d}" for k in range(len(files))]
@@ -1682,7 +1691,6 @@ def _vocode_drawn(work, files, workers):
     for name, (_, ok) in zip(names, files):
         assert ok is None or ok == (name in done)
         assert (out_dir / f"{name}.wav").exists() == (name in done)
-    return out_dir
 
 
 @given(files=st.lists(_NPY_FILES, min_size=1, max_size=4))
@@ -1713,6 +1721,93 @@ def test_drawn_spectrogram_batch_gives_the_same_bytes_at_two_workers(tmp_path):
     ]
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == 2 + 3  # roundtrip.tsv, errors.tsv and the three good WAVs
+
+
+# vocode --manifest on drawn WAVs at --sample-rate 16000, so three of the rates resample.
+_WAV_RATES = (8000, 16000, 22050, 44100)
+# Header bytes a drawn edit may change: all of the first 60 but the rate and byte-rate fields,
+# since a rate that still agrees with its byte rate could ask resample for an operator of
+# gigabytes, which is memory the test machine may not have.
+_WAV_EDIT_OFFSETS = (*range(24), *range(32, 60))
+
+
+def _wav_file(code, values, rate, edits, cut):
+    """(WAV bytes, whether vocode must succeed on them, or None when either may happen).
+
+    A 44-byte header of 16-bit PCM or 32-bit float samples, then the samples, with each
+    (offset, byte) of edits applied and the bytes cut to their first `cut`. A file left
+    whole with at least 50 finite samples must succeed: it makes 2 frames at any rate.
+    """
+    samples = np.array(values, dtype=code)
+    tag, width = (1, 2) if code == "<i2" else (3, 4)
+    whole = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + samples.nbytes, b"WAVE",
+        b"fmt ", 16, tag, 1, rate, rate * width, width, 8 * width,
+        b"data", samples.nbytes,
+    ) + samples.tobytes()
+    data = bytearray(whole)
+    for offset, byte in edits:
+        if offset < len(data):
+            data[offset] = byte
+    data = bytes(data[:cut])
+    if data != whole:
+        return data, None
+    return data, None if len(samples) < 50 else bool(np.isfinite(samples).all())
+
+
+def _either_length(values):
+    """Lists of values shorter than the 50 that make 2 frames at any rate, or 50 to 200 long."""
+    return st.lists(values, max_size=49) | st.lists(values, min_size=50, max_size=200)
+
+
+_WAV_FILES = st.sampled_from(["<i2", "<f4"]).flatmap(
+    lambda code: st.builds(
+        _wav_file,
+        code=st.just(code),
+        values=_either_length(
+            st.integers(-32768, 32767) if code == "<i2"
+            else st.floats(-2.0, 2.0, width=32) | st.sampled_from([np.nan, np.inf, -np.inf])
+        ),
+        rate=st.sampled_from(_WAV_RATES),
+        edits=st.just(()) | st.lists(
+            st.tuples(st.sampled_from(_WAV_EDIT_OFFSETS), st.integers(0, 255)),
+            min_size=1, max_size=3,
+        ),
+        cut=st.none() | st.none() | st.integers(0, 444),
+    )
+)
+
+
+@given(files=st.lists(_WAV_FILES, min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # would print as no utterance's warning
+def test_vocode_on_drawn_wavs_gives_one_row_per_file_and_the_same_bytes_at_two_workers(
+    tmp_path_factory, files
+):
+    work = tmp_path_factory.mktemp("drawn_wav")
+    (work / "wavs").mkdir()
+    records = []
+    for k, (data, _) in enumerate(files):
+        (work / "wavs" / f"s{k:02d}.wav").write_bytes(data)
+        records.append(corpus.UtteranceRecord(f"s{k:02d}", f"wavs/s{k:02d}.wav", 1.0))
+    corpus.save_manifest(corpus.Manifest(tuple(records), "Raw"), work / "manifest.tsv")
+    inputs = _files(work)
+    outputs = []
+    for workers in ("1", "2"):
+        out_dir = work / f"out{workers}"
+        argv = ["vocode", "--manifest", str(work / "manifest.tsv"), "--out-dir", str(out_dir)]
+        argv += ["--sample-rate", "16000", *_VOCODE_SMALL, "--workers", workers]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            # audio bytes cannot make a usage error, so of exit 0 and 2 only 0 can arise
+            assert cli.main(argv) == cli.EXIT_OK
+        _check_vocode_rows(out_dir, files, stderr.getvalue())
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert outputs[0] == outputs[1]
+    written = _files(work)
+    assert {p: written[p] for p in inputs} == inputs  # no input changed
+    assert {p.parent for p in written if p not in inputs} <= {work / "out1", work / "out2"}
 
 
 # Every (command, flag) pair that the shared flags once gave a command that never read it.

@@ -10,7 +10,12 @@ from conftest import peak_bytes, speechlike
 from oracles import read_wav_scipy, write_wav_scipy
 from voxkit import wavio
 from voxkit.dsp import BLOCK_SAMPLES, Waveform
-from voxkit.errors import ClippingWarning, TruncatedWavWarning, UnsupportedWavError
+from voxkit.errors import (
+    ClippingWarning,
+    InvalidConfigError,
+    TruncatedWavWarning,
+    UnsupportedWavError,
+)
 
 
 def test_int16_round_trip(tmp_path):
@@ -38,6 +43,19 @@ def test_reads_int16_scaling(tmp_path):
     write_wav_scipy(path, 8000, np.array([-32768, 0, 16384], dtype=np.int16))
     back = wavio.read_wav(path)
     np.testing.assert_allclose(back.samples, [-1.0, 0.0, 0.5])
+
+
+def test_a_signaling_nan_is_rejected_without_a_runtime_warning(tmp_path):
+    # casting a signaling NaN to float64 raises numpy's invalid flag; the CLI would print that
+    # warning on stderr under no utterance's id, besides the file's errors.tsv row
+    path = tmp_path / "snan.wav"
+    x = np.full(8, 0.25, dtype=np.float32)
+    x.view(np.uint32)[3] = 0x7F800001
+    write_wav_scipy(path, 16000, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfigError, match="NaN or infinite"):
+            wavio.read_wav(path)
 
 
 def test_a_path_with_a_nul_byte_is_a_missing_file(tmp_path):
