@@ -92,8 +92,8 @@ def _attempt(func, label, args, cfg, named_item):
     with warnings.catch_warnings(record=True) as log:
         try:
             value, errors = func(utterance_id, item, args, cfg, stage)
-        # A header that claims a huge size (a .npy shape, a WAV rate to resample
-        # from) asks for more memory than the machine has; only that input fails.
+        # A header that claims a huge size (a .npy shape) asks for more memory than
+        # the machine has; only that input fails.
         except (VoxkitError, OSError, MemoryError) as exc:
             value, errors = None, ((stage[0], str(exc)),)
     caught = []
@@ -248,7 +248,7 @@ INPUTS = {
 
 def _refusal(args, cfg, audio, ids=()):
     """Why the run would write over a file it reads or write one file twice; if it would not,
-    make the directory of each of cfg["outputs"] and return None.
+    make the directory of each of cfg["outputs"], remove the file or link there, and return None.
 
     The run reads what INPUTS declares, given audio, and writes cfg["outputs"] and, for each
     of ids, <out-dir>/<id>.wav, which it deletes again for a failed or dropped utterance. No
@@ -281,8 +281,9 @@ def _refusal(args, cfg, audio, ids=()):
         return f"--out-dir would overwrite the input audio of {clashes}"
     if shared:
         return shared
-    for path in cfg["outputs"].values():
+    for path in cfg["outputs"].values():  # a run that stops leaves no table of an earlier run
         path.parent.mkdir(parents=True, exist_ok=True)
+        path.unlink(missing_ok=True)
 
 
 def _configure(args) -> dict:

@@ -33,14 +33,12 @@ _CHUNK_FRAMES = 64
 # resampling operators kept per process, one per reduced (up, down) pair; one holds about
 # 20 taps per output of a period, so a coprime pair such as 22,051 -> 22,050 Hz alone takes 5.6 MB
 _RESAMPLE_FILTERS = 4
-# the longest filter, 20 * max(up, down) + 1 taps, whose operator is kept; a longer one (a
-# 1,000,003 Hz source would make a 240 MB operator) is built for its call and then dropped
-_RESAMPLE_CACHED_TAPS = 500_000
-# window-matrix entries (128 kB) that resample hands the operator at a time, and the most
-# taps an operator holds when one period of outputs needs fewer
-_RESAMPLE_BLOCK = 16_384
-# samples (128 kB of float64) per block of a whole-signal elementwise pass in wavio and enhance,
-# whose work buffers then hold a block rather than the whole signal
+# the largest max(up, down) of a reduced rate ratio that resample takes, as for any two rates up
+# to 48 kHz; the operator at it (48,000 -> 9,187 Hz) is 12.2 MB, so the cache is at most 49 MB
+_RESAMPLE_MAX_RATIO = 48_000
+# float64 entries (128 kB) per work buffer of a whole-signal pass: the samples of a block in
+# wavio and enhance; in resample, the window entries per product and an operator's taps
+# (unless one period of outputs needs more)
 BLOCK_SAMPLES = 16_384
 # Hann windows, and mel tap sets, kept per process (the most recently used); a run needs one of each
 _STFT_TABLES = 4
@@ -617,7 +615,7 @@ def _resample_operator(up: int, down: int) -> tuple:
     first + b * op.shape[0] + r, over the window of x that starts at input b * step + offset.
     The rows span q periods of up outputs, with q = ceil(4 * per_phase / down), so that
     consecutive windows share at most about a fifth of their inputs. Where that would give
-    op more than _RESAMPLE_BLOCK taps, q is cut, down to one period, so that a large up over
+    op more than BLOCK_SAMPLES taps, q is cut, down to one period, so that a large up over
     a small down (1 Hz to 22.05 kHz) does not build q periods of taps. scipy's csr_matvecs
     adds each row's products to a zeroed output in stored order, as resample_poly does.
     A window also reaches zeros past either end of x, and h's leading zeros; each adds ±0
@@ -629,7 +627,7 @@ def _resample_operator(up: int, down: int) -> tuple:
     h = np.concatenate((np.zeros(delay), _kaiser_lowpass(max(up, down)) * up))
     first = (half + delay) // down
     per_phase = -(-len(h) // up)
-    q = max(1, min(-(-4 * per_phase // down), _RESAMPLE_BLOCK // (per_phase * up)))
+    q = max(1, min(-(-4 * per_phase // down), BLOCK_SAMPLES // (per_phase * up)))
     r = np.arange(q * up)
     newest = (first + r) * down // up  # the last input each output sums
     offset = newest[0] - per_phase + 1
@@ -647,10 +645,10 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     """Band-limited resampling with a windowed-sinc polyphase filter, bit for bit
     scipy.signal.resample_poly with the filter it designs for itself.
 
-    The operator depends only on the reduced rate ratio, so each is built once per
-    process; the _RESAMPLE_FILTERS most recently used are kept, unless the filter has more
-    than _RESAMPLE_CACHED_TAPS taps. It is applied to
-    _RESAMPLE_BLOCK window entries at a time, so no whole window matrix is built.
+    The operator depends only on the reduced rate ratio up/down, so each is built once per
+    process and the _RESAMPLE_FILTERS most recently used are kept. A ratio with max(up, down)
+    over _RESAMPLE_MAX_RATIO raises InvalidRateError before anything is built. The operator
+    is applied to BLOCK_SAMPLES window entries at a time, so no whole window matrix is built.
     """
     if target_rate <= 0:
         raise InvalidRateError(f"target rate must be positive, got {target_rate}")
@@ -660,16 +658,16 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         return w
     g = math.gcd(int(target_rate), int(w.sample_rate))
     up, down = int(target_rate) // g, int(w.sample_rate) // g
-    build = _resample_operator
-    if 20 * max(up, down) + 1 > _RESAMPLE_CACHED_TAPS:
-        build = _resample_operator.__wrapped__
-    op, offset, step = build(up, down)
+    if max(up, down) > _RESAMPLE_MAX_RATIO:
+        raise InvalidRateError(f"cannot resample {w.sample_rate} Hz to {target_rate} Hz: the "
+                               f"reduced ratio {up}/{down} has a term over {_RESAMPLE_MAX_RATIO}")
+    op, offset, step = _resample_operator(up, down)
     rows, width = op.shape
     x, n = w.samples, len(w)
     n_out = -(-n * up // down)
     n_blocks = -(-n_out // rows)
     out = np.empty(n_blocks * rows)
-    per_block = max(1, _RESAMPLE_BLOCK // width)
+    per_block = max(1, BLOCK_SAMPLES // width)
     for b0 in range(0, n_blocks, per_block):
         nb = min(per_block, n_blocks - b0)
         # the windows of these outputs span inputs [lo, hi), where lo < n and hi > 0

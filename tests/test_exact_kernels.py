@@ -47,7 +47,7 @@ from oracles import (
     yin_energies_blocks,
 )
 from voxkit import dsp, metrics, pitch
-from voxkit.errors import EmptySequenceError, EmptySignalError
+from voxkit.errors import EmptySequenceError, EmptySignalError, InvalidRateError
 
 
 def assert_same_alignment(a, b):
@@ -647,7 +647,7 @@ def test_resample_memory_is_its_output_and_a_few_blocks(rate):
 def test_resample_operator_holds_one_period_or_at_most_a_block_of_taps(up, down):
     op, _, step = dsp._resample_operator(up, down)
     assert op.shape[0] == step // down * up
-    assert op.shape[0] == up or op.nnz <= dsp._RESAMPLE_BLOCK
+    assert op.shape[0] == up or op.nnz <= dsp.BLOCK_SAMPLES
 
 
 def test_each_resampling_filter_is_designed_once_and_the_cache_is_bounded():
@@ -667,18 +667,42 @@ def test_each_resampling_filter_is_designed_once_and_the_cache_is_bounded():
         assert designs.call_count == 6
 
 
-def test_an_operator_over_the_tap_budget_is_built_for_its_call_and_not_kept(monkeypatch):
-    # 22,051 -> 22,050 Hz has a filter of 441,021 taps; the default budget keeps it
-    assert 20 * 22051 + 1 <= dsp._RESAMPLE_CACHED_TAPS
-    monkeypatch.setattr(dsp, "_RESAMPLE_CACHED_TAPS", 20 * 22051)
+@pytest.mark.parametrize("src, dst", [(48000, 9187), (9187, 48000)])
+def test_a_ratio_at_the_limit_equals_scipy_and_its_operator_is_kept(src, dst):
+    assert max(src, dst) == dsp._RESAMPLE_MAX_RATIO and np.gcd(src, dst) == 1
     dsp._resample_operator.cache_clear()
-    dsp.resample(dsp.Waveform(np.ones(10), 44100), SR)  # a short filter is still kept
+    x = np.random.default_rng(dst).standard_normal(2000)
+    with mock.patch.object(dsp, "_kaiser_lowpass", wraps=dsp._kaiser_lowpass) as designs:
+        for _ in range(2):
+            out = dsp.resample(dsp.Waveform(x, src), dst).samples
+            assert out.tobytes() == resample_poly_scipy(x, src, dst).tobytes()
+    assert designs.call_count == 1
     assert dsp._resample_operator.cache_info().currsize == 1
-    x = np.random.default_rng(22051).standard_normal(3000)
-    for src, dst in ((22051, SR), (SR, 22051), (22051, SR)):
-        out = dsp.resample(dsp.Waveform(x, src), dst).samples
-        assert out.tobytes() == resample_poly_scipy(x, src, dst).tobytes()
-        assert dsp._resample_operator.cache_info().currsize == 1
+
+
+def test_a_ratio_over_the_limit_raises_before_a_filter_is_designed():
+    dsp._resample_operator.cache_clear()
+    w = dsp.Waveform(np.ones(2000), 48001)  # coprime to 22,050 Hz: the ratio is 22050/48001
+    message = r"48001 Hz to 22050 Hz: the reduced ratio 22050/48001 has a term over 48000"
+    with mock.patch.object(dsp, "_kaiser_lowpass", wraps=dsp._kaiser_lowpass) as designs:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidRateError, match=message):
+                dsp.resample(w, SR)
+            assert tracemalloc.get_traced_memory()[1] < 100_000  # the filter alone is 7.7 MB
+        finally:
+            tracemalloc.stop()
+    assert designs.call_count == 0
+    assert dsp._resample_operator.cache_info().currsize == 0
+
+
+STANDARD_RATES = [8000, 11025, 12000, 16000, 22050, 24000, 32000, 44100, 48000,
+                  64000, 88200, 96000, 176400, 192000, 352800, 384000]
+
+
+def test_every_pair_of_standard_rates_is_within_the_limit():
+    terms = [max(a, b) // np.gcd(a, b) for a in STANDARD_RATES for b in STANDARD_RATES]
+    assert max(terms) == 5120 <= dsp._RESAMPLE_MAX_RATIO  # 11,025 against 384,000 Hz
 
 
 def test_windows_and_mel_taps_are_built_once_and_handed_out_read_only():
