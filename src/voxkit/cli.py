@@ -126,8 +126,9 @@ def _out_wav(out_dir, utterance_id: str) -> Path:
 
 
 def _discard_wav(out_dir, utterance_id: str) -> None:
-    """Remove <out_dir>/<id>.wav if present; an id _out_wav rejects has none."""
-    with suppress(InvalidConfigError, FileNotFoundError):
+    """Remove <out_dir>/<id>.wav if present; an id _out_wav rejects has none, and a directory
+    there stays, for the write to fail on as that utterance's error row."""
+    with suppress(InvalidConfigError, FileNotFoundError, IsADirectoryError):
         _out_wav(out_dir, utterance_id).unlink()
 
 
@@ -248,13 +249,14 @@ INPUTS = {
 
 def _refusal(args, cfg, audio, ids=()):
     """Why the run would write over a file it reads or write one file twice; if it would not,
-    make the directory of each of cfg["outputs"], remove the file or link there, and return None.
+    make the directory of each of cfg["outputs"], remove each file the run will write, and
+    return None, so that each is written as a new file, never through a link.
 
     The run reads what INPUTS declares, given audio, and writes cfg["outputs"] and, for each
     of ids, <out-dir>/<id>.wav, which it deletes again for a failed or dropped utterance. No
-    output may be an input, directly or through a link, or a directory, and no declared
-    output may be one file with another or with an <id>.wav. An input that does not exist
-    yet counts too: the run could make it before it reads it.
+    output may be an input, directly or through a link, no declared output may be a directory,
+    and no two declared outputs may be one file. An input that does not exist yet counts too:
+    the run could make it before it reads it.
     """
     inputs = INPUTS[args.command](args, cfg.get("stages", ()), audio)
     taken = {key: kind for kind, paths in inputs.items() for key in map(_file_key, paths) if key}
@@ -268,22 +270,18 @@ def _refusal(args, cfg, audio, ids=()):
         if path.is_dir():
             return f"cannot write {path}, which is a directory"
         written[key] = name
-    clashes, shared = [], None
+    clashes = []
     for utterance_id in ids:
         with suppress(InvalidConfigError):  # an id _out_wav refuses gets an error row instead
-            wav = _out_wav(args.out_dir, utterance_id)
-            key = _file_key(wav)
-            if key in taken:
+            if _file_key(_out_wav(args.out_dir, utterance_id)) in taken:
                 clashes.append(utterance_id)
-            elif key in written and shared is None:
-                shared = f"{written[key]} must not be {wav.name}, which {args.command} writes too"
     if clashes:
         return f"--out-dir would overwrite the input audio of {clashes}"
-    if shared:
-        return shared
-    for path in cfg["outputs"].values():  # a run that stops leaves no table of an earlier run
+    for path in cfg["outputs"].values():
         path.parent.mkdir(parents=True, exist_ok=True)
         path.unlink(missing_ok=True)
+    for utterance_id in ids:
+        _discard_wav(args.out_dir, utterance_id)
 
 
 def _configure(args) -> dict:
@@ -665,9 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # Each flag is declared once, in the parent parser of the commands that read it.
-    parents = (argparse.ArgumentParser(add_help=False) for _ in range(6))
-    inputs, pool, seed, stft, vad, flt = parents
+    parents = (argparse.ArgumentParser(add_help=False) for _ in range(7))
+    inputs, out, pool, seed, stft, vad, flt = parents
     inputs.add_argument("--manifest", required=True, help="input manifest TSV")
+    out.add_argument("--out-dir", required=True, help="directory for the command's outputs")
     pool.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     pool.add_argument(
         "--sample-rate", type=int, default=22050, help="working sample rate (default 22050)"
@@ -699,10 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "preprocess",
-        parents=[inputs, pool, seed, vad, flt],
+        parents=[inputs, out, pool, seed, vad, flt],
         help="run enhancement/VAD/filter/normalize stages over a corpus",
     )
-    p.add_argument("--out-dir", required=True, help="directory for processed audio and manifests")
     p.add_argument(
         "--stages",
         default="DN,VAD-1,FLT,VN",
@@ -716,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser(
-        "metrics", parents=[pool, stft], help="evaluate hypothesis audio against references"
+        "metrics", parents=[out, pool, stft], help="evaluate hypothesis audio against references"
     )
     p.add_argument("--ref-manifest", required=True, help="reference manifest TSV")
     p.add_argument("--hyp-manifest", required=True, help="hypothesis manifest TSV")
@@ -725,12 +723,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="mcd,msd,f0,cer",
         help=f"comma list from {METRIC_CHOICES} (default all)",
     )
-    p.add_argument("--out-dir", required=True, help="directory for report.tsv/report.json")
     p.add_argument("--mels", type=int, default=80, help="mel bands (default 80)")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("vad", parents=[inputs, pool, seed, vad], help="trim and compress silence")
-    p.add_argument("--out-dir", required=True, help="directory for trimmed audio")
+    p = sub.add_parser(
+        "vad", parents=[inputs, out, pool, seed, vad], help="trim and compress silence"
+    )
     p.add_argument(
         "--aggressiveness", type=int, choices=[0, 1, 2, 3], default=1, help="default 1"
     )
@@ -744,18 +742,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_snr)
 
     p = sub.add_parser(
-        "vocode", parents=[pool, seed, stft], help="reconstruct audio from magnitude spectrograms"
+        "vocode",
+        parents=[out, pool, seed, stft],
+        help="reconstruct audio from magnitude spectrograms",
     )
     p.add_argument("--manifest", help="round-trip the audio in this manifest")
     p.add_argument("--spec-dir", help="reconstruct from .npy magnitude spectrograms")
-    p.add_argument("--out-dir", required=True, help="directory for reconstructed audio")
     p.add_argument("--iters", type=int, default=32, help="phase iterations (default 32)")
     p.set_defaults(func=cmd_vocode)
 
     p = sub.add_parser(
-        "filter", parents=[inputs, flt], help="split a manifest by quality thresholds"
+        "filter", parents=[inputs, out, flt], help="split a manifest by quality thresholds"
     )
-    p.add_argument("--out-dir", required=True, help="directory for kept.tsv/dropped.tsv")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("report", parents=[inputs], help="summarize a manifest")

@@ -1316,27 +1316,35 @@ def test_unreadable_manifest_is_a_read_error_before_any_overwrite_check(tmp_path
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_an_interrupted_rerun_leaves_no_table_of_the_earlier_run(k, tmp_path, monkeypatch, capsys):
+    # Ctrl-C during the write of utt00k. A forked worker keeps its own count of writes, so
+    # the interrupt is tied to one id, which fails the same way at any worker count.
     manifest = build_corpus(tmp_path, 6, seed=41)
-    argv = ["vad", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")]
-    assert cli.main(argv + ["--workers", "1"]) == cli.EXIT_OK
-    assert {"manifest.tsv", "errors.tsv"} <= {p.name for p in (tmp_path / "out").iterdir()}
-    inputs = {p: data for p, data in _files(tmp_path).items() if p.parent.name != "out"}
-    writes, real_write = [], wavio.write_wav
+    marker, real_write = b"written by the earlier run", wavio.write_wav
 
-    def stopped(path, w):  # Ctrl-C after k WAV writes
-        if len(writes) == k:
+    def stopped(path, w):
+        if Path(path).name == f"utt00{k}.wav":
             raise KeyboardInterrupt
-        writes.append(path)
         real_write(path, w)
 
-    monkeypatch.setattr(wavio, "write_wav", stopped)
-    with pytest.raises(KeyboardInterrupt):
-        cli.main(argv + ["--workers", "1", "--energy-threshold-db", "-20"])
-    capsys.readouterr()
-    assert len(writes) == k
-    left = {p.name for p in (tmp_path / "out").iterdir()}
-    assert not left & {"manifest.tsv", "errors.tsv"}  # the first run's would misdescribe out/
-    assert {p: data for p, data in _files(tmp_path).items() if p.parent.name != "out"} == inputs
+    for command in ("vad", "preprocess"):
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"{command}{workers}"
+            argv = [command, "--manifest", str(manifest), "--out-dir", str(out_dir)]
+            assert cli.main(argv + ["--workers", workers]) == cli.EXIT_OK
+            assert {"manifest.tsv", "errors.tsv"} <= {p.name for p in out_dir.iterdir()}
+            for wav in out_dir.glob("*.wav"):
+                wav.write_bytes(marker)
+            inputs = _files_outside(tmp_path, out_dir)
+            with monkeypatch.context() as patch:
+                patch.setattr(wavio, "write_wav", stopped)
+                with pytest.raises(KeyboardInterrupt):
+                    cli.main(argv + ["--workers", workers, "--energy-threshold-db", "-20"])
+            capsys.readouterr()
+            left = _files(out_dir)
+            # the first run's tables would misdescribe the WAVs, and its WAVs the tables
+            assert not {p.name for p in left} & {"manifest.tsv", "errors.tsv", "dropped.tsv"}
+            assert marker not in left.values(), (command, workers)
+            assert _files_outside(tmp_path, out_dir) == inputs
 
 
 def test_a_declared_output_that_is_a_link_is_replaced_not_written_through(tmp_path, capsys):
@@ -1351,6 +1359,58 @@ def test_a_declared_output_that_is_a_link_is_replaced_not_written_through(tmp_pa
     assert outside.read_text() == "kept\n"
     written = tmp_path / "out" / "manifest.tsv"
     assert not written.is_symlink() and written.read_text().startswith("# source: ")
+
+
+def _link_out(out_dir, root):
+    """utt000.wav links to a file outside out_dir."""
+    (root / "victim.bin").write_bytes(b"outside")
+    (out_dir / "utt000.wav").symlink_to(root / "victim.bin")
+
+
+def _link_sibling(out_dir, root):
+    """utt001.wav links to utt000.wav, which does not exist yet."""
+    (out_dir / "utt001.wav").symlink_to("utt000.wav")
+
+
+def _stale(out_dir, root):
+    """out_dir holds an earlier run's WAVs, and utt001's input no longer reads."""
+    for k in range(3):
+        (out_dir / f"utt00{k}.wav").write_bytes(b"earlier")
+    (root / "raw" / "utt001.wav").write_bytes(b"not a WAV")
+
+
+def _directory(out_dir, root):
+    """utt001.wav is a directory."""
+    (out_dir / "utt001.wav").mkdir()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["preprocess", "vad", "vocode"])
+@pytest.mark.parametrize("prepare", [_link_out, _link_sibling, _stale, _directory])
+def test_each_id_wav_is_written_as_a_new_file(prepare, command, workers, tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 3, seed=47, with_enhanced=False)
+    argv = [command, "--manifest", str(manifest), *KEEP_EVERY_WAV[command]]
+    fresh_dir, out_dir = tmp_path / "fresh", tmp_path / "out"
+    assert cli.main(argv + ["--out-dir", str(fresh_dir), "--workers", "1"]) == cli.EXIT_OK
+    fresh = {p.name: data for p, data in _files(fresh_dir).items()}
+    out_dir.mkdir()
+    prepare(out_dir, tmp_path)
+    before = _files_outside(tmp_path, out_dir)
+    assert cli.main(argv + ["--out-dir", str(out_dir), "--workers", workers]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert _files_outside(tmp_path, out_dir) == before
+    assert not any(p.is_symlink() for p in out_dir.iterdir())
+    written = {p.name: data for p, data in _files(out_dir).items()}
+    if prepare in (_link_out, _link_sibling):  # as if out_dir had been empty, at any workers
+        assert written == fresh
+        return
+    # utt001 fails: one row, and no WAV, or the directory left as it was
+    assert (out_dir / "utt001.wav").exists() == (prepare is _directory)
+    rows = written.pop("errors.tsv").decode().splitlines()[1:]
+    assert [row.split("\t")[0] for row in rows] == ["utt001"]
+    assert {name: written[name] for name in ("utt000.wav", "utt002.wav")} == {
+        name: fresh[name] for name in ("utt000.wav", "utt002.wav")
+    }
 
 
 # One file each command would write, made a directory beforehand: its path under root.
@@ -1379,6 +1439,10 @@ def test_output_that_is_an_existing_directory_is_usage_error(command, tmp_path, 
 
 def _files(root):
     return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _files_outside(root, out_dir):
+    return {p: data for p, data in _files(root).items() if p.parent != out_dir}
 
 
 @pytest.mark.parametrize("command, target, kind, workers", [
@@ -1437,6 +1501,15 @@ def test_snr_out_linked_to_its_errors_tsv_is_usage_error(tmp_path, capsys):
     assert sorted((tmp_path / "out").iterdir()) == [out]
 
 
+# Arguments that keep every WAV a run over build_corpus writes: FLT would drop some.
+KEEP_EVERY_WAV = {"preprocess": ["--stages", "VAD-1,VN"], "vad": [], "vocode": ["--iters", "2"]}
+# The first line of each declared table.
+TABLE_HEADS = {
+    "manifest.tsv": "# source: ", "errors.tsv": "id\tstage\terror\n",
+    "roundtrip.tsv": "id\tspectral_convergence\n",
+}
+
+
 @pytest.mark.parametrize("target", ["dangling", "existing"])
 @pytest.mark.parametrize("command, name", [
     ("preprocess", "manifest.tsv"), ("vad", "errors.tsv"), ("vocode", "roundtrip.tsv"),
@@ -1444,21 +1517,22 @@ def test_snr_out_linked_to_its_errors_tsv_is_usage_error(tmp_path, capsys):
 def test_declared_output_linked_to_an_output_wav_is_usage_error(
     command, name, target, tmp_path, capsys
 ):
+    # Refused until the check removed <id>.wav too: now it removes both the link and the
+    # WAV, and the run writes each as a file of its own.
     build_corpus(tmp_path, 2, seed=37)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     if target == "existing":  # left by an earlier run
         (out_dir / "utt000.wav").write_bytes(b"earlier")
-    (out_dir / name).symlink_to("utt000.wav")  # writing it would write the listed WAV
-    before = _files(tmp_path)
-    argv = _minimal_argv(command, tmp_path) + (["--iters", "2"] if command == "vocode" else [])
-    assert cli.main(argv) == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err == (
-        f"usage error: {name} must not be utt000.wav, which {command} writes too\n"
-    )
-    assert captured.out == ""
-    assert _files(tmp_path) == before
+    (out_dir / name).symlink_to("utt000.wav")  # writing through it would write the listed WAV
+    before = _files_outside(tmp_path, out_dir)
+    assert cli.main(_minimal_argv(command, tmp_path) + KEEP_EVERY_WAV[command]) == cli.EXIT_OK
+    capsys.readouterr()
+    table, wav = out_dir / name, out_dir / "utt000.wav"
+    assert not table.is_symlink() and not wav.is_symlink()
+    assert table.read_text().startswith(TABLE_HEADS[name])
+    assert len(wavio.read_wav(wav)) > 0
+    assert _files_outside(tmp_path, out_dir) == before
 
 
 def test_report_json_into_a_missing_directory_makes_it(tmp_path, capsys):
@@ -1720,15 +1794,20 @@ def _vocode_drawn(work, files, workers):
 def _check_vocode_rows(out_dir, files, stderr):
     """Check that a vocode run over files s00, s01, ... gave each file one row, in
     roundtrip.tsv or errors.tsv, and a WAV only when it succeeded, and no stderr
-    line but warnings."""
+    line but warnings. A file whose expected outcome is text must fail with an error
+    that starts with it."""
     assert all(line.startswith("warning: s") for line in stderr.splitlines())
     done = [line.split("\t")[0] for line in (out_dir / "roundtrip.tsv").read_text().split("\n")]
-    failed = [line.split("\t")[0] for line in (out_dir / "errors.tsv").read_text().split("\n")]
+    rows = [line.split("\t") for line in (out_dir / "errors.tsv").read_text().split("\n")]
+    failed = [row[0] for row in rows]
     names = [f"s{k:02d}" for k in range(len(files))]
     assert done[0] == failed[0] == "id" and done[-1] == failed[-1] == ""
     assert sorted(done[1:-1] + failed[1:-1]) == names  # each file once, in one of the two
     for name, (_, ok) in zip(names, files):
-        assert ok is None or ok == (name in done)
+        if isinstance(ok, str):
+            assert rows[failed.index(name)][2].startswith(ok)
+        else:
+            assert ok is None or ok == (name in done)
         assert (out_dir / f"{name}.wav").exists() == (name in done)
 
 
@@ -1764,16 +1843,22 @@ def test_drawn_spectrogram_batch_gives_the_same_bytes_at_two_workers(tmp_path):
 
 # vocode --manifest on drawn WAVs at --sample-rate 16000, so three of the rates resample.
 _WAV_RATES = (8000, 16000, 22050, 44100)
+# Rates whose reduced ratio to 16000 Hz has a term over resample's limit of 48,000: 48,001 Hz,
+# and any rate over 48,000 * 16,000 Hz. Four bytes a sample keep the byte rate within 32 bits.
+_WAV_FAR_RATES = st.just(48_001) | st.integers(768_000_001, 2**30 - 1)
 # Header bytes a drawn edit may change: the first 60.
 _WAV_EDIT_OFFSETS = tuple(range(60))
 
 
 def _wav_file(code, values, rate, edits, cut):
-    """(WAV bytes, whether vocode must succeed on them, or None when either may happen).
+    """(WAV bytes, whether vocode must succeed on them, or None when either may happen, or
+    the start of the error a failure must give).
 
     A 44-byte header of 16-bit PCM or 32-bit float samples, then the samples, with each
     (offset, byte) of edits applied and the bytes cut to their first `cut`. A file left
-    whole with at least 50 finite samples must succeed: it makes 2 frames at any rate.
+    whole with at least 50 finite samples must succeed: it makes 2 frames at any rate. One
+    left whole at a rate not in _WAV_RATES, holding samples that are all finite, must fail
+    at resample's limit.
     """
     samples = np.array(values, dtype=code)
     tag, width = (1, 2) if code == "<i2" else (3, 4)
@@ -1790,6 +1875,8 @@ def _wav_file(code, values, rate, edits, cut):
     data = bytes(data[:cut])
     if data != whole:
         return data, None
+    if rate not in _WAV_RATES and len(samples) and np.isfinite(samples).all():
+        return data, f"cannot resample {rate} Hz to 16000 Hz: "
     return data, None if len(samples) < 50 else bool(np.isfinite(samples).all())
 
 
@@ -1806,7 +1893,7 @@ _WAV_FILES = st.sampled_from(["<i2", "<f4"]).flatmap(
             st.integers(-32768, 32767) if code == "<i2"
             else st.floats(-2.0, 2.0, width=32) | st.sampled_from([np.nan, np.inf, -np.inf])
         ),
-        rate=st.sampled_from(_WAV_RATES),
+        rate=st.sampled_from(_WAV_RATES) | st.sampled_from(_WAV_RATES) | _WAV_FAR_RATES,
         edits=st.just(()) | st.lists(
             st.tuples(st.sampled_from(_WAV_EDIT_OFFSETS), st.integers(0, 255)),
             min_size=1, max_size=3,
