@@ -3,6 +3,7 @@
 Per-utterance work runs in a pool of stateless workers; results are merged
 in manifest order, so any worker count produces byte-identical outputs.
 Per-utterance failures are tabulated in errors.tsv and the run continues.
+Only main maps a run's outcome to its exit code: 0, 1 for a runtime error, 2 for a usage error.
 """
 
 import argparse
@@ -144,9 +145,9 @@ def _file_key(path):
     return st.st_dev, st.st_ino
 
 
-def _usage(message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class UsageError(Exception):
+    """A run refused before it writes a file; main prints it as a usage error. It is no
+    VoxkitError, so neither _attempt nor main's runtime handler catches it."""
 
 
 def _sanitize(message: str) -> str:
@@ -161,11 +162,10 @@ def _write_errors(path, rows) -> None:
     write_tsv(path, ("id", "stage", "error"), cells)
 
 
-def _finish(paths: dict, error_rows, wrote: str) -> int:
+def _finish(paths: dict, error_rows, wrote: str) -> None:
     """End a per-utterance command: its errors.tsv from paths, then the `wrote ...` line."""
     _write_errors(paths["errors.tsv"], error_rows)
     print(_sanitize(f"wrote {wrote} ({len(error_rows)} errors)"))
-    return EXIT_OK
 
 
 def _audio_files(manifest, manifest_path) -> list:
@@ -247,10 +247,10 @@ INPUTS = {
 }
 
 
-def _refusal(args, cfg, audio, ids=()):
-    """Why the run would write over a file it reads or write one file twice; if it would not,
-    make the directory of each of cfg["outputs"], remove each file the run will write, and
-    return None, so that each is written as a new file, never through a link.
+def _refusal(args, cfg, audio, ids=()) -> None:
+    """Raise a UsageError saying why, if the run would write over a file it reads or write one
+    file twice; if it would not, make the directory of each of cfg["outputs"] and remove each
+    file the run will write, so that each is written as a new file, never through a link.
 
     The run reads what INPUTS declares, given audio, and writes cfg["outputs"] and, for each
     of ids, <out-dir>/<id>.wav, which it deletes again for a failed or dropped utterance. No
@@ -264,11 +264,13 @@ def _refusal(args, cfg, audio, ids=()):
     for name, path in cfg["outputs"].items():
         key = _file_key(path)
         if key in taken:
-            return f"writing {path} would overwrite an input {taken[key]}"
+            raise UsageError(f"writing {path} would overwrite an input {taken[key]}")
         if key in written:
-            return f"{written[key]} must not be named {name}, which {args.command} writes beside it"
+            raise UsageError(
+                f"{written[key]} must not be named {name}, which {args.command} writes beside it"
+            )
         if path.is_dir():
-            return f"cannot write {path}, which is a directory"
+            raise UsageError(f"cannot write {path}, which is a directory")
         written[key] = name
     clashes = []
     for utterance_id in ids:
@@ -276,7 +278,7 @@ def _refusal(args, cfg, audio, ids=()):
             if _file_key(_out_wav(args.out_dir, utterance_id)) in taken:
                 clashes.append(utterance_id)
     if clashes:
-        return f"--out-dir would overwrite the input audio of {clashes}"
+        raise UsageError(f"--out-dir would overwrite the input audio of {clashes}")
     for path in cfg["outputs"].values():
         path.parent.mkdir(parents=True, exist_ok=True)
         path.unlink(missing_ok=True)
@@ -327,7 +329,8 @@ def _configure(args) -> dict:
             f"vocode needs --hop at most half of --win, got --hop {args.hop} and --win {args.win}"
         )
     if "mels" in args:
-        cfg["which"] = which = _comma_list("--which", args.which, METRIC_CHOICES)
+        chosen = _comma_list("--which", args.which, METRIC_CHOICES)
+        cfg["which"] = which = tuple(m for m in METRIC_CHOICES if m in chosen)  # report order
         cfg["mel"] = dsp.MelConfig(args.mels, stft=cfg["stft"])
         if "mcd" in which:
             dsp.check_cepstrum(args.mels)
@@ -376,14 +379,13 @@ def _preprocess_one(utterance_id, record, args, cfg, stage):
     return (replace(record, snr_db=snr_db, cer=cer), durations), errors
 
 
-def cmd_preprocess(args, cfg) -> int:
+def cmd_preprocess(args, cfg) -> None:
     """Run stages over --manifest into --out-dir; `vad` runs its one VAD stage here."""
     manifest = corpus.load_manifest(args.manifest)
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
     stages = cfg["stages"]
     records = {r.utterance_id: r for r in manifest}
-    if refusal := _refusal(args, cfg, _audio_files(manifest, args.manifest), records):
-        return _usage(refusal)
+    _refusal(args, cfg, _audio_files(manifest, args.manifest), records)
     results, error_rows = _run_utterances(_preprocess_one, records, args, cfg, "load")
     error_rows.sort(key=lambda row: row[1] == "FLT")  # FLT's CER rows after all audio rows
 
@@ -404,7 +406,8 @@ def cmd_preprocess(args, cfg) -> int:
         hours = sum(durations[k] for _, durations in map(results.get, alive)) / 3600.0
         table.append(("+".join(stages[:k]) or "Raw", hours, len(alive)))
 
-    # Failed and dropped utterances leave no processed audio behind.
+    # FLT's drops leave no processed audio behind. (A failed utterance has none: write_wav
+    # removes a file it fails to finish.)
     for utterance_id in records.keys() - set(alive):
         _discard_wav(out_dir, utterance_id)
 
@@ -417,7 +420,7 @@ def cmd_preprocess(args, cfg) -> int:
         corpus.save_dropped_report(filter_result, paths["dropped.tsv"])
 
     _print_stage_table(table)
-    return _finish(paths, error_rows, f"{len(alive)} utterances to {paths['manifest.tsv']}")
+    _finish(paths, error_rows, f"{len(alive)} utterances to {paths['manifest.tsv']}")
 
 
 # ------------------------------------------------------------------- metrics
@@ -456,17 +459,15 @@ def _metrics_one(utterance_id, pair, args, cfg, stage):
         )
     log_mels = cache(lambda: metrics.log_mel_pair(*audio, cfg["mel"]))
     row, errors = {}, []
-    for name in METRIC_CHOICES:
-        if name in cfg["which"]:
-            try:
-                row.update(_metric_cells(name, ref, hyp, audio, log_mels, cfg["stft"]))
-            except VoxkitError as exc:
-                errors.append((name, str(exc)))
+    for name in cfg["which"]:
+        try:
+            row.update(_metric_cells(name, ref, hyp, audio, log_mels, cfg["stft"]))
+        except VoxkitError as exc:
+            errors.append((name, str(exc)))
     return row, tuple(errors)
 
 
-def cmd_metrics(args, cfg) -> int:
-    which = cfg["which"]
+def cmd_metrics(args, cfg) -> None:
     ref_manifest = corpus.load_manifest(args.ref_manifest)
     hyp_manifest = corpus.load_manifest(args.hyp_manifest)
     ref_ids = set(ref_manifest.ids())
@@ -474,22 +475,20 @@ def cmd_metrics(args, cfg) -> int:
     if ref_ids != hyp_ids:
         only_ref = sorted(ref_ids - hyp_ids)
         only_hyp = sorted(hyp_ids - ref_ids)
-        return _usage(
+        raise UsageError(
             "manifests do not cover the same utterances; "
             f"only in reference: {only_ref}; only in hypothesis: {only_hyp}"
         )
 
     audio = _audio_files(ref_manifest, args.ref_manifest)
-    if refusal := _refusal(args, cfg, audio + _audio_files(hyp_manifest, args.hyp_manifest)):
-        return _usage(refusal)
+    _refusal(args, cfg, audio + _audio_files(hyp_manifest, args.hyp_manifest))
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
     pairs = {ref.utterance_id: (ref, hyp) for ref, hyp in zip(ref_manifest, hyp_manifest)}
     rows, error_rows = _run_utterances(_metrics_one, pairs, args, cfg, "audio")
     means = metrics.write_report({i: row or {} for i, row in rows.items()}, out_dir)
 
-    for name, columns in metrics.METRIC_COLUMNS.items():
-        if name not in which:
-            continue
+    for name in cfg["which"]:
+        columns = metrics.METRIC_COLUMNS[name]
         values = [means[c] for c in columns]
         if name != "cer":
             for column, value in zip(columns, values):
@@ -498,7 +497,7 @@ def cmd_metrics(args, cfg) -> int:
             print("CER (S/D/I): n/a")
         else:
             print("CER (S/D/I): {:.1f} ({:.1f}/{:.1f}/{:.1f})".format(*(100 * v for v in values)))
-    return _finish(paths, error_rows, f"{len(rows)} rows to {paths['report.tsv']}")
+    _finish(paths, error_rows, f"{len(rows)} rows to {paths['report.tsv']}")
 
 
 # ----------------------------------------------------------------------- snr
@@ -508,12 +507,11 @@ def _snr_one(utterance_id, audio, args, cfg, stage):
     return enhance.estimate_snr(_load(audio, args.sample_rate), _load_enhanced(audio, args)), ()
 
 
-def cmd_snr(args, cfg) -> int:
+def cmd_snr(args, cfg) -> None:
     manifest = corpus.load_manifest(args.manifest)
     out_path = cfg["outputs"]["--out"]
     audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
-    if refusal := _refusal(args, cfg, audio.values()):
-        return _usage(refusal)
+    _refusal(args, cfg, audio.values())
     snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, "snr")
     records = tuple(
         _input_audio(record, args.manifest, out_path.parent, snr_db=snrs[record.utterance_id])
@@ -521,7 +519,7 @@ def cmd_snr(args, cfg) -> int:
         if snrs[record.utterance_id] is not None
     )
     corpus.save_manifest(corpus.Manifest(records, manifest.source_tag), out_path)
-    return _finish(cfg["outputs"], error_rows, f"{len(records)} utterances to {out_path}")
+    _finish(cfg["outputs"], error_rows, f"{len(records)} utterances to {out_path}")
 
 
 # -------------------------------------------------------------------- vocode
@@ -569,34 +567,32 @@ def _vocode_one(name, source, args, cfg, stage):
     return gap, ()
 
 
-def cmd_vocode(args, cfg) -> int:
+def cmd_vocode(args, cfg) -> None:
     if args.manifest is not None:
         manifest = corpus.load_manifest(args.manifest)
         sources = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
     else:
         spec_paths = sorted(Path(args.spec_dir).glob("*.npy"))
         if not spec_paths:
-            return _usage(f"no .npy spectrograms found in {args.spec_dir}")
+            raise UsageError(f"no .npy spectrograms found in {args.spec_dir}")
         sources = {path.stem: path for path in spec_paths}
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
-    if refusal := _refusal(args, cfg, sources.values(), sources):
-        return _usage(refusal)
+    _refusal(args, cfg, sources.values(), sources)
     gaps, error_rows = _run_utterances(_vocode_one, sources, args, cfg, "vocode")
 
     done = {name: gap for name, gap in gaps.items() if gap is not None}
     write_tsv(paths["roundtrip.tsv"], ("id", "spectral_convergence"), done.items())
     if done:
         print(f"mean spectral convergence: {sum(done.values()) / len(done):.4f}")
-    return _finish(paths, error_rows, f"{len(done)} files to {out_dir}")
+    _finish(paths, error_rows, f"{len(done)} files to {out_dir}")
 
 
 # ----------------------------------------------------------- filter / report
 
 
-def cmd_filter(args, cfg) -> int:
+def cmd_filter(args, cfg) -> None:
     manifest = corpus.load_manifest(args.manifest)
-    if refusal := _refusal(args, cfg, _audio_files(manifest, args.manifest)):
-        return _usage(refusal)
+    _refusal(args, cfg, _audio_files(manifest, args.manifest))
     out_dir, paths = Path(args.out_dir), cfg["outputs"]
     records = tuple(_input_audio(r, args.manifest, out_dir) for r in manifest)
     result = corpus.apply_filter(corpus.Manifest(records, manifest.source_tag), cfg["FLT"])
@@ -609,7 +605,6 @@ def cmd_filter(args, cfg) -> int:
         f"dropped {dropped_stats.n_utterances} utterances "
         f"({dropped_stats.total_hours:.2f} h)"
     )
-    return EXIT_OK
 
 
 def _histogram_dict(histogram) -> dict:
@@ -628,10 +623,9 @@ def _print_histogram(name: str, histogram) -> None:
             print(f"  {label}: {count}")
 
 
-def cmd_report(args, cfg) -> int:
+def cmd_report(args, cfg) -> None:
     manifest = corpus.load_manifest(args.manifest)
-    if refusal := _refusal(args, cfg, _audio_files(manifest, args.manifest)):
-        return _usage(refusal)
+    _refusal(args, cfg, _audio_files(manifest, args.manifest))
     stats = corpus.summarize(manifest)
     if json_path := cfg["outputs"].get("--json"):
         write_json(json_path, {
@@ -650,7 +644,6 @@ def cmd_report(args, cfg) -> int:
         print(f"speaker {label}: {stats.per_speaker[speaker]}")
     _print_histogram("snr_db", stats.snr)
     _print_histogram("cer", stats.cer)
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------- parser
@@ -766,14 +759,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _configure(args)
-    except InvalidConfigError as exc:
-        return _usage(str(exc))
-    try:
-        return args.func(args, cfg)
-    except (VoxkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        cfg = _configure(args)  # its InvalidConfigError is a usage error, a command's is not
+        try:
+            args.func(args, cfg)
+        except (VoxkitError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+    except (InvalidConfigError, UsageError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ mono 16-bit PCM behind a 44-byte header.
 """
 
 import errno
+import os
 import struct
 import warnings
 
@@ -88,7 +89,8 @@ def write_wav(path, w: Waveform) -> None:
 
     A rate above MAX_WRITE_RATE raises UnsupportedWavError before the file is opened. The
     samples are scaled and rounded BLOCK_SAMPLES at a time into the int16 data, so only the
-    clipping of an out-of-range signal makes a whole float copy.
+    clipping of an out-of-range signal makes a whole float copy. A write that raises, at
+    Ctrl-C too, removes the file it opened, so no cut WAV is left; a failed open removes none.
     """
     rate = int(w.sample_rate)
     if rate > MAX_WRITE_RATE:
@@ -114,6 +116,11 @@ def write_wav(path, w: Waveform) -> None:
         b"fmt ", 16, PCM, 1, rate, 2 * rate, 2, 16,
         b"data", pcm.nbytes,
     )
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(pcm)
+    f = open(path, "wb")
+    try:
+        with f:  # closing flushes, so it can fail too
+            f.write(header)
+            f.write(pcm)
+    except BaseException:
+        os.unlink(path)
+        raise

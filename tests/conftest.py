@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,37 @@ def peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class _FailingFile:
+    """A file that raises error at its fail_at-th write, or at close if fail_at is "close"."""
+
+    def __init__(self, f, error, fail_at):
+        self.f, self.error, self.fail_at, self.writes = f, error, fail_at, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise self.error
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.f.close()
+        if self.fail_at == "close":
+            raise self.error
+
+
+def failing_open(name, error, fail_at=2):
+    """A stand-in for open: a file called name opened for writing raises error at its
+    fail_at-th write, or at close if fail_at is "close"; any other file opens as usual."""
+    def fake_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        return _FailingFile(f, error, fail_at) if "w" in mode and Path(path).name == name else f
+
+    return fake_open
 
 
 def make_text_pair(rng, n_words, max_cer=0.3):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import gc
 import importlib
 import io
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import voxkit
 from voxkit import cli, corpus, dsp, enhance, metrics, wavio
 from voxkit.errors import VoxkitError
-from conftest import build_corpus, sine
+from conftest import build_corpus, failing_open, sine
 from oracles import write_wav_scipy
 
 SR = 22050
@@ -1314,6 +1315,29 @@ def test_unreadable_manifest_is_a_read_error_before_any_overwrite_check(tmp_path
     assert manifest.read_text() == "garbage\n"
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command, stage", [
+    ("preprocess", "VN"), ("vad", "VAD-1"), ("vocode", "vocode")
+])
+def test_a_failed_wav_write_leaves_no_wav(command, stage, workers, tmp_path, monkeypatch, capsys):
+    # The disk fills after utt001.wav's header: that utterance gets its row and no WAV.
+    build_corpus(tmp_path, 3, seed=41)
+    full = OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(wavio, "open", failing_open("utt001.wav", full), raising=False)
+    argv = _minimal_argv(command, tmp_path) + ["--workers", workers]
+    if command == "preprocess":
+        argv += ["--stages", "DN,VAD-1,VN"]  # no FLT, which would drop utt000
+    elif command == "vocode":
+        argv += ["--iters", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert (out_dir / "errors.tsv").read_text() == (
+        f"id\tstage\terror\nutt001\t{stage}\t[Errno 28] No space left on device\n"
+    )
+    assert sorted(p.name for p in out_dir.glob("*.wav")) == ["utt000.wav", "utt002.wav"]
+
+
 @pytest.mark.parametrize("k", [0, 3])
 def test_an_interrupted_rerun_leaves_no_table_of_the_earlier_run(k, tmp_path, monkeypatch, capsys):
     # Ctrl-C during the write of utt00k. A forked worker keeps its own count of writes, so
@@ -1514,7 +1538,7 @@ TABLE_HEADS = {
 @pytest.mark.parametrize("command, name", [
     ("preprocess", "manifest.tsv"), ("vad", "errors.tsv"), ("vocode", "roundtrip.tsv"),
 ])
-def test_declared_output_linked_to_an_output_wav_is_usage_error(
+def test_declared_output_linked_to_an_output_wav_is_kept_apart(
     command, name, target, tmp_path, capsys
 ):
     # Refused until the check removed <id>.wav too: now it removes both the link and the
@@ -1787,17 +1811,19 @@ def _vocode_drawn(work, files, workers):
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         argv = ["vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir)]
         assert cli.main(argv + _VOCODE_SMALL + ["--workers", workers]) == cli.EXIT_OK
-    _check_vocode_rows(out_dir, files, stderr.getvalue())
+    _check_rows(out_dir / "roundtrip.tsv", files, stderr.getvalue())
     return out_dir
 
 
-def _check_vocode_rows(out_dir, files, stderr):
-    """Check that a vocode run over files s00, s01, ... gave each file one row, in
-    roundtrip.tsv or errors.tsv, and a WAV only when it succeeded, and no stderr
-    line but warnings. A file whose expected outcome is text must fail with an error
-    that starts with it."""
+def _check_rows(table, files, stderr):
+    """Check that a run over files s00, s01, ... gave each file one row, in table (roundtrip.tsv,
+    or manifest.tsv after its `# source:` line) or errors.tsv beside it, and a WAV only when
+    it succeeded, and no stderr line but warnings. A file whose expected outcome is text must
+    fail with an error that starts with it."""
+    out_dir = table.parent
     assert all(line.startswith("warning: s") for line in stderr.splitlines())
-    done = [line.split("\t")[0] for line in (out_dir / "roundtrip.tsv").read_text().split("\n")]
+    lines = table.read_text().split("\n")
+    done = [line.split("\t")[0] for line in lines[lines[0].startswith("# source: ") :]]
     rows = [line.split("\t") for line in (out_dir / "errors.tsv").read_text().split("\n")]
     failed = [row[0] for row in rows]
     names = [f"s{k:02d}" for k in range(len(files))]
@@ -1903,12 +1929,20 @@ _WAV_FILES = st.sampled_from(["<i2", "<f4"]).flatmap(
 )
 
 
+# The table each command lists its successes in, and the flags that keep its runs small.
+_DRAWN_WAV_RUNS = {"vocode": ("roundtrip.tsv", _VOCODE_SMALL), "vad": ("manifest.tsv", [])}
+
+
+@pytest.mark.parametrize("command", list(_DRAWN_WAV_RUNS))
 @given(files=st.lists(_WAV_FILES, min_size=1, max_size=3))
 @settings(max_examples=25, deadline=None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # would print as no utterance's warning
-def test_vocode_on_drawn_wavs_gives_one_row_per_file_and_the_same_bytes_at_two_workers(
-    tmp_path_factory, files
+def test_drawn_wavs_give_one_row_per_file_and_the_same_bytes_at_two_workers(
+    tmp_path_factory, command, files
 ):
+    table, small = _DRAWN_WAV_RUNS[command]
+    if command == "vad":  # a whole file may still be all silence, so no success is sure
+        files = [(data, ok if isinstance(ok, str) or ok is False else None) for data, ok in files]
     work = tmp_path_factory.mktemp("drawn_wav")
     (work / "wavs").mkdir()
     records = []
@@ -1920,13 +1954,13 @@ def test_vocode_on_drawn_wavs_gives_one_row_per_file_and_the_same_bytes_at_two_w
     outputs = []
     for workers in ("1", "2"):
         out_dir = work / f"out{workers}"
-        argv = ["vocode", "--manifest", str(work / "manifest.tsv"), "--out-dir", str(out_dir)]
-        argv += ["--sample-rate", "16000", *_VOCODE_SMALL, "--workers", workers]
+        argv = [command, "--manifest", str(work / "manifest.tsv"), "--out-dir", str(out_dir)]
+        argv += ["--sample-rate", "16000", *small, "--workers", workers]
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             # audio bytes cannot make a usage error, so of exit 0 and 2 only 0 can arise
             assert cli.main(argv) == cli.EXIT_OK
-        _check_vocode_rows(out_dir, files, stderr.getvalue())
+        _check_rows(out_dir / table, files, stderr.getvalue())
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
     assert outputs[0] == outputs[1]
     written = _files(work)

@@ -8,8 +8,11 @@ from oracles import stft_complex_gather
 from voxkit import dsp
 from voxkit.errors import (
     DimensionMismatchError,
+    EmptySequenceError,
     EmptySignalError,
     InvalidConfigError,
+    InvalidRateError,
+    VoxkitError,
 )
 
 SR = 22050
@@ -212,3 +215,36 @@ class TestResample:
         peak_bin = np.argmax(spec.frames[5])
         peak_hz = peak_bin * SR / 1024
         assert abs(peak_hz - 440.0) < SR / 1024
+
+
+MFCC = dsp.FeatureSeq(np.zeros((2, 13)), 1.0, "mfcc")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: dsp.Waveform(np.zeros((2, 2)), SR), InvalidConfigError,
+                 "waveform must be 1-D, got shape (2, 2)", id="waveform-2d"),
+    pytest.param(lambda: dsp.Waveform(np.zeros(4), 0), InvalidRateError,
+                 "sample rate must be positive, got 0", id="waveform-rate"),
+    pytest.param(lambda: dsp.FeatureSeq(np.zeros((2, 3)), -1.0, "mfcc"), InvalidRateError,
+                 "frame rate must be positive, got -1.0", id="features-rate"),
+    pytest.param(lambda: dsp.FeatureSeq(np.zeros((2, 3)), 1.0, "chroma"), InvalidConfigError,
+                 "unknown feature kind 'chroma'", id="features-kind"),
+    pytest.param(lambda: dsp.mel_cepstrum(MFCC), InvalidConfigError,
+                 "expected log-mel frames, got 'mfcc'", id="cepstrum-of-mfcc"),
+    pytest.param(lambda: dsp.dtw_align(np.zeros((0, 3)), np.zeros((2, 3))), EmptySequenceError,
+                 "cannot align empty sequences", id="dtw-empty"),
+    pytest.param(lambda: dsp.spectral_convergence(MFCC, dsp.Waveform(np.zeros(2048), SR)),
+                 DimensionMismatchError, "spectrogram shapes differ: (9, 513) vs (2, 13)",
+                 id="convergence-shape"),
+    pytest.param(lambda: dsp.griffin_lim(dsp.FeatureSeq(np.ones((2, 13)), 1.0,
+                                                        "magnitude_spectrogram")),
+                 DimensionMismatchError, "spectrogram has 13 bins but the config implies 513",
+                 id="griffin-lim-bins"),
+    pytest.param(lambda: dsp.resample(tone(220.0, 0.1), 0), InvalidRateError,
+                 "target rate must be positive, got 0", id="resample-rate"),
+])
+def test_guard_raises_its_class_and_message(call, error, message):
+    with pytest.raises(VoxkitError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

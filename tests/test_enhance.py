@@ -12,6 +12,8 @@ from voxkit.errors import (
     EmptySignalError,
     InvalidConfigError,
     LengthMismatchError,
+    RateMismatchError,
+    VoxkitError,
 )
 
 SR = 22050
@@ -373,3 +375,22 @@ def test_normalize_memory_is_its_output(long_pair):
 def test_vad_memory_is_per_frame_and_a_block(long_pair):
     n_frames = LONG // enhance.frame_length_samples(SR)
     assert peak_bytes(enhance.vad_label, long_pair[0]) <= 16 * n_frames + SLACK
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: enhance.estimate_snr(wav([0.5] * 4), wav([0.5] * 4, sr=16000)),
+                 RateMismatchError, f"sample rates differ: {SR} vs 16000", id="pair-rate"),
+    pytest.param(lambda: enhance.FrameLabels(np.ones((2, 2))), InvalidConfigError,
+                 "labels must be a non-empty 1-D array", id="labels-shape"),
+    pytest.param(lambda: enhance.SilencePolicy(fill="pink"), InvalidConfigError,
+                 "fill must be 'zeros' or 'comfort_noise', got 'pink'", id="silence-fill"),
+    pytest.param(lambda: enhance.estimate_snr(wav([]), wav([])), EmptySignalError,
+                 "cannot estimate SNR of empty signals", id="snr-empty"),
+    pytest.param(lambda: enhance.normalize_volume(wav([])), EmptySignalError,
+                 "cannot normalize an empty signal", id="normalize-empty"),
+])
+def test_guard_raises_its_class_and_message(call, error, message):
+    with pytest.raises(VoxkitError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -6,7 +6,9 @@ from voxkit.errors import (
     EmptyTrackError,
     FrameRateMismatchError,
     InvalidConfigError,
+    InvalidRateError,
     TrackLengthWarning,
+    VoxkitError,
 )
 
 SR = 22050
@@ -119,3 +121,17 @@ class TestAlign:
         with pytest.raises(EmptyTrackError):
             pitch.align_tracks(empty, empty)
 
+
+@pytest.mark.parametrize("f0, voiced, frame_rate, error, message", [
+    pytest.param([[100.0]], [[True]], 86.0, InvalidConfigError,
+                 "f0 and voiced must be 1-D arrays of equal length", id="shape"),
+    pytest.param([100.0, -1.0], [True, True], 86.0, InvalidConfigError,
+                 "f0 values must be finite and non-negative", id="negative-f0"),
+    pytest.param([100.0], [True], 0.0, InvalidRateError,
+                 "frame rate must be positive, got 0.0", id="frame-rate"),
+])
+def test_track_guard_raises_its_class_and_message(f0, voiced, frame_rate, error, message):
+    with pytest.raises(VoxkitError) as info:
+        make_track(f0, voiced, frame_rate)
+    assert type(info.value) is error
+    assert str(info.value) == message

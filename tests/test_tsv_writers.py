@@ -379,6 +379,32 @@ def test_metrics_summary_of_absent_means(tmp_path, monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("which, cer_cells, errors, cer_line", [
+    ("cer,mcd", b"0.5\t0.5\t0.0\t0.0", b"u2\tcer\thyp_text is missing\n",
+     "CER (S/D/I): 50.0 (50.0/0.0/0.0)\n"),
+    ("mcd,mcd", b"\t\t\t", b"", ""),
+], ids=["cer,mcd", "mcd,mcd"])
+def test_metrics_which_runs_each_metric_once_in_report_order(
+    which, cer_cells, errors, cer_line, tmp_path, monkeypatch, capsys
+):
+    # Error rows and summary lines follow the report's columns, and a repeated name runs once.
+    files, stdout = _fixed_metrics_run(
+        tmp_path, monkeypatch, capsys, ["--which", which], ["a c", ""],
+        {"mcd": [1.5, VoxkitError("no cepstra")], "cer": [(0.5, 0.5, 0.0, 0.0)]},
+    )
+    assert files["report.tsv"] == (
+        b"id\tmcd\tmsd\tgpe\tvde\tffe\tcer\tsubstitutions\tdeletions\tinsertions\n"
+        b"u1\t1.5\t\t\t\t\t" + cer_cells + b"\n"
+        b"u2\t\t\t\t\t\t\t\t\t\n"
+        b"mean\t1.5\t\t\t\t\t" + cer_cells + b"\n"
+    )
+    assert files["errors.tsv"] == b"id\tstage\terror\nu2\tmcd\tno cepstra\n" + errors
+    assert stdout == (
+        "MCD: 1.5000\n" + cer_line
+        + f"wrote 2 rows to <out>/report.tsv ({1 + bool(errors)} errors)\n"
+    )
+
+
 def test_preprocess_dropped_report_and_summary(tmp_path, capsys):
     # FLT drops three utterances and keeps one. Each dropped row holds its input
     # audio cell, the duration after VAD-2, DN's snr_db, the CER and the reason.

@@ -1,3 +1,4 @@
+import errno
 import struct
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak_bytes, speechlike
+from conftest import failing_open, peak_bytes, speechlike
 from oracles import read_wav_scipy, write_wav_scipy
 from voxkit import wavio
 from voxkit.dsp import BLOCK_SAMPLES, Waveform
@@ -96,9 +97,9 @@ def test_rejects_file_cut_inside_header(tmp_path, n_bytes):
         wavio.read_wav(path)
 
 
-# Byte 19 of the fmt chunk size, which then runs past the end of the file, and the
-# channel count at byte 22.
-@pytest.mark.parametrize("offset, value", [(19, 50), (22, 0)])
+# Byte 19 of the fmt chunk size, which then runs past the end of the file, the
+# channel count at byte 22, and byte 16, which makes the fmt chunk 14 bytes.
+@pytest.mark.parametrize("offset, value", [(19, 50), (22, 0), (16, 14)])
 @pytest.mark.filterwarnings("ignore::voxkit.errors.TruncatedWavWarning")
 def test_rejects_corrupt_header_field(tmp_path, offset, value):
     path = tmp_path / "bad.wav"
@@ -164,6 +165,25 @@ def test_write_rate_must_fit_the_byte_rate_field(tmp_path):
     with pytest.raises(UnsupportedWavError, match=f"sample rate {2**31} Hz does not fit"):
         wavio.write_wav(over, Waveform(np.array([0.25, -0.5]), 2**31))
     assert not over.exists()
+
+
+@pytest.mark.parametrize("error, fail_at", [
+    (OSError(errno.ENOSPC, "No space left on device"), 2),  # the data, after the header
+    (OSError(errno.ENOSPC, "No space left on device"), "close"),  # the flush of a full buffer
+    (KeyboardInterrupt(), 1),
+], ids=["data", "close", "interrupt"])
+def test_a_failed_write_leaves_no_file(error, fail_at, tmp_path, monkeypatch):
+    monkeypatch.setattr(wavio, "open", failing_open("f.wav", error, fail_at), raising=False)
+    with pytest.raises(type(error)):
+        wavio.write_wav(tmp_path / "f.wav", Waveform(np.zeros(100), 8000))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_open_removes_nothing(tmp_path):
+    (tmp_path / "d.wav").mkdir()
+    with pytest.raises(IsADirectoryError):
+        wavio.write_wav(tmp_path / "d.wav", Waveform(np.zeros(100), 8000))
+    assert (tmp_path / "d.wav").is_dir()
 
 
 @pytest.mark.parametrize("n_data_bytes", [0, 1, 57, 199])
