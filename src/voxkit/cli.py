@@ -14,7 +14,7 @@ import tokenize
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 from functools import cache, partial
 from pathlib import Path
@@ -49,11 +49,11 @@ def _run_utterances(func, items: dict, args, cfg, stage: str):
     """Map func(id, item, args, cfg, stage) over items.
 
     The map runs in up to --workers processes, never more than one per utterance. func returns
-    (value, errors), errors being (stage, message) rows. stage is a one-item list naming the
-    stage func is in, starting at the given label; a VoxkitError, OSError or MemoryError that
-    func raises gives the value None and one error row for that stage. Once all items are done,
-    the UTTERANCE_WARNINGS each raised go to stderr as `warning: <id>: <Category>: <message>`
-    lines. Returns ({id: value}, rows of (id, stage, message)); all three are in item order.
+    its value. stage is a _Stage whose label starts at the given one; a failure that func
+    raises gives the value None and one error row for stage.label, and func may contain a
+    failure of its own with stage.contain. Once all items are done, the UTTERANCE_WARNINGS
+    each raised go to stderr as `warning: <id>: <Category>: <message>` lines. Returns
+    ({id: value}, rows of (id, stage, message)); all three are in item order.
 
     The map runs with the heap frozen (gc.freeze), unless the caller froze it already. The
     objects the import left then take no part in a collection, here or in a forked worker:
@@ -83,27 +83,41 @@ def _run_utterances(func, items: dict, args, cfg, stage: str):
     return values, error_rows
 
 
+class _Stage:
+    """The label of the stage one utterance is in, and the (stage, message) row of each failure."""
+
+    def __init__(self, label: str):
+        self.label = label
+        self.errors = []
+
+    @contextmanager
+    def contain(self, label=None):
+        """Turn a failure raised in the block into one error row for label, or for self.label
+        as it is then; the work goes on after the block."""
+        try:
+            yield
+        # A header that claims a huge size (a .npy shape) asks for more memory than
+        # the machine has; only that input fails.
+        except (VoxkitError, OSError, MemoryError) as exc:
+            self.errors.append((label or self.label, str(exc)))
+
+
 def _attempt(func, label, args, cfg, named_item):
-    """(value, errors, caught): func's result and the UTTERANCE_WARNINGS it raised.
+    """(value, errors, caught): func's value or None, its error rows, its UTTERANCE_WARNINGS.
 
     Other warnings are shown once func returns, and the warning filters apply to all of them.
     """
     utterance_id, item = named_item
-    stage = [label]
-    with warnings.catch_warnings(record=True) as log:
-        try:
-            value, errors = func(utterance_id, item, args, cfg, stage)
-        # A header that claims a huge size (a .npy shape) asks for more memory than
-        # the machine has; only that input fails.
-        except (VoxkitError, OSError, MemoryError) as exc:
-            value, errors = None, ((stage[0], str(exc)),)
+    stage, value = _Stage(label), None
+    with warnings.catch_warnings(record=True) as log, stage.contain():
+        value = func(utterance_id, item, args, cfg, stage)
     caught = []
     for w in log:
         if issubclass(w.category, UTTERANCE_WARNINGS):
             caught.append(f"{w.category.__name__}: {w.message}")
         else:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-    return value, errors, tuple(caught)
+    return value, tuple(stage.errors), tuple(caught)
 
 
 def _out_wav(out_dir, utterance_id: str) -> Path:
@@ -147,7 +161,7 @@ def _file_key(path):
 
 class UsageError(Exception):
     """A run refused before it writes a file; main prints it as a usage error. It is no
-    VoxkitError, so neither _attempt nor main's runtime handler catches it."""
+    VoxkitError, so neither _Stage.contain nor main's runtime handler catches it."""
 
 
 def _sanitize(message: str) -> str:
@@ -157,14 +171,10 @@ def _sanitize(message: str) -> str:
     return message.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
 
-def _write_errors(path, rows) -> None:
-    cells = [(_sanitize(name), stage, _sanitize(error)) for name, stage, error in rows]
-    write_tsv(path, ("id", "stage", "error"), cells)
-
-
 def _finish(paths: dict, error_rows, wrote: str) -> None:
     """End a per-utterance command: its errors.tsv from paths, then the `wrote ...` line."""
-    _write_errors(paths["errors.tsv"], error_rows)
+    cells = [(_sanitize(name), stage, _sanitize(error)) for name, stage, error in error_rows]
+    write_tsv(paths["errors.tsv"], ("id", "stage", "error"), cells)
     print(_sanitize(f"wrote {wrote} ({len(error_rows)} errors)"))
 
 
@@ -356,7 +366,7 @@ def _preprocess_one(utterance_id, record, args, cfg, stage):
     snr_db = record.snr_db
     for name in cfg["stages"]:
         if name != "FLT":  # a failed WAV write is charged to the last audio stage
-            stage[0] = name
+            stage.label = name
         if name == "DN":
             # Without --enhanced-dir, DN uses the identity enhancer.
             enhanced = w if args.enhanced_dir is None else _load_enhanced(audio, args)
@@ -370,13 +380,11 @@ def _preprocess_one(utterance_id, record, args, cfg, stage):
             w = enhance.normalize_volume(w)
         durations.append(w.duration_s)
     wavio.write_wav(out_path, w)
-    cer, errors = record.cer, ()
+    cer = record.cer
     if "FLT" in cfg["stages"] and cer is None and record.text and record.hyp_text:
-        try:
+        with stage.contain("FLT"):
             cer = metrics.cer(record.text, record.hyp_text).cer
-        except VoxkitError as exc:
-            errors = (("FLT", str(exc)),)
-    return (replace(record, snr_db=snr_db, cer=cer), durations), errors
+    return replace(record, snr_db=snr_db, cer=cer), durations
 
 
 def cmd_preprocess(args, cfg) -> None:
@@ -458,13 +466,11 @@ def _metrics_one(utterance_id, pair, args, cfg, stage):
             _load(corpus.resolve_audio_path(hyp, args.hyp_manifest), args.sample_rate),
         )
     log_mels = cache(lambda: metrics.log_mel_pair(*audio, cfg["mel"]))
-    row, errors = {}, []
+    row = {}
     for name in cfg["which"]:
-        try:
+        with stage.contain(name):
             row.update(_metric_cells(name, ref, hyp, audio, log_mels, cfg["stft"]))
-        except VoxkitError as exc:
-            errors.append((name, str(exc)))
-    return row, tuple(errors)
+    return row
 
 
 def cmd_metrics(args, cfg) -> None:
@@ -504,7 +510,7 @@ def cmd_metrics(args, cfg) -> None:
 
 
 def _snr_one(utterance_id, audio, args, cfg, stage):
-    return enhance.estimate_snr(_load(audio, args.sample_rate), _load_enhanced(audio, args)), ()
+    return enhance.estimate_snr(_load(audio, args.sample_rate), _load_enhanced(audio, args))
 
 
 def cmd_snr(args, cfg) -> None:
@@ -564,7 +570,7 @@ def _vocode_one(name, source, args, cfg, stage):
     rebuilt = dsp.griffin_lim(target, stft_cfg, n_iters=args.iters, seed=seed)
     gap = dsp.spectral_convergence(target, rebuilt, stft_cfg)
     wavio.write_wav(out_path, rebuilt)
-    return gap, ()
+    return gap
 
 
 def cmd_vocode(args, cfg) -> None:

@@ -791,7 +791,7 @@ def _probes_frozen_where_run(utterance_id, item, args, cfg, stage):
     it runs, or the error its item names."""
     if item is not None:
         raise item
-    return (_frozen("early"), _frozen("late")), ()
+    return _frozen("early"), _frozen("late")
 
 
 @pytest.mark.parametrize("caller_froze", [False, True], ids=["unfrozen", "caller-froze"])
@@ -1930,7 +1930,11 @@ _WAV_FILES = st.sampled_from(["<i2", "<f4"]).flatmap(
 
 
 # The table each command lists its successes in, and the flags that keep its runs small.
-_DRAWN_WAV_RUNS = {"vocode": ("roundtrip.tsv", _VOCODE_SMALL), "vad": ("manifest.tsv", [])}
+_DRAWN_WAV_RUNS = {
+    "vocode": ("roundtrip.tsv", _VOCODE_SMALL),
+    "vad": ("manifest.tsv", []),
+    "preprocess": ("manifest.tsv", ["--stages", "DN,VAD-1,VN"]),
+}
 
 
 @pytest.mark.parametrize("command", list(_DRAWN_WAV_RUNS))
@@ -1941,7 +1945,7 @@ def test_drawn_wavs_give_one_row_per_file_and_the_same_bytes_at_two_workers(
     tmp_path_factory, command, files
 ):
     table, small = _DRAWN_WAV_RUNS[command]
-    if command == "vad":  # a whole file may still be all silence, so no success is sure
+    if command != "vocode":  # a whole file may still be all silence, so no success is sure
         files = [(data, ok if isinstance(ok, str) or ok is False else None) for data, ok in files]
     work = tmp_path_factory.mktemp("drawn_wav")
     (work / "wavs").mkdir()
@@ -2291,6 +2295,71 @@ def test_log_mel_failure_gives_mcd_and_msd_rows(tmp_path, monkeypatch, capsys):
     assert rows == [[u, m, "no log-mel"] for u in ("utt000", "utt001") for m in ("mcd", "msd")]
     report = [line.split("\t") for line in out["report.tsv"].decode().splitlines()[1:-1]]
     assert [row[1:4] for row in report] == [["", "", "0.0"]] * 2  # mcd, msd absent; gpe kept
+
+
+_NO_MEMORY = "Unable to allocate 19.9 GiB for an array with shape (51681, 51681)"
+
+
+def _raise_no_memory(*args):
+    raise MemoryError(_NO_MEMORY)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_memory_error_in_one_metric_is_that_metrics_row_alone(
+    workers, tmp_path, monkeypatch, capsys
+):
+    # A long pair can ask cdist for more memory than the machine has. Here only msd's
+    # 80-column log-mels do, so mcd, f0 and cer keep the cells of a run where none fails.
+    root = tmp_path / "corpus"
+    manifest = build_corpus(root, 2, seed=37)
+    hyp = tuple(
+        replace(r, audio_path=f"enh/{r.utterance_id}.enhanced.wav")
+        for r in corpus.load_manifest(manifest)
+    )
+    corpus.save_manifest(corpus.Manifest(hyp), root / "hyp.tsv")
+    argv = ["metrics", "--ref-manifest", str(manifest), "--hyp-manifest", str(root / "hyp.tsv")]
+    argv += ["--workers", workers]
+    whole = json.loads(_run_bytes(argv, tmp_path / "whole", capsys)["report.json"])
+    dtw_rmse = metrics.dtw_rmse
+
+    def wide_fails(a, b):
+        if a.shape[1] == 80:
+            _raise_no_memory()
+        return dtw_rmse(a, b)
+
+    monkeypatch.setattr(metrics, "dtw_rmse", wide_fails)
+    out = _run_bytes(argv, tmp_path / "m", capsys)
+    assert out["errors.tsv"].decode() == "id\tstage\terror\n" + "".join(
+        f"{u}\tmsd\t{_NO_MEMORY}\n" for u in ("utt000", "utt001")
+    )
+    rows = json.loads(out["report.json"])["utterances"]
+    assert [row.pop("msd") for row in rows] == [None, None]
+    assert None not in [row.pop("msd") for row in whole["utterances"]]
+    assert rows == whole["utterances"]  # the mcd, gpe/vde/ffe and cer cells
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_memory_error_in_flts_cer_is_an_flt_row_and_a_missing_field_drop(
+    workers, tmp_path, monkeypatch, capsys
+):
+    build_corpus(tmp_path, 2, seed=41)
+    monkeypatch.setattr(metrics, "cer", _raise_no_memory)
+    argv = _minimal_argv("preprocess", tmp_path) + ["--stages", "VAD-1,VN,FLT", "--flt", "cer"]
+    assert cli.main(argv + ["--workers", workers]) == cli.EXIT_OK
+    table = [line.split() for line in capsys.readouterr().out.splitlines()[1:-1]]
+    # Each utterance made it through the audio stages, and FLT dropped it.
+    assert [(row[0], row[2]) for row in table] == [
+        ("Raw", "2"), ("VAD-1", "2"), ("VAD-1+VN", "2"), ("VAD-1+VN+FLT", "0")
+    ]
+    out_dir = tmp_path / "out"
+    assert (out_dir / "errors.tsv").read_text() == "id\tstage\terror\n" + "".join(
+        f"{u}\tFLT\t{_NO_MEMORY}\n" for u in ("utt000", "utt001")
+    )
+    dropped = [line.split("\t") for line in (out_dir / "dropped.tsv").read_text().splitlines()]
+    assert [(row[0], row[-1]) for row in dropped[2:]] == [
+        ("utt000", corpus.MISSING_FIELD_REASON), ("utt001", corpus.MISSING_FIELD_REASON)
+    ]
+    assert not list(out_dir.glob("*.wav"))
 
 
 @pytest.mark.parametrize("command, wrote", [

@@ -79,23 +79,25 @@ def test_write_report_tsv(tmp_path):
     )
 
 
-def test_write_errors(tmp_path):
+def test_write_errors(tmp_path, capsys):
     path = tmp_path / "errors.tsv"
-    cli._write_errors(path, [
+    cli._finish({"errors.tsv": path}, [
         ("utt1", "load", "bad\tcell\nacross\rlines"),
         ("utt2", "FLT", "reference text is empty"),
-    ])
+    ], "0 utterances to out")
     assert path.read_bytes() == (
         b"id\tstage\terror\n"
         b"utt1\tload\tbad cell across lines\n"
         b"utt2\tFLT\treference text is empty\n"
     )
+    assert capsys.readouterr().out == "wrote 0 utterances to out (2 errors)\n"
 
 
-def test_write_errors_without_rows(tmp_path):
+def test_write_errors_without_rows(tmp_path, capsys):
     path = tmp_path / "errors.tsv"
-    cli._write_errors(path, [])
+    cli._finish({"errors.tsv": path}, [], "2 utterances to out")
     assert path.read_bytes() == b"id\tstage\terror\n"
+    assert capsys.readouterr().out == "wrote 2 utterances to out (0 errors)\n"
 
 
 def test_vocode_roundtrip_tsv(tmp_path, monkeypatch, capsys):
