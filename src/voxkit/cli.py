@@ -567,8 +567,7 @@ def _vocode_one(name, source, args, cfg, stage):
         rate = args.sample_rate / stft_cfg.hop_length
         target = dsp.FeatureSeq(frames, rate, "magnitude_spectrogram")
     seed = derive_seed(args.seed, name)
-    rebuilt = dsp.griffin_lim(target, stft_cfg, n_iters=args.iters, seed=seed)
-    gap = dsp.spectral_convergence(target, rebuilt, stft_cfg)
+    rebuilt, gap = dsp.griffin_lim(target, stft_cfg, n_iters=args.iters, seed=seed)
     wavio.write_wav(out_path, rebuilt)
     return gap
 

@@ -484,14 +484,14 @@ def dtw_align(a, b) -> DtwAlignment:
 
 def griffin_lim(
     spec: FeatureSeq, cfg: StftConfig = StftConfig(), n_iters: int = 32, seed: int = 0
-) -> Waveform:
+) -> tuple[Waveform, float]:
     """Reconstruct audio from a magnitude spectrogram by phase iteration.
 
     Starts from random phases drawn from the seeded generator, then
     alternates resynthesis and reanalysis with GRIFFIN_LIM_MOMENTUM extrapolation,
-    keeping the target magnitude throughout. Returns the iterate with the
+    keeping the target magnitude throughout. Returns the iterate w with the
     smallest relative magnitude gap, so more iterations never reconstruct
-    worse for a fixed seed.
+    worse for a fixed seed, and that gap: (w, spectral_convergence(spec, w, cfg)).
     """
     if spec.kind != "magnitude_spectrogram":
         raise InvalidConfigError(f"expected a magnitude spectrogram, got {spec.kind!r}")
@@ -511,7 +511,7 @@ def griffin_lim(
         raise InvalidConfigError("magnitude spectrogram's norm overflows float64")
     plan = _ola_plan(cfg, len(mag))
     if mag_norm == 0.0:
-        return Waveform(_normalized(np.zeros(plan[0]), cfg, plan), sample_rate)
+        return Waveform(_normalized(np.zeros(plan[0]), cfg, plan), sample_rate), 0.0
     # Iterate 0 is mag times random phases, drawn chunk by chunk in the order
     # of one whole draw, so no whole phase array is made.
     rng = np.random.default_rng(seed)
@@ -529,16 +529,17 @@ def griffin_lim(
     # holds the previous spectrum, so the momentum step is formed in step:
     # shrink * previous first, then rebuilt minus that. The error's chunk
     # sums are added in increasing chunk order, as _chunked_sum_squares adds
-    # them. Each pass over iterate k overlap-adds iterate k + 1 into nxt, so
-    # at most three signals are alive: the best, this one and the next.
+    # them, so the gap is spectral_convergence's, which scores the last iterate.
+    # Each pass over iterate k overlap-adds iterate k + 1 into nxt, so at most
+    # three signals are alive: the best, this one and the next.
     work = np.empty((min(len(mag), _CHUNK_FRAMES), cfg.n_bins))
     step = np.empty(work.shape, complex)
     rebuilt = np.zeros(mag.shape, complex)
     shrink = GRIFFIN_LIM_MOMENTUM / (1.0 + GRIFFIN_LIM_MOMENTUM)
     best_err = math.inf
     best = None
-    for k in range(n_iters + 1):
-        nxt = np.zeros(plan[0]) if k < n_iters else None
+    for _ in range(n_iters):
+        nxt = np.zeros(plan[0])
         gap_sq = 0.0
         for t, chunk in _windowed_chunks(y, cfg):
             buf, new = work[: len(chunk)], step[: len(chunk)]
@@ -547,19 +548,18 @@ def griffin_lim(
             np.abs(rebuilt[t], out=buf)
             buf -= mag[t]
             gap_sq += np.sum(np.multiply(buf, buf, out=buf))
-            if nxt is not None:
-                np.subtract(rebuilt[t], new, out=new)
-                np.abs(new, out=buf)
-                buf += 1e-16
-                np.divide(new, buf, out=new)
-                _add_frames(np.multiply(mag[t], new, out=new), cfg, nxt, t.start)
+            np.subtract(rebuilt[t], new, out=new)
+            np.abs(new, out=buf)
+            buf += 1e-16
+            np.divide(new, buf, out=new)
+            _add_frames(np.multiply(mag[t], new, out=new), cfg, nxt, t.start)
         err = math.sqrt(gap_sq) / mag_norm
         if err < best_err:
-            best_err = err
-            best = y
-        if nxt is not None:
-            y = _normalized(nxt, cfg, plan)  # iterate k is freed here unless it is best
-    return Waveform(best, sample_rate)
+            best_err, best = err, y
+        y = _normalized(nxt, cfg, plan)  # the analyzed iterate is freed here unless it is best
+    last = Waveform(y, sample_rate)
+    err = spectral_convergence(spec, last, cfg)
+    return (last, err) if err < best_err else (Waveform(best, sample_rate), best_err)
 
 
 def spectral_convergence(target: FeatureSeq, w: Waveform, cfg: StftConfig = StftConfig()) -> float:

@@ -132,8 +132,7 @@ def test_05_griffin_lim_converges(tone_waveform):
     start = time.perf_counter()
     errors = []
     for n_iters in (1, 2, 4, 8, 16, 32):
-        rebuilt = dsp.griffin_lim(target, cfg, n_iters=n_iters, seed=0)
-        errors.append(dsp.spectral_convergence(target, rebuilt, cfg))
+        errors.append(dsp.griffin_lim(target, cfg, n_iters=n_iters, seed=0)[1])
     elapsed = time.perf_counter() - start
     assert errors[-1] < 0.1
     assert all(errors[k + 1] <= errors[k] for k in range(len(errors) - 1))

@@ -1819,7 +1819,10 @@ def _check_rows(table, files, stderr):
     """Check that a run over files s00, s01, ... gave each file one row, in table (roundtrip.tsv,
     or manifest.tsv after its `# source:` line) or errors.tsv beside it, and a WAV only when
     it succeeded, and no stderr line but warnings. A file whose expected outcome is text must
-    fail with an error that starts with it."""
+    fail with an error that starts with it.
+
+    report.tsv instead lists every pair, then its mean row, and writes no WAV: a pair whose
+    cells are all empty must have its one errors.tsv row, and any other none."""
     out_dir = table.parent
     assert all(line.startswith("warning: s") for line in stderr.splitlines())
     lines = table.read_text().split("\n")
@@ -1827,6 +1830,9 @@ def _check_rows(table, files, stderr):
     rows = [line.split("\t") for line in (out_dir / "errors.tsv").read_text().split("\n")]
     failed = [row[0] for row in rows]
     names = [f"s{k:02d}" for k in range(len(files))]
+    if table.name == "report.tsv":
+        assert done[1:-2] == names and done[-2] == "mean"
+        done = ["id", *(row[0] for row in map(str.split, lines[1:-2]) if len(row) > 1), ""]
     assert done[0] == failed[0] == "id" and done[-1] == failed[-1] == ""
     assert sorted(done[1:-1] + failed[1:-1]) == names  # each file once, in one of the two
     for name, (_, ok) in zip(names, files):
@@ -1834,7 +1840,7 @@ def _check_rows(table, files, stderr):
             assert rows[failed.index(name)][2].startswith(ok)
         else:
             assert ok is None or ok == (name in done)
-        assert (out_dir / f"{name}.wav").exists() == (name in done)
+        assert (out_dir / f"{name}.wav").exists() == (name in done and table.name != "report.tsv")
 
 
 @given(files=st.lists(_NPY_FILES, min_size=1, max_size=4))
@@ -1934,6 +1940,7 @@ _DRAWN_WAV_RUNS = {
     "vocode": ("roundtrip.tsv", _VOCODE_SMALL),
     "vad": ("manifest.tsv", []),
     "preprocess": ("manifest.tsv", ["--stages", "DN,VAD-1,VN"]),
+    "metrics": ("report.tsv", ["--which", "mcd"]),  # each file is its pair's ref and hyp
 }
 
 
@@ -1945,7 +1952,7 @@ def test_drawn_wavs_give_one_row_per_file_and_the_same_bytes_at_two_workers(
     tmp_path_factory, command, files
 ):
     table, small = _DRAWN_WAV_RUNS[command]
-    if command != "vocode":  # a whole file may still be all silence, so no success is sure
+    if command in ("vad", "preprocess"):  # a whole file may be all silence: no success is sure
         files = [(data, ok if isinstance(ok, str) or ok is False else None) for data, ok in files]
     work = tmp_path_factory.mktemp("drawn_wav")
     (work / "wavs").mkdir()
@@ -1956,10 +1963,15 @@ def test_drawn_wavs_give_one_row_per_file_and_the_same_bytes_at_two_workers(
     corpus.save_manifest(corpus.Manifest(tuple(records), "Raw"), work / "manifest.tsv")
     inputs = _files(work)
     outputs = []
+    manifest = str(work / "manifest.tsv")
+    if command == "metrics":
+        sources = ["--ref-manifest", manifest, "--hyp-manifest", manifest]
+    else:
+        sources = ["--manifest", manifest]
     for workers in ("1", "2"):
         out_dir = work / f"out{workers}"
-        argv = [command, "--manifest", str(work / "manifest.tsv"), "--out-dir", str(out_dir)]
-        argv += ["--sample-rate", "16000", *small, "--workers", workers]
+        argv = [command, *sources, "--out-dir", str(out_dir), "--sample-rate", "16000"]
+        argv += [*small, "--workers", workers]
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             # audio bytes cannot make a usage error, so of exit 0 and 2 only 0 can arise

@@ -458,7 +458,7 @@ def magnitude(cfg, n_frames, seed):
 
 def griffin_lim(mag, cfg, n_iters, seed):
     spec = dsp.FeatureSeq(mag, 22050 / cfg.hop_length, "magnitude_spectrogram")
-    return dsp.griffin_lim(spec, cfg, n_iters=n_iters, seed=seed).samples
+    return dsp.griffin_lim(spec, cfg, n_iters=n_iters, seed=seed)[0].samples
 
 
 B = dsp._CHUNK_FRAMES
@@ -490,9 +490,20 @@ class TestStftRoundTrip:
             assert griffin_lim(mag, cfg, n_iters, 5).tobytes() == expected.tobytes(), n_iters
 
     def test_griffin_lim_all_zero_magnitude(self, cfg, n_frames):
-        mag = np.zeros((n_frames, cfg.n_bins))
-        expected = istft_frame_loop(mag.astype(np.complex128), cfg)
-        assert griffin_lim(mag, cfg, 4, 0).tobytes() == expected.tobytes()
+        spec = dsp.FeatureSeq(np.zeros((n_frames, cfg.n_bins)), 22050 / cfg.hop_length,
+                              "magnitude_spectrogram")
+        out, gap = dsp.griffin_lim(spec, cfg, n_iters=4, seed=0)
+        expected = istft_frame_loop(spec.frames.astype(np.complex128), cfg)
+        assert out.samples.tobytes() == expected.tobytes()
+        assert gap.hex() == dsp.spectral_convergence(spec, out, cfg).hex() == (0.0).hex()
+
+    # the gap griffin_lim returns is the one spectral_convergence measures on its output
+    @pytest.mark.parametrize("n_iters", [1, 2, 5])
+    def test_griffin_lim_gap_is_spectral_convergence(self, cfg, n_frames, n_iters):
+        mag = magnitude(cfg, n_frames, seed=n_frames)
+        spec = dsp.FeatureSeq(mag, 22050 / cfg.hop_length, "magnitude_spectrogram")
+        out, gap = dsp.griffin_lim(spec, cfg, n_iters=n_iters, seed=5)
+        assert gap.hex() == dsp.spectral_convergence(spec, out, cfg).hex()
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.float32, np.float64])

@@ -106,7 +106,8 @@ def test_vocode_roundtrip_tsv(tmp_path, monkeypatch, capsys):
     for name in ("a", "b", "c", "d"):
         np.save(spec_dir / f"{name}.npy", np.ones((4, 513)))
     gaps = iter([INF, -0.0, 0.1, 3])
-    monkeypatch.setattr(dsp, "spectral_convergence", lambda *args: next(gaps))
+    silence = dsp.Waveform(np.zeros(768), 22050)
+    monkeypatch.setattr(dsp, "griffin_lim", lambda *args, **kwargs: (silence, next(gaps)))
     out_dir = tmp_path / "out"
     code = cli.main([
         "vocode", "--spec-dir", str(spec_dir), "--out-dir", str(out_dir), "--iters", "1",
