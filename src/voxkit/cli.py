@@ -183,9 +183,12 @@ def _audio_files(manifest, manifest_path) -> list:
 
 
 def _input_audio(record, manifest_path, out_dir, **changes):
-    """record with changes, its audio cell pointing from out_dir at its input audio."""
-    audio = os.path.relpath(corpus.resolve_audio_path(record, manifest_path), out_dir)
-    return replace(record, audio_path=audio, **changes)
+    """record with changes, its audio cell the path from the real out_dir to the input audio's
+    name in its real directory; a path with a NUL byte names no file, and is taken as written."""
+    audio = corpus.resolve_audio_path(record, manifest_path)
+    with suppress(ValueError):  # realpath's error for a NUL byte
+        audio, out_dir = Path(os.path.realpath(audio.parent), audio.name), os.path.realpath(out_dir)
+    return replace(record, audio_path=os.path.relpath(audio, out_dir), **changes)
 
 
 def _print_stage_table(rows) -> None:
@@ -229,7 +232,7 @@ OUTPUTS = {
     ),
     "vad": lambda args, _: _under(args.out_dir, "manifest.tsv", "errors.tsv"),
     "metrics": lambda args, _: _under(args.out_dir, *metrics.REPORT_FILES, "errors.tsv"),
-    "snr": lambda args, _: {"--out": Path(args.out), **_under(Path(args.out).parent, "errors.tsv")},
+    "snr": lambda args, _: _under(args.out_dir, "manifest.tsv", "errors.tsv"),
     "vocode": lambda args, _: _under(args.out_dir, "roundtrip.tsv", "errors.tsv"),
     "filter": lambda args, _: _under(args.out_dir, "kept.tsv", "dropped.tsv"),
     "report": lambda args, _: {} if args.json is None else {"--json": Path(args.json)},
@@ -258,30 +261,22 @@ INPUTS = {
 
 
 def _refusal(args, cfg, audio, ids=()) -> None:
-    """Raise a UsageError saying why, if the run would write over a file it reads or write one
-    file twice; if it would not, make the directory of each of cfg["outputs"] and remove each
+    """Raise a UsageError saying why, if the run would write over a file it reads or over a
+    directory; if it would not, make the directory of each of cfg["outputs"] and remove each
     file the run will write, so that each is written as a new file, never through a link.
 
     The run reads what INPUTS declares, given audio, and writes cfg["outputs"] and, for each
     of ids, <out-dir>/<id>.wav, which it deletes again for a failed or dropped utterance. No
-    output may be an input, directly or through a link, no declared output may be a directory,
-    and no two declared outputs may be one file. An input that does not exist yet counts too:
-    the run could make it before it reads it.
+    output may be an input, directly or through a link, nor a declared output a directory.
+    An input that does not exist yet counts too: the run could make it before it reads it.
     """
     inputs = INPUTS[args.command](args, cfg.get("stages", ()), audio)
     taken = {key: kind for kind, paths in inputs.items() for key in map(_file_key, paths) if key}
-    written = {}
-    for name, path in cfg["outputs"].items():
-        key = _file_key(path)
-        if key in taken:
+    for path in cfg["outputs"].values():
+        if (key := _file_key(path)) in taken:
             raise UsageError(f"writing {path} would overwrite an input {taken[key]}")
-        if key in written:
-            raise UsageError(
-                f"{written[key]} must not be named {name}, which {args.command} writes beside it"
-            )
         if path.is_dir():
             raise UsageError(f"cannot write {path}, which is a directory")
-        written[key] = name
     clashes = []
     for utterance_id in ids:
         with suppress(InvalidConfigError):  # an id _out_wav refuses gets an error row instead
@@ -515,17 +510,17 @@ def _snr_one(utterance_id, audio, args, cfg, stage):
 
 def cmd_snr(args, cfg) -> None:
     manifest = corpus.load_manifest(args.manifest)
-    out_path = cfg["outputs"]["--out"]
     audio = {r.utterance_id: corpus.resolve_audio_path(r, args.manifest) for r in manifest}
     _refusal(args, cfg, audio.values())
+    paths = cfg["outputs"]
     snrs, error_rows = _run_utterances(_snr_one, audio, args, cfg, "snr")
     records = tuple(
-        _input_audio(record, args.manifest, out_path.parent, snr_db=snrs[record.utterance_id])
+        _input_audio(record, args.manifest, args.out_dir, snr_db=snrs[record.utterance_id])
         for record in manifest
         if snrs[record.utterance_id] is not None
     )
-    corpus.save_manifest(corpus.Manifest(records, manifest.source_tag), out_path)
-    _finish(cfg["outputs"], error_rows, f"{len(records)} utterances to {out_path}")
+    corpus.save_manifest(corpus.Manifest(records, manifest.source_tag), paths["manifest.tsv"])
+    _finish(paths, error_rows, f"{len(records)} utterances to {paths['manifest.tsv']}")
 
 
 # -------------------------------------------------------------------- vocode
@@ -659,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="voxkit",
         description="Speech corpus preprocessing and synthesis evaluation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    exact = partial(argparse.ArgumentParser, allow_abbrev=False)  # so --out is no --out-dir
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
     # Each flag is declared once, in the parent parser of the commands that read it.
     parents = (argparse.ArgumentParser(add_help=False) for _ in range(7))
     inputs, out, pool, seed, stft, vad, flt = parents
@@ -732,11 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("snr", parents=[inputs, pool], help="estimate SNR against enhanced audio")
-    p.add_argument(
-        "--enhanced-dir", required=True, help="directory of <name>.enhanced.wav files"
+    p = sub.add_parser(
+        "snr", parents=[inputs, out, pool], help="estimate SNR against enhanced audio"
     )
-    p.add_argument("--out", required=True, help="output manifest path")
+    p.add_argument("--enhanced-dir", required=True, help="directory of <name>.enhanced.wav files")
     p.set_defaults(func=cmd_snr)
 
     p = sub.add_parser(

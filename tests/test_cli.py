@@ -8,6 +8,7 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -466,7 +467,7 @@ class TestSnr:
         code = cli.main([
             "snr", "--manifest", str(small_corpus),
             "--enhanced-dir", str(small_corpus.parent / "enh"),
-            "--out", str(out),
+            "--out-dir", str(out.parent),
         ])
         assert code == cli.EXIT_OK
         capsys.readouterr()
@@ -491,7 +492,7 @@ class TestSnr:
 
         assert cli.main([
             "snr", "--manifest", str(manifest), "--enhanced-dir", str(root / "enh"),
-            "--out", str(out_dir / "scored.tsv"),
+            "--out-dir", str(out_dir),
         ]) == cli.EXIT_OK
         capsys.readouterr()
         lines = (out_dir / "errors.tsv").read_text().splitlines()
@@ -762,17 +763,18 @@ def test_worker_count_does_not_change_outputs(command, tmp_path, capsys):
     for workers in (1, 2):
         out_dir = tmp_path / f"out{workers}"
         argv = [command, "--manifest", str(manifest), "--workers", str(workers)]
+        argv += ["--out-dir", str(out_dir)]
         if command == "vad":
-            argv += ["--out-dir", str(out_dir), "--fill", "comfort_noise"]
+            argv += ["--fill", "comfort_noise"]
         elif command == "snr":
-            argv += ["--enhanced-dir", str(root / "enh"), "--out", str(out_dir / "scored.tsv")]
+            argv += ["--enhanced-dir", str(root / "enh")]
         else:
-            argv += ["--out-dir", str(out_dir), "--iters", "4"]
+            argv += ["--iters", "4"]
         assert cli.main(argv) == cli.EXIT_OK
         capsys.readouterr()
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
     assert outputs[0] == outputs[1]
-    # vad and vocode: 3 wavs, manifest.tsv or roundtrip.tsv, and errors.tsv
+    # vad and vocode: 3 wavs, manifest.tsv or roundtrip.tsv, and errors.tsv; snr: no wavs
     assert len(outputs[0]) == (2 if command == "snr" else 5)
     assert outputs[0]["errors.tsv"].decode().splitlines()[1].startswith("utt001\t")
 
@@ -844,7 +846,7 @@ def _corpus_with_unusable_audio(root):
 @pytest.mark.parametrize("command, stage, output", [
     ("preprocess", "load", "manifest.tsv"),
     ("metrics", "audio", "report.tsv"),
-    ("snr", "snr", "scored.tsv"),
+    ("snr", "snr", "manifest.tsv"),
     ("vocode", "vocode", "roundtrip.tsv"),
     ("vocode --spec-dir", "vocode", "roundtrip.tsv"),
 ])
@@ -858,7 +860,7 @@ def test_non_finite_or_empty_audio_is_one_error_row_each(command, stage, output,
             "metrics": ["metrics", "--ref-manifest", manifest, "--hyp-manifest", manifest,
                         "--out-dir", out_dir],
             "snr": ["snr", "--manifest", manifest, "--enhanced-dir", str(tmp_path / "corpus/enh"),
-                    "--out", f"{out_dir}/scored.tsv"],
+                    "--out-dir", out_dir],
             "vocode": ["vocode", "--manifest", manifest, "--out-dir", out_dir, "--iters", "2"],
             "vocode --spec-dir": ["vocode", "--spec-dir", str(tmp_path / "corpus/specs"),
                                   "--out-dir", out_dir, "--iters", "2"],
@@ -1018,7 +1020,7 @@ def _minimal_argv(command, root):
             "--out-dir", out_dir,
         ],
         "snr": ["snr", "--manifest", manifest, "--enhanced-dir", str(root / "enh"),
-                "--out", str(root / "out" / "scored.tsv")],
+                "--out-dir", out_dir],
         "vocode": ["vocode", "--manifest", manifest, "--out-dir", out_dir],
         "filter": ["filter", "--manifest", manifest, "--out-dir", out_dir],
         "report": ["report", "--manifest", manifest, "--json", str(root / "out" / "r.json")],
@@ -1440,7 +1442,7 @@ def test_each_id_wav_is_written_as_a_new_file(prepare, command, workers, tmp_pat
 # One file each command would write, made a directory beforehand: its path under root.
 DIRECTORY_OUTPUTS = {
     "preprocess": "out/dropped.tsv", "vad": "out/errors.tsv", "metrics": "out/report.json",
-    "snr": "out/scored.tsv", "vocode": "out/roundtrip.tsv", "filter": "out/kept.tsv",
+    "snr": "out/manifest.tsv", "vocode": "out/roundtrip.tsv", "filter": "out/kept.tsv",
     "report": "out/r.json",
 }
 
@@ -1481,13 +1483,16 @@ def test_output_that_would_overwrite_an_input_file_is_usage_error(
 ):
     manifest = build_corpus(tmp_path, 2, seed=37)
     path = tmp_path / target
-    before = _files(tmp_path)
     argv = [command, "--manifest", str(manifest)]
-    if command == "snr":
-        argv += ["--enhanced-dir", str(tmp_path / "enh"), "--out", str(path)]
+    if command == "snr":  # its outputs have fixed names, so one is made a link to the input
+        path = tmp_path / "out" / "manifest.tsv"
+        path.parent.mkdir()
+        path.symlink_to(tmp_path / target)
+        argv += ["--enhanced-dir", str(tmp_path / "enh"), "--out-dir", str(path.parent)]
         argv += ["--workers", workers]
     else:
         argv += ["--json", str(path)]
+    before = _files(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err == f"usage error: writing {path} would overwrite an input {kind}\n"
@@ -1510,52 +1515,47 @@ def test_output_linked_to_an_input_audio_file_is_usage_error(command, tmp_path, 
     assert _files(tmp_path) == before
 
 
-def test_snr_out_linked_to_its_errors_tsv_is_usage_error(tmp_path, capsys):
-    manifest = build_corpus(tmp_path, 2, seed=37)
-    out = tmp_path / "out" / "scored.tsv"
-    out.parent.mkdir()
-    out.symlink_to("errors.tsv")  # a dangling link: snr would make errors.tsv by writing --out
-    argv = ["snr", "--manifest", str(manifest), "--enhanced-dir", str(tmp_path / "enh")]
-    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "usage error: --out must not be named errors.tsv, which snr writes beside it\n"
-    )
-    assert captured.out == ""
-    assert sorted((tmp_path / "out").iterdir()) == [out]
-
-
 # Arguments that keep every WAV a run over build_corpus writes: FLT would drop some.
-KEEP_EVERY_WAV = {"preprocess": ["--stages", "VAD-1,VN"], "vad": [], "vocode": ["--iters", "2"]}
+KEEP_EVERY_WAV = {
+    "preprocess": ["--stages", "VAD-1,VN"], "vad": [], "vocode": ["--iters", "2"], "filter": [],
+}
 # The first line of each declared table.
 TABLE_HEADS = {
     "manifest.tsv": "# source: ", "errors.tsv": "id\tstage\terror\n",
-    "roundtrip.tsv": "id\tspectral_convergence\n",
+    "roundtrip.tsv": "id\tspectral_convergence\n", "kept.tsv": "# source: ",
+    "dropped.tsv": "# source: ",
 }
+# The declared tables linked to another declared table; the rest link to utt000.wav.
+TABLE_LINKS = {("filter", "kept.tsv"): "dropped.tsv", ("vad", "manifest.tsv"): "errors.tsv"}
 
 
 @pytest.mark.parametrize("target", ["dangling", "existing"])
 @pytest.mark.parametrize("command, name", [
     ("preprocess", "manifest.tsv"), ("vad", "errors.tsv"), ("vocode", "roundtrip.tsv"),
+    *TABLE_LINKS,
 ])
 def test_declared_output_linked_to_an_output_wav_is_kept_apart(
     command, name, target, tmp_path, capsys
 ):
-    # Refused until the check removed <id>.wav too: now it removes both the link and the
-    # WAV, and the run writes each as a file of its own.
+    # The check removes both the link and the file it names, a WAV or another table, so the
+    # run writes each as a file of its own.
     build_corpus(tmp_path, 2, seed=37)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
+    other = TABLE_LINKS.get((command, name), "utt000.wav")
     if target == "existing":  # left by an earlier run
-        (out_dir / "utt000.wav").write_bytes(b"earlier")
-    (out_dir / name).symlink_to("utt000.wav")  # writing through it would write the listed WAV
+        (out_dir / other).write_bytes(b"earlier")
+    (out_dir / name).symlink_to(other)  # writing through it would write the other file
     before = _files_outside(tmp_path, out_dir)
     assert cli.main(_minimal_argv(command, tmp_path) + KEEP_EVERY_WAV[command]) == cli.EXIT_OK
     capsys.readouterr()
-    table, wav = out_dir / name, out_dir / "utt000.wav"
-    assert not table.is_symlink() and not wav.is_symlink()
+    table, other = out_dir / name, out_dir / other
+    assert not table.is_symlink() and not other.is_symlink()
     assert table.read_text().startswith(TABLE_HEADS[name])
-    assert len(wavio.read_wav(wav)) > 0
+    if other.suffix == ".wav":
+        assert len(wavio.read_wav(other)) > 0
+    else:
+        assert other.read_text().startswith(TABLE_HEADS[other.name])
     assert _files_outside(tmp_path, out_dir) == before
 
 
@@ -1570,23 +1570,10 @@ def test_report_json_into_a_missing_directory_makes_it(tmp_path, capsys):
     assert capsys.readouterr().out == printed
 
 
-def test_snr_out_named_errors_tsv_is_usage_error(tmp_path, capsys):
-    manifest = build_corpus(tmp_path, 2, seed=37)
-    out = tmp_path / "out" / "errors.tsv"
-    argv = ["snr", "--manifest", str(manifest), "--enhanced-dir", str(tmp_path / "enh")]
-    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "usage error: --out must not be named errors.tsv, which snr writes beside it\n"
-    )
-    assert captured.out == ""
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("via", ["dir", "dir link"])
 @pytest.mark.parametrize("command, name", [
     ("preprocess", "manifest.tsv"), ("vad", "errors.tsv"), ("filter", "kept.tsv"),
-    ("snr", "scored.tsv"), ("metrics", "report.tsv"), ("vocode", "roundtrip.tsv"),
+    ("snr", "manifest.tsv"), ("metrics", "report.tsv"), ("vocode", "roundtrip.tsv"),
     ("report", "summary.json"),
 ])
 def test_output_that_would_overwrite_the_input_manifest_is_usage_error(
@@ -1605,7 +1592,7 @@ def test_output_that_would_overwrite_the_input_manifest_is_usage_error(
         "vad": ["vad", "--manifest", manifest, "--out-dir", str(out_dir)],
         "filter": ["filter", "--manifest", manifest, "--out-dir", str(out_dir)],
         "snr": ["snr", "--manifest", manifest, "--enhanced-dir", str(root / "enh"),
-                "--out", str(out_dir / name)],
+                "--out-dir", str(out_dir)],
         "metrics": ["metrics", "--ref-manifest", manifest, "--hyp-manifest", manifest,
                     "--out-dir", str(out_dir)],
         "vocode": ["vocode", "--manifest", manifest, "--out-dir", str(out_dir)],
@@ -1618,6 +1605,38 @@ def test_output_that_would_overwrite_the_input_manifest_is_usage_error(
     )
     assert captured.out == ""
     assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+
+
+@pytest.mark.parametrize("command, tables", [
+    ("filter", ("kept.tsv", "dropped.tsv")),
+    ("snr", ("manifest.tsv",)),
+    ("preprocess", ("dropped.tsv",)),  # FLT drops every record: none has an SNR
+], ids=["filter", "snr", "preprocess"])
+def test_input_audio_cells_name_the_input_through_a_linked_out_dir(
+    command, tables, tmp_path, capsys
+):
+    root = tmp_path / "corpus"
+    manifest = str(build_corpus(root, 3, seed=41))
+    raw = root / "raw"
+    (raw / "utt002.wav").rename(root / "real002.wav")
+    (raw / "utt002.wav").symlink_to(root / "real002.wav")
+    (tmp_path / "elsewhere" / "real").mkdir(parents=True)
+    out_dir = tmp_path / "outlink"  # "../corpus" from here is elsewhere/corpus, which is absent
+    out_dir.symlink_to(tmp_path / "elsewhere" / "real", target_is_directory=True)
+    argv = [command, "--manifest", manifest, "--out-dir", str(out_dir)]
+    argv += {"filter": [], "snr": ["--enhanced-dir", str(root / "enh")],
+             "preprocess": ["--stages", "FLT"]}[command]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    cells = {}
+    for table in tables:
+        lines = [line.split("\t") for line in (out_dir / table).read_text().splitlines()[1:]]
+        column = lines[0].index("audio")
+        cells.update((row[0], row[column]) for row in lines[1:])
+    assert sorted(cells) == ["utt000", "utt001", "utt002"]
+    for utterance_id, cell in cells.items():
+        assert os.path.samefile(out_dir / cell, raw / f"{utterance_id}.wav")
+        assert Path(cell).name == f"{utterance_id}.wav"  # a linked WAV stays a link
 
 
 def test_metrics_builds_one_pitch_config_per_run(tmp_path, monkeypatch, capsys):
@@ -1821,8 +1840,10 @@ def _check_rows(table, files, stderr):
     it succeeded, and no stderr line but warnings. A file whose expected outcome is text must
     fail with an error that starts with it.
 
-    report.tsv instead lists every pair, then its mean row, and writes no WAV: a pair whose
-    cells are all empty must have its one errors.tsv row, and any other none."""
+    report.tsv instead lists every pair, then its mean row, and writes no WAV. A pair succeeds
+    when any of its cells is filled. Each of its failures has one errors.tsv row: a failed
+    audio read one `audio` row alone, and a failed metric one row under its name. A pair with
+    no cell filled has a row, and the cells of each metric with a row are empty."""
     out_dir = table.parent
     assert all(line.startswith("warning: s") for line in stderr.splitlines())
     lines = table.read_text().split("\n")
@@ -1830,11 +1851,23 @@ def _check_rows(table, files, stderr):
     rows = [line.split("\t") for line in (out_dir / "errors.tsv").read_text().split("\n")]
     failed = [row[0] for row in rows]
     names = [f"s{k:02d}" for k in range(len(files))]
+    assert done[0] == failed[0] == "id" and done[-1] == failed[-1] == ""
     if table.name == "report.tsv":
         assert done[1:-2] == names and done[-2] == "mean"
-        done = ["id", *(row[0] for row in map(str.split, lines[1:-2]) if len(row) > 1), ""]
-    assert done[0] == failed[0] == "id" and done[-1] == failed[-1] == ""
-    assert sorted(done[1:-1] + failed[1:-1]) == names  # each file once, in one of the two
+        header, done = lines[0].split("\t"), []
+        for pair in (dict(zip(header, line.split("\t"))) for line in lines[1:-2]):
+            stages = [row[1] for row in rows if row[0] == pair["id"]]
+            assert len(set(stages)) == len(stages)
+            assert "audio" not in stages or stages == ["audio"]
+            for stage in stages:
+                assert not any(pair[c] for c in metrics.METRIC_COLUMNS.get(stage, header[1:]))
+            if any(pair[c] for c in header[1:]):
+                done.append(pair["id"])
+            else:
+                assert stages
+        assert set(failed[1:-1]) <= set(names)
+    else:
+        assert sorted(done[1:-1] + failed[1:-1]) == names  # each file once, in one of the two
     for name, (_, ok) in zip(names, files):
         if isinstance(ok, str):
             assert rows[failed.index(name)][2].startswith(ok)
@@ -1935,39 +1968,61 @@ _WAV_FILES = st.sampled_from(["<i2", "<f4"]).flatmap(
 )
 
 
-# The table each command lists its successes in, and the flags that keep its runs small.
+def _pair_outcome(ref, hyp):
+    """A metrics pair's expected outcome from those of its two files (see _wav_file). The
+    reference is read first, so its failure is the pair's. A reference that may fail beside a
+    hypothesis that must fail makes a pair that must fail, with no sure message."""
+    if ref is True:
+        return hyp
+    if ref is None and hyp is not None and hyp is not True:
+        return False
+    return ref
+
+
+# The table each run lists its successes in, and the flags that keep it small. A run's name
+# starts with its command.
 _DRAWN_WAV_RUNS = {
     "vocode": ("roundtrip.tsv", _VOCODE_SMALL),
     "vad": ("manifest.tsv", []),
     "preprocess": ("manifest.tsv", ["--stages", "DN,VAD-1,VN"]),
     "metrics": ("report.tsv", ["--which", "mcd"]),  # each file is its pair's ref and hyp
+    # each file is its pair's hyp, beside a ref drawn apart; the text lets cer run
+    "metrics pairs": ("report.tsv", ["--which", "mcd,msd,f0,cer"]),
 }
 
 
-@pytest.mark.parametrize("command", list(_DRAWN_WAV_RUNS))
-@given(files=st.lists(_WAV_FILES, min_size=1, max_size=3))
+@pytest.mark.parametrize("run", list(_DRAWN_WAV_RUNS))
+@given(files=st.lists(_WAV_FILES, min_size=1, max_size=3), data=st.data())
 @settings(max_examples=25, deadline=None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # would print as no utterance's warning
 def test_drawn_wavs_give_one_row_per_file_and_the_same_bytes_at_two_workers(
-    tmp_path_factory, command, files
+    tmp_path_factory, run, files, data
 ):
-    table, small = _DRAWN_WAV_RUNS[command]
+    table, small = _DRAWN_WAV_RUNS[run]
+    command = run.split()[0]
     if command in ("vad", "preprocess"):  # a whole file may be all silence: no success is sure
-        files = [(data, ok if isinstance(ok, str) or ok is False else None) for data, ok in files]
+        files = [(wav, ok if isinstance(ok, str) or ok is False else None) for wav, ok in files]
+    sides = {"wavs": files}
+    if run == "metrics pairs":
+        sides["refs"] = data.draw(st.lists(_WAV_FILES, min_size=len(files), max_size=len(files)))
+        files = [(b"", _pair_outcome(r, h)) for (_, r), (_, h) in zip(sides["refs"], files)]
     work = tmp_path_factory.mktemp("drawn_wav")
-    (work / "wavs").mkdir()
-    records = []
-    for k, (data, _) in enumerate(files):
-        (work / "wavs" / f"s{k:02d}.wav").write_bytes(data)
-        records.append(corpus.UtteranceRecord(f"s{k:02d}", f"wavs/s{k:02d}.wav", 1.0))
-    corpus.save_manifest(corpus.Manifest(tuple(records), "Raw"), work / "manifest.tsv")
+    for side, drawn in sides.items():
+        (work / side).mkdir()
+        records = tuple(
+            corpus.UtteranceRecord(f"s{k:02d}", f"{side}/s{k:02d}.wav", 1.0, "a b c", "a c d")
+            for k in range(len(drawn))
+        )
+        for k, (wav, _) in enumerate(drawn):
+            (work / side / f"s{k:02d}.wav").write_bytes(wav)
+        corpus.save_manifest(corpus.Manifest(records, "Raw"), work / f"{side}.tsv")
     inputs = _files(work)
     outputs = []
-    manifest = str(work / "manifest.tsv")
+    manifests = [str(work / f"{side}.tsv") for side in ("refs", "wavs") if side in sides]
     if command == "metrics":
-        sources = ["--ref-manifest", manifest, "--hyp-manifest", manifest]
+        sources = ["--ref-manifest", manifests[0], "--hyp-manifest", manifests[-1]]
     else:
-        sources = ["--manifest", manifest]
+        sources = ["--manifest", manifests[0]]
     for workers in ("1", "2"):
         out_dir = work / f"out{workers}"
         argv = [command, *sources, "--out-dir", str(out_dir), "--sample-rate", "16000"]
@@ -1984,12 +2039,13 @@ def test_drawn_wavs_give_one_row_per_file_and_the_same_bytes_at_two_workers(
     assert {p.parent for p in written if p not in inputs} <= {work / "out1", work / "out2"}
 
 
-# Every (command, flag) pair that the shared flags once gave a command that never read it.
+# Every (command, flag) pair that the shared flags once gave a command that never read it, and
+# snr's --out, which --out-dir replaced: no flag passes as an abbreviation of another.
 REMOVED_FLAGS = (
     [("preprocess", f) for f in ("--fft", "--win", "--hop")]
     + [("metrics", "--seed")]
     + [("vad", f) for f in ("--fft", "--win", "--hop")]
-    + [("snr", f) for f in ("--seed", "--fft", "--win", "--hop")]
+    + [("snr", f) for f in ("--seed", "--fft", "--win", "--hop", "--out")]
     + [
         (command, f)
         for command in ("filter", "report")
@@ -2048,6 +2104,17 @@ def test_readme_option_table_matches_the_parser():
         for name, sub in _subparsers().items()
     }
     assert documented == declared
+
+
+def test_readme_examples_parse():
+    # Parsed only, never run: a renamed or removed flag would leave an example that fails.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+    examples = [shlex.split(line, comments=True) for line in lines.splitlines()]
+    examples = [argv[1:] for argv in examples if argv[:1] == ["voxkit"]]
+    assert {argv[0] for argv in examples} == set(_subparsers())  # every command has one
+    for argv in examples:
+        cli.build_parser().parse_args(argv)
 
 
 # The CLI flag that sets each field of voxkit's *Config and *Policy dataclasses.
@@ -2377,7 +2444,7 @@ def test_a_memory_error_in_flts_cer_is_an_flt_row_and_a_missing_field_drop(
 @pytest.mark.parametrize("command, wrote", [
     ("vad", "out\\xff/manifest.tsv (0 errors)"),
     ("metrics", "out\\xff/report.tsv (0 errors)"),
-    ("snr", "out\\xff/scored.tsv (0 errors)"),
+    ("snr", "out\\xff/manifest.tsv (0 errors)"),
     ("vocode", "out\\xff (0 errors)"),
 ], ids=["vad", "metrics", "snr", "vocode"])
 def test_out_dir_that_is_not_utf8_is_written_xnn_on_stdout(command, wrote, tmp_path):
@@ -2389,7 +2456,7 @@ def test_out_dir_that_is_not_utf8_is_written_xnn_on_stdout(command, wrote, tmp_p
         "metrics": ["metrics", "--ref-manifest", "manifest.tsv", "--hyp-manifest",
                     "manifest.tsv", "--which", "cer", "--out-dir", out_dir],
         "snr": ["snr", "--manifest", "manifest.tsv", "--enhanced-dir", "enh",
-                "--out", f"{out_dir}/scored.tsv"],
+                "--out-dir", out_dir],
         "vocode": ["vocode", "--manifest", "manifest.tsv", "--out-dir", out_dir, "--iters", "1"],
     }[command]
     src = str(Path(__file__).resolve().parents[1] / "src")

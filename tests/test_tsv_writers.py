@@ -456,7 +456,7 @@ def test_preprocess_dropped_report_and_summary(tmp_path, capsys):
         "VAD-2        0.00           2\n"
         "wrote 2 utterances to <out>/manifest.tsv (1 errors)\n"
     )),
-    ("snr", "wrote 2 utterances to <out>/scored.tsv (1 errors)\n"),
+    ("snr", "wrote 2 utterances to <out>/manifest.tsv (1 errors)\n"),
     ("vocode", "mean spectral convergence: 0.2697\nwrote 2 files to <out> (1 errors)\n"),
 ], ids=["vad", "snr", "vocode"])
 def test_command_summary(command, stdout, tmp_path, capsys):
@@ -470,7 +470,7 @@ def test_command_summary(command, stdout, tmp_path, capsys):
     if command == "vad":
         argv += ["--out-dir", str(out_dir), "--aggressiveness", "2"]
     elif command == "snr":
-        argv += ["--enhanced-dir", str(root / "enh"), "--out", str(out_dir / "scored.tsv")]
+        argv += ["--enhanced-dir", str(root / "enh"), "--out-dir", str(out_dir)]
     else:
         argv += ["--out-dir", str(out_dir), "--iters", "4"]
     assert cli.main(argv) == cli.EXIT_OK
